@@ -1,5 +1,5 @@
-// Chat over real UDP loopback sockets: N Drum nodes, each driven by its own
-// runtime::NodeRunner thread with real-time jittered rounds; lines typed on
+// Chat over real UDP loopback sockets: N Drum nodes hosted on one
+// runtime::ReactorRuntime with real-time jittered rounds; lines typed on
 // stdin are multicast from node 0 and printed as every node delivers them.
 //
 //   ./build/examples/chat                 # interactive, 5 nodes
@@ -17,7 +17,7 @@
 #include "drum/core/node.hpp"
 #include "drum/crypto/keys.hpp"
 #include "drum/net/udp_transport.hpp"
-#include "drum/runtime/runner.hpp"
+#include "drum/runtime/reactor.hpp"
 #include "drum/util/flags.hpp"
 
 int main(int argc, char** argv) {
@@ -54,7 +54,9 @@ int main(int argc, char** argv) {
   std::atomic<int> delivered{0};
   std::vector<std::unique_ptr<net::UdpTransport>> transports;
   std::vector<std::unique_ptr<core::Node>> nodes;
-  std::vector<std::unique_ptr<runtime::NodeRunner>> runners;
+  runtime::ReactorConfig rc;
+  rc.round = std::chrono::milliseconds(round_ms);
+  runtime::ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < n; ++id) {
     transports.push_back(std::make_unique<net::UdpTransport>(host));
     core::NodeConfig cfg = core::make_node_config(core::Variant::kDrum, id);
@@ -71,15 +73,12 @@ int main(int argc, char** argv) {
           std::fflush(stdout);
           delivered.fetch_add(1);
         }));
-    runtime::RunnerConfig rc;
-    rc.round = std::chrono::milliseconds(round_ms);
-    runners.push_back(std::make_unique<runtime::NodeRunner>(*nodes.back(), rc,
-                                                            rng.next()));
+    reactor.add_node(*nodes.back(), rng.next());
   }
-  for (auto& r : runners) r->start();
+  reactor.start();
 
   auto say = [&](const std::string& line) {
-    runners[0]->multicast(util::ByteSpan(
+    reactor.multicast(0, util::ByteSpan(
         reinterpret_cast<const std::uint8_t*>(line.data()), line.size()));
   };
 
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(round_ms * 3));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(round_ms * 6));
-    for (auto& r : runners) r->stop();
+    reactor.stop();
     int expected = static_cast<int>(n - 1) * 3;
     std::printf("script mode: %d/%d deliveries\n", delivered.load(), expected);
     return delivered.load() >= expected ? 0 : 1;
@@ -103,6 +102,6 @@ int main(int argc, char** argv) {
   while (std::getline(std::cin, line)) {
     if (!line.empty()) say(line);
   }
-  for (auto& r : runners) r->stop();
+  reactor.stop();
   return 0;
 }

@@ -24,7 +24,7 @@
 #include "drum/core/node.hpp"
 #include "drum/crypto/keys.hpp"
 #include "drum/net/udp_transport.hpp"
-#include "drum/runtime/runner.hpp"
+#include "drum/runtime/reactor.hpp"
 #include "drum/util/flags.hpp"
 
 namespace {
@@ -162,17 +162,18 @@ int main(int argc, char** argv) {
                                 d.hops);
                     std::fflush(stdout);
                   });
-  runtime::RunnerConfig rc;
+  runtime::ReactorConfig rc;
   rc.round = std::chrono::milliseconds(round_ms);
-  runtime::NodeRunner runner(node, rc, rng.next());
-  runner.start();
+  runtime::ReactorRuntime reactor(rc);
+  const auto self = reactor.add_node(node, rng.next());
+  reactor.start();
   std::fprintf(stderr, "node %u up: pull port %u, offer port %u, round %lld "
                        "ms\n",
                id, cfg.wk_pull_port, cfg.wk_offer_port,
                static_cast<long long>(round_ms));
 
   if (!say.empty()) {
-    runner.multicast(util::ByteSpan(
+    reactor.multicast(self, util::ByteSpan(
         reinterpret_cast<const std::uint8_t*>(say.data()), say.size()));
   }
 
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
           for (auto& b : payload) {
             b = static_cast<std::uint8_t>(payload_rng.below(256));
           }
-          runner.multicast(util::ByteSpan(payload));
+          reactor.multicast(self, util::ByteSpan(payload));
         }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(round_ms));
@@ -196,13 +197,13 @@ int main(int argc, char** argv) {
       std::string line;
       if (!std::getline(std::cin, line)) break;
       if (!line.empty()) {
-        runner.multicast(util::ByteSpan(
+        reactor.multicast(self, util::ByteSpan(
             reinterpret_cast<const std::uint8_t*>(line.data()), line.size()));
       }
     }
   }
-  runner.stop();
-  runner.with_node([](core::Node& n) {
+  reactor.stop();
+  reactor.with_node(self, [](core::Node& n) {
     const auto& reg = n.registry();
     auto c = [&](const char* name) {
       return static_cast<unsigned long long>(reg.counter_value(name));

@@ -1,20 +1,15 @@
 // swarm — the reactor-runtime scale benchmark (DESIGN.md §8, README
 // "Running a swarm").
 //
-// Hosts N protocol nodes plus a flooding adversary in ONE process, under
-// either the event-driven ReactorRuntime (default) or the thread-per-node
-// baseline, and reports threads / CPU / wall-clock delivery latency. The
-// comparison across 32/128/512 nodes is the reactor's headline number: same
-// protocol, ~10x fewer threads, less CPU burned per delivered message.
+// Hosts N protocol nodes plus a flooding adversary in ONE process on the
+// event-driven ReactorRuntime, and reports shards / CPU / wall-clock
+// delivery latency.
 //
 //   swarm [options]
 //     --nodes N        group size                      (default 128)
 //     --seconds S      measurement window              (default 10)
-//     --mode M         reactor | threads | both        (default both)
-//     --workers W      reactor worker threads          (default 2)
-//     --shards LIST    comma-separated reactor shard counts; one reactor
-//                      phase per entry (1 = single loop + workers, 0 = one
-//                      shard per core; DESIGN.md §13)     (default "1")
+//     --shards LIST    comma-separated reactor shard counts, each >= 1; one
+//                      phase per entry (DESIGN.md §13)  (default "1")
 //     --round MS       mean round duration, ms         (default 200)
 //     --rate R         source multicasts per round     (default 10)
 //     --alpha A        attacked fraction               (default 0.25)
@@ -26,11 +21,11 @@
 //     --json PATH      write BENCH_reactor.json-style report
 //     --seed S         RNG seed                        (default 1)
 //
-// Each mode (and each shard count) runs in its own sequential phase so
-// getrusage CPU deltas are attributable; the JSON document carries one entry
-// per phase. Reactor phases at shards=1 keep the plain "reactor" label so
-// existing compare_bench baselines stay addressable; sharded phases are
-// "reactor-s<K>".
+// Each shard count runs in its own sequential phase so getrusage CPU deltas
+// are attributable; the JSON document carries one entry per phase. The
+// shards=1 phase keeps the plain "reactor" label so existing compare_bench
+// baselines stay addressable; the others are "reactor-s<K>".
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,8 +40,6 @@ namespace {
 struct Options {
   std::size_t nodes = 128;
   int seconds = 10;
-  std::string mode = "both";
-  std::size_t workers = 2;
   std::vector<std::size_t> shards = {1};
   int round_ms = 200;
   std::size_t rate = 10;
@@ -85,7 +78,6 @@ std::string report_json(const std::string& mode,
   std::string out = "    {\n";
   out += "      \"mode\": \"" + mode + "\",\n";
   out += "      \"nodes\": " + std::to_string(r.nodes) + ",\n";
-  out += "      \"threads\": " + std::to_string(r.threads) + ",\n";
   out += "      \"shards\": " + std::to_string(r.shards) + ",\n";
   out += "      \"wall_s\": " + fmt(r.wall_s) + ",\n";
   out += "      \"cpu_user_s\": " + fmt(r.cpu_user_s) + ",\n";
@@ -113,8 +105,7 @@ std::string report_json(const std::string& mode,
   return out;
 }
 
-drum::harness::SwarmReport run_phase(const Options& opt, bool reactor,
-                                     std::size_t shards,
+drum::harness::SwarmReport run_phase(const Options& opt, std::size_t shards,
                                      const std::string& label) {
   drum::harness::SwarmConfig cfg;
   cfg.n = opt.nodes;
@@ -125,8 +116,6 @@ drum::harness::SwarmReport run_phase(const Options& opt, bool reactor,
   cfg.rate = opt.rate;
   cfg.use_udp = opt.udp;
   cfg.verify_signatures = opt.verify;
-  cfg.reactor = reactor;
-  cfg.workers = opt.workers;
   cfg.shards = shards;
   cfg.prewarm = opt.prewarm;
 
@@ -137,10 +126,10 @@ drum::harness::SwarmReport run_phase(const Options& opt, bool reactor,
   auto r = swarm.report();
 
   std::printf(
-      "%-12s nodes=%-5zu threads=%-4zu wall=%.1fs cpu=%.2fs (%.0f%%) "
+      "%-12s nodes=%-5zu shards=%-3zu wall=%.1fs cpu=%.2fs (%.0f%%) "
       "rounds=%llu delivered=%llu flood=%llu ingress=%.0f/s "
       "cpu/msg=%.3fms lat p50/p90/p99 = %.1f/%.1f/%.1f ms\n",
-      label.c_str(), r.nodes, r.threads, r.wall_s,
+      label.c_str(), r.nodes, r.shards, r.wall_s,
       r.cpu_total_s(), 100.0 * r.cpu_util(),
       static_cast<unsigned long long>(r.rounds),
       static_cast<unsigned long long>(r.delivered),
@@ -167,14 +156,12 @@ int main(int argc, char** argv) {
       opt.nodes = static_cast<std::size_t>(std::atoll(next()));
     } else if (a == "--seconds") {
       opt.seconds = std::atoi(next());
-    } else if (a == "--mode") {
-      opt.mode = next();
-    } else if (a == "--workers") {
-      opt.workers = static_cast<std::size_t>(std::atoll(next()));
     } else if (a == "--shards") {
       opt.shards = parse_size_list(next());
-      if (opt.shards.empty()) {
-        std::fprintf(stderr, "--shards needs at least one count\n");
+      if (opt.shards.empty() ||
+          std::find(opt.shards.begin(), opt.shards.end(), 0) !=
+              opt.shards.end()) {
+        std::fprintf(stderr, "--shards needs one or more counts, each >= 1\n");
         return 2;
       }
     } else if (a == "--round") {
@@ -200,27 +187,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (opt.mode != "reactor" && opt.mode != "threads" && opt.mode != "both") {
-    std::fprintf(stderr, "--mode must be reactor, threads, or both\n");
-    return 2;
-  }
-
   std::printf(
       "swarm: %zu nodes, %ds window, round %dms, alpha=%.2f x=%.0f, %s\n",
       opt.nodes, opt.seconds, opt.round_ms, opt.alpha, opt.x,
       opt.udp ? "udp" : "mem");
 
   std::vector<std::string> entries;
-  if (opt.mode == "reactor" || opt.mode == "both") {
-    for (std::size_t sh : opt.shards) {
-      const std::string label =
-          sh == 1 ? "reactor" : "reactor-s" + std::to_string(sh);
-      entries.push_back(report_json(label, run_phase(opt, true, sh, label)));
-    }
-  }
-  if (opt.mode == "threads" || opt.mode == "both") {
-    entries.push_back(
-        report_json("threads", run_phase(opt, false, 1, "threads")));
+  for (std::size_t sh : opt.shards) {
+    const std::string label =
+        sh == 1 ? "reactor" : "reactor-s" + std::to_string(sh);
+    entries.push_back(report_json(label, run_phase(opt, sh, label)));
   }
 
   if (!opt.json_path.empty()) {
@@ -231,7 +207,6 @@ int main(int argc, char** argv) {
     out += ", \"rate\": " + std::to_string(opt.rate);
     out += ", \"alpha\": " + fmt(opt.alpha);
     out += ", \"x\": " + fmt(opt.x);
-    out += ", \"workers\": " + std::to_string(opt.workers);
     out += ", \"shards\": [";
     for (std::size_t i = 0; i < opt.shards.size(); ++i) {
       out += (i ? ", " : "") + std::to_string(opt.shards[i]);

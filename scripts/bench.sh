@@ -16,9 +16,9 @@
 #   results/BENCH_sim.json        parallel sim engine thread sweep (Fig. 3)
 #   results/BENCH_adversary.json  adversary zoo: attack x protocol curves
 #   results/BENCH_crypto.json     per-backend crypto throughput (microbench)
-#   results/BENCH_reactor.json    swarm sweep: 32/128/512-node reactor (shard
-#                                 sweep) vs thread-per-node, plus the 10k-node
-#                                 flood sweep across shard counts (§13)
+#   results/BENCH_reactor.json    swarm sweep: 32/128/512-node reactor shard
+#                                 sweep, plus the 10k-node flood sweep across
+#                                 shard counts (§13)
 #   results/BENCH_ingress.json    128 UDP nodes under a x=2048 flood
 #
 # Every results/BENCH_*.json is stamped with host metadata (cpu, threads,
@@ -71,18 +71,17 @@ mkdir -p results
 if [[ -f BENCH_crypto.json ]]; then mv BENCH_crypto.json results/; fi
 
 # ---- reactor swarm sweep (results/BENCH_reactor.json) ----------------------
-# Reactor (across shard counts) vs thread-per-node at 32/128/512 nodes, then
-# the 10k-node flood sweep — reactor only (10k baseline threads would be 10k
-# OS threads), lazy pair keys (prewarm is O(n^2) X25519 at this scale), a
+# The reactor across shard counts at 32/128/512 nodes, then the 10k-node
+# flood sweep — lazy pair keys (prewarm is O(n^2) X25519 at this scale), a
 # slower round and a longer window so dissemination shows up at all when the
 # group is 20x larger than the core count can comfortably serve.
 cmake --build "$BUILD" --target swarm
 for n in 32 128 512; do
-  ./"$BUILD"/examples/swarm --nodes "$n" --seconds 15 --mode both \
-    --round 400 --rate 4 --alpha 0.25 --x 16 --workers 2 \
+  ./"$BUILD"/examples/swarm --nodes "$n" --seconds 15 \
+    --round 400 --rate 4 --alpha 0.25 --x 16 \
     --shards "$SHARDS" --json "results/.reactor_$n.json"
 done
-./"$BUILD"/examples/swarm --nodes 10000 --seconds 10 --mode reactor \
+./"$BUILD"/examples/swarm --nodes 10000 --seconds 10 \
   --round 500 --rate 4 --alpha 0.25 --x 16 --no-prewarm \
   --shards "$SHARDS" --json results/.reactor_10000.json
 python3 - <<'EOF'
@@ -105,16 +104,14 @@ for n in (32, 128, 512, 10000):
 doc = {
     "bench": "reactor_swarm_sweep",
     "generated": datetime.date.today().isoformat(),
-    "note": "examples/swarm --round 400 --rate 4 --x 16 --workers 2 "
-            "--seconds 15 (mode both, reactor phases swept over --shards) at "
-            "32/128/512 nodes; 10k-node flood sweep is reactor-only with "
-            "--no-prewarm --round 500 --seconds 10. One process, in-process "
-            "mem network, flooding adversary at alpha=0.25 x=16 throughout; "
-            "sharded runs (reactor-s<K>) use one event loop per shard with "
-            "SPSC cross-shard handoff (DESIGN.md §13). On a single-core "
-            "host the 10k group saturates the CPU: ingress throughput under "
-            "flood is the figure of merit there, delivery counts are "
-            "latency-bound.",
+    "note": "examples/swarm --round 400 --rate 4 --x 16 --seconds 15, one "
+            "phase per --shards count, at 32/128/512 nodes; the 10k-node "
+            "flood sweep uses --no-prewarm --round 500 --seconds 10. One "
+            "process, in-process mem network, flooding adversary at "
+            "alpha=0.25 x=16 throughout; each phase runs one event loop per "
+            "shard with SPSC cross-shard handoff (DESIGN.md §13). The 10k "
+            "group is overloaded: its nodes miss most of their configured "
+            "rounds, so its delivery counts are not a defense figure.",
     "runs": runs,
 }
 (results / "BENCH_reactor.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -123,8 +120,8 @@ EOF
 
 # 128 UDP nodes under a x=2048 flood — the DESIGN.md §12 ingress pipeline
 # benchmark, same command CI runs.
-./"$BUILD"/examples/swarm --nodes 128 --seconds 15 --mode reactor \
-  --workers 2 --round 400 --rate 4 --x 2048 --udp \
+./"$BUILD"/examples/swarm --nodes 128 --seconds 15 \
+  --round 400 --rate 4 --x 2048 --udp \
   --json results/BENCH_ingress.json
 # Same loop-subtree strip as the reactor sweep (see above): sparse histogram
 # shapes are not stable across runs and would trip the comparator's identity

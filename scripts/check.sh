@@ -6,12 +6,12 @@
 #
 #   asan  — AddressSanitizer + UndefinedBehaviorSanitizer: lifetime,
 #           bounds, aliasing, UB. Build dir: build-asan/.
-#   tsan  — ThreadSanitizer: races on the NodeRunner / ReactorRuntime /
-#           EventLoop / MemNetwork / contract-layer paths
-#           (tests/stress_test.cpp hammers them, including the reactor's
-#           loop-thread + worker-pool + readiness-bridge handoffs in
-#           Stress.ReactorConcurrentMulticastFloodAndChurn).
-#           Build dir: build-tsan/.
+#   tsan  — ThreadSanitizer: races on the ReactorRuntime / EventLoop /
+#           MemNetwork / contract-layer paths (tests/stress_test.cpp
+#           hammers them, including the reactor's shard threads, SPSC
+#           handoffs and foreign-thread readiness in the Stress.Reactor*
+#           tests; tests/reactor_test.cpp restarts one runtime while
+#           another delivers into it). Build dir: build-tsan/.
 #   ubsan — UBSan alone, non-recoverable (-fno-sanitize-recover=all): any
 #           finding aborts the test instead of printing and continuing.
 #           Catches what the asan leg tolerates, and clang adds the

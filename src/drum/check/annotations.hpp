@@ -128,8 +128,8 @@ class DRUM_CAPABILITY("shared_mutex") SharedMutex {
 /// lock()/unlock() members exist so std::condition_variable_any can release
 /// and reacquire around a wait:
 ///
-///   MutexLock lock(queue_mu_);
-///   queue_cv_.wait(lock, [&] { return !queue_.empty(); });
+///   MutexLock lock(mu_);
+///   cv_.wait(lock, [&] { return !items_.empty(); });
 ///
 /// The analysis treats the capability as held across the wait — exactly the
 /// contract the caller sees (wait() returns with the lock reacquired).

@@ -39,7 +39,7 @@ struct EntryGuard {
     const std::thread::id self = std::this_thread::get_id();
     if (owner_.load(std::memory_order_relaxed) == self) return;  // nested
     std::thread::id nobody{};
-    const bool won = owner_.compare_exchange_strong(
+    [[maybe_unused]] const bool won = owner_.compare_exchange_strong(
         nobody, self, std::memory_order_acquire, std::memory_order_relaxed);
     DRUM_ASSERT(won,
                 "Node entered concurrently from two threads — the runtime "

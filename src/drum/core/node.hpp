@@ -156,8 +156,8 @@ class Node {
   /// and hook(socket, false) right before it is destroyed. Installing a
   /// hook immediately replays all currently bound sockets as additions;
   /// installing nullptr detaches without replay. The hook runs on whatever
-  /// thread drives the node (constructor thread at install, the runtime's
-  /// worker during on_round rotation) — never concurrently with itself,
+  /// thread drives the node (constructor thread at install, the node's home
+  /// shard thread during on_round rotation) — never concurrently with itself,
   /// because the node itself is single-threaded.
   using SocketHook = std::function<void(net::Socket&, bool added)>;
   void set_socket_hook(SocketHook hook);
@@ -294,7 +294,7 @@ class Node {
   bool in_round_ = false;
   /// Which thread is currently inside the node (default id = nobody).
   /// The node has no mutex on purpose — serialization is the *runtime's*
-  /// job (ReactorRuntime's per-node st.mu, NodeRunner's single thread) —
+  /// job (ReactorRuntime's per-node st.mu) —
   /// so this guard turns a broken runtime contract into a loud checked-
   /// build failure instead of silent state corruption. Same-thread nesting
   /// is legal (multicast from a delivery callback); cross-thread overlap

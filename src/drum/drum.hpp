@@ -13,7 +13,7 @@
 //   net         — Transport abstraction, in-memory LAN, UDP sockets
 //   core        — the Drum protocol node, its Push/Pull/ablation variants,
 //                 and the peer-scoring/greylist defense layer
-//   runtime     — real-time thread-per-node execution
+//   runtime     — real-time execution of many nodes on event-loop shards
 //   membership  — CA, certificates, membership table, failure detector,
 //                 the gossip-borne membership service, networked CA
 //   sim         — the paper's round-based Monte-Carlo simulator
@@ -56,7 +56,7 @@
 #include "drum/obs/export.hpp"
 #include "drum/obs/metrics.hpp"
 #include "drum/obs/trace.hpp"
-#include "drum/runtime/runner.hpp"
+#include "drum/runtime/reactor.hpp"
 #include "drum/sim/engine.hpp"
 #include "drum/util/bytes.hpp"
 #include "drum/util/flags.hpp"

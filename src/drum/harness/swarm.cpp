@@ -137,23 +137,12 @@ Swarm::Swarm(SwarmConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     nodes_.push_back(std::move(live));
   }
 
-  if (cfg_.reactor) {
-    runtime::ReactorConfig rc;
-    rc.round = cfg_.round;
-    rc.jitter = cfg_.jitter;
-    rc.workers = cfg_.workers;
-    rc.shards = cfg_.shards;
-    reactor_ = std::make_unique<runtime::ReactorRuntime>(rc);
-    for (auto& live : nodes_) reactor_->add_node(*live.node, rng_.next());
-  } else {
-    runtime::RunnerConfig rc;
-    rc.round = cfg_.round;
-    rc.jitter = cfg_.jitter;
-    for (auto& live : nodes_) {
-      live.runner = std::make_unique<runtime::NodeRunner>(*live.node, rc,
-                                                          rng_.next());
-    }
-  }
+  runtime::ReactorConfig rc;
+  rc.round = cfg_.round;
+  rc.jitter = cfg_.jitter;
+  rc.shards = cfg_.shards;
+  reactor_ = std::make_unique<runtime::ReactorRuntime>(rc);
+  for (auto& live : nodes_) reactor_->add_node(*live.node, rng_.next());
 }
 
 Swarm::~Swarm() { stop(); }
@@ -176,11 +165,7 @@ void Swarm::start() {
   check::MutexLock lifecycle(lifecycle_mu_);
   if (started_) return;
   started_ = true;
-  if (reactor_) {
-    reactor_->start();
-  } else {
-    for (auto& live : nodes_) live.runner->start();
-  }
+  reactor_->start();
   if (!victims_.empty()) {
     attacker_stop_.store(false);
     attacker_ = std::thread([this] { attacker_main(); });
@@ -193,11 +178,7 @@ void Swarm::stop() {
   started_ = false;
   attacker_stop_.store(true);
   if (attacker_.joinable()) attacker_.join();
-  if (reactor_) {
-    reactor_->stop();
-  } else {
-    for (auto& live : nodes_) live.runner->stop();
-  }
+  reactor_->stop();
 }
 
 void Swarm::run_for(std::chrono::milliseconds d) {
@@ -219,11 +200,7 @@ void Swarm::run_for(std::chrono::milliseconds d) {
   auto next_send = t0;
   while (Clock::now() < end) {
     put_u64(payload.data(), static_cast<std::uint64_t>(now_us()));
-    if (reactor_) {
-      reactor_->multicast(0, util::ByteSpan(payload));
-    } else {
-      nodes_[0].runner->multicast(util::ByteSpan(payload));
-    }
+    reactor_->multicast(0, util::ByteSpan(payload));
     next_send += send_interval;
     std::this_thread::sleep_until(std::min(next_send, end));
   }
@@ -389,13 +366,7 @@ void Swarm::attacker_main() {
 SwarmReport Swarm::report() const {
   SwarmReport r;
   r.nodes = nodes_.size();
-  if (cfg_.reactor) {
-    const std::size_t sh = std::max<std::size_t>(1, reactor_->shard_count());
-    r.shards = sh;
-    r.threads = sh >= 2 ? sh : 1 + cfg_.workers;
-  } else {
-    r.threads = nodes_.size();
-  }
+  r.shards = reactor_->shard_count();
   r.wall_s = wall_s_;
   r.cpu_user_s = cpu_user_s_;
   r.cpu_sys_s = cpu_sys_s_;
@@ -425,7 +396,7 @@ SwarmReport Swarm::report() const {
     r.latency_ms_p90 = latency_ms_.percentile(0.90);
     r.latency_ms_p99 = latency_ms_.percentile(0.99);
   }
-  if (reactor_) r.loop_metrics_json = reactor_->loop_registry().to_json();
+  r.loop_metrics_json = reactor_->loop_registry().to_json();
   return r;
 }
 

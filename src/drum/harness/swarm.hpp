@@ -2,15 +2,10 @@
 //
 // Cluster simulates the paper's experiments in virtual time; Swarm runs the
 // same protocol nodes against the wall clock to measure the *runtime* itself:
-// how many nodes one process sustains, at what thread count and CPU cost, and
-// with what delivery latency — the ReactorRuntime's reason to exist. Two
-// execution modes over identical node code:
-//
-//  * reactor (default): one ReactorRuntime hosts every node — a single event
-//    loop plus a small worker pool, or (shards >= 2, DESIGN.md §13) one
-//    independent event-loop shard per core with SPSC cross-shard handoff;
-//  * thread-per-node baseline: one NodeRunner (and thus one thread) per node,
-//    the deployment shape the paper's per-machine JVMs imply.
+// how many nodes one process sustains, at what CPU cost, and with what
+// delivery latency — the ReactorRuntime's reason to exist. One
+// ReactorRuntime hosts every node on `shards` event-loop threads with SPSC
+// cross-shard handoff (DESIGN.md §8, §13).
 //
 // An adversary thread drives one strategy from the drum::adversary registry
 // — the same registry the Monte-Carlo simulator uses — against the attacked
@@ -43,7 +38,6 @@
 #include "drum/net/mem_transport.hpp"
 #include "drum/obs/metrics.hpp"
 #include "drum/runtime/reactor.hpp"
-#include "drum/runtime/runner.hpp"
 #include "drum/util/rng.hpp"
 #include "drum/util/stats.hpp"
 
@@ -64,12 +58,8 @@ struct SwarmConfig {
   std::size_t payload_size = 64;  ///< bytes; >= 8 (timestamp header)
   bool use_udp = false;         ///< real loopback UDP instead of mem net
   std::uint16_t udp_base_port = 31000;
-  bool reactor = true;          ///< false: thread-per-node baseline
-  std::size_t workers = 2;      ///< reactor worker threads (0 = loop only)
-  /// Reactor shards (DESIGN.md §13): 1 = single event loop + `workers`
-  /// worker pool (the legacy shape); 0 = one shard per hardware core;
-  /// >= 2 = that many shards, each an independent event-loop thread owning
-  /// a disjoint slice of the nodes (`workers` is ignored then).
+  /// Reactor shards (DESIGN.md §13), >= 1: that many event-loop threads,
+  /// each owning a disjoint slice of the nodes.
   std::size_t shards = 1;
   /// Derive every pairwise key at construction (a join-time cost in the
   /// paper's model, so benchmarks do not bill X25519 bootstrap to the
@@ -101,12 +91,8 @@ struct SwarmConfig {
 /// What one measurement window produced. All times are wall-clock.
 struct SwarmReport {
   std::size_t nodes = 0;
-  /// Threads the runtime spawned to execute protocol nodes (loop + workers
-  /// for the single-loop reactor; one per shard when sharded; n for the
-  /// baseline). Excludes the attacker and the caller.
-  std::size_t threads = 0;
-  /// Reactor shards that actually ran (after auto-resolution); 0 in
-  /// baseline mode.
+  /// Reactor shards that ran — one thread each, excluding the attacker and
+  /// the caller.
   std::size_t shards = 0;
   double wall_s = 0.0;
   double cpu_user_s = 0.0;  ///< getrusage(RUSAGE_SELF) delta over the window
@@ -131,8 +117,7 @@ struct SwarmReport {
   double latency_ms_p50 = 0.0;
   double latency_ms_p90 = 0.0;
   double latency_ms_p99 = 0.0;
-  /// Event-loop telemetry ("loop.*", "reactor.timer_resyncs") as JSON;
-  /// "{}" in baseline mode.
+  /// Event-loop telemetry ("loop.*", "reactor.*") as JSON.
   std::string loop_metrics_json = "{}";
 
   [[nodiscard]] double cpu_total_s() const { return cpu_user_s + cpu_sys_s; }
@@ -179,7 +164,6 @@ class Swarm {
     std::uint32_t id = 0;
     std::unique_ptr<net::Transport> transport;
     std::unique_ptr<core::Node> node;
-    std::unique_ptr<runtime::NodeRunner> runner;  // baseline mode only
   };
 
   void on_delivery(std::uint32_t node_id, const core::Node::Delivery& d);
@@ -194,7 +178,7 @@ class Swarm {
   /// Tail ids whose identities the attacker holds (no live node).
   std::vector<std::uint32_t> colluder_ids_;
   std::vector<crypto::Identity> colluder_identities_;
-  std::unique_ptr<runtime::ReactorRuntime> reactor_;  // reactor mode only
+  std::unique_ptr<runtime::ReactorRuntime> reactor_;
 
   /// Per-node delivery activity, written by delivery callbacks (any runtime
   /// thread) and read by the attacker thread to build the adaptive
@@ -204,8 +188,7 @@ class Swarm {
 
   /// Serializes start()/stop() and owns the attacker thread handle. Without
   /// it, two concurrent stop() calls both saw started_ == true and both
-  /// joined attacker_ — undefined behavior (the PR-2 lifecycle race had the
-  /// same shape in NodeRunner).
+  /// joined attacker_ — undefined behavior.
   mutable check::Mutex lifecycle_mu_;
   bool started_ DRUM_GUARDED_BY(lifecycle_mu_) = false;
   std::thread attacker_ DRUM_GUARDED_BY(lifecycle_mu_);

@@ -230,13 +230,6 @@ void UdpTransport::set_registry(obs::MetricsRegistry* registry) {
 BindResult UdpTransport::bind(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return BindError::kSystem;
-  if (reuse_port_) {
-    int one = 1;
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-      ::close(fd);
-      return BindError::kSystem;
-    }
-  }
   sockaddr_in sa = make_sockaddr(Address{host_, port});
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0) {
     int err = errno;

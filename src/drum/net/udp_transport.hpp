@@ -26,15 +26,6 @@ class UdpTransport final : public Transport {
   BindResult bind(std::uint16_t port) override;
   [[nodiscard]] std::uint32_t host() const override { return host_; }
 
-  /// When enabled, sockets bind with SO_REUSEPORT: several sockets (one per
-  /// reactor shard, DESIGN.md §13) share one well-known port and the kernel
-  /// load-balances incoming datagrams across them by flow hash — the real-
-  /// network analogue of sharding a node's ingress. Applies to sockets
-  /// bound afterwards; binding a taken port still fails with kPortTaken
-  /// when the holder did not opt in.
-  void set_reuse_port(bool on) { reuse_port_ = on; }
-  [[nodiscard]] bool reuse_port() const { return reuse_port_; }
-
   /// Attaches a metrics registry (nullptr detaches); applies to sockets
   /// bound afterwards. Records "net.udp.sent" / "net.udp.recv" /
   /// "net.udp.send_errors" counters and the "net.udp.rx_backlog_bytes"
@@ -45,7 +36,6 @@ class UdpTransport final : public Transport {
 
  private:
   std::uint32_t host_;
-  bool reuse_port_ = false;
   obs::MetricsRegistry* registry_ = nullptr;
 };
 

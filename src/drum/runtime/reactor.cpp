@@ -1,6 +1,8 @@
 #include "drum/runtime/reactor.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <stdexcept>
 
 #include "drum/check/check.hpp"
 
@@ -12,21 +14,14 @@ using std::chrono::microseconds;
 
 namespace {
 
-/// Nodes popped per queue critical section (shards == 1 worker path).
-/// Bounding the batch keeps other workers fed under load while still giving
-/// verify() a cross-node window: 8 nodes × a few frames each already fills
-/// the Ed25519 batch ladder.
-constexpr std::size_t kWorkerBatch = 8;
-
-/// Nodes per drain/verify/ingest pass on a shard thread. Wider than the
-/// worker batch (there are no co-workers to feed), narrower than "everything
-/// this cycle" so a flood against one shard still bounds per-pass latency
-/// and batch memory.
+/// Nodes per drain/verify/ingest pass: enough frames to fill the Ed25519
+/// batch ladder, few enough that a flood against one shard still bounds
+/// per-pass latency and batch memory.
 constexpr std::size_t kShardBatch = 64;
 
 /// Which shard's loop thread we are on, if any. dispatch() keys the
 /// same-shard fast path and the ring producer index off this; the owner
-/// check keeps two coexisting runtimes (tests tear fleets up and down) from
+/// check keeps two coexisting runtimes (sharing one MemNetwork) from
 /// misrouting each other's handoffs.
 struct TlsShard {
   const void* owner = nullptr;
@@ -40,8 +35,21 @@ ReactorRuntime::ReactorRuntime(ReactorConfig cfg) : cfg_(cfg) {
   DRUM_REQUIRE(cfg.round.count() > 0, "round duration must be positive");
   DRUM_REQUIRE(cfg.jitter >= 0.0 && cfg.jitter < 1.0,
                "jitter must be in [0, 1): ", cfg.jitter);
-  loop_.set_registry(&loop_registry_);
-  m_resyncs_ = &loop_registry_.counter("reactor.timer_resyncs");
+  // Checked in every build, not only DRUM_CHECKED ones: without a shard
+  // there is nothing to run the nodes on.
+  if (cfg.shards == 0) {
+    throw std::invalid_argument("ReactorConfig::shards must be at least 1");
+  }
+  if (cfg.workers != 0) {
+    throw std::invalid_argument(
+        "ReactorConfig::workers must be 0: the runtime has no worker pool");
+  }
+  for (std::size_t s = 0; s < cfg.shards; ++s) {
+    shards_.push_back(std::make_unique<Shard>());
+    Shard* sh = shards_.back().get();
+    sh->index = s;
+    sh->loop.set_cycle_callback([this, sh] { shard_cycle(*sh); });
+  }
 }
 
 ReactorRuntime::~ReactorRuntime() { stop(); }
@@ -49,7 +57,7 @@ ReactorRuntime::~ReactorRuntime() { stop(); }
 ReactorRuntime::NodeId ReactorRuntime::add_node(core::Node& node,
                                                 std::uint64_t seed) {
   DRUM_REQUIRE(!running_.load(), "add_node while the reactor is running");
-  nodes_.emplace_back(node, seed);
+  nodes_.emplace_back(node, seed, nodes_.size() % cfg_.shards);
   NodeState& st = nodes_.back();
   if (cfg_.instrument) {
     // Uncontended (the runtime is stopped), but the telemetry fields are
@@ -70,42 +78,13 @@ Clock::duration ReactorRuntime::jittered_round(NodeState& st) {
   return duration_cast<Clock::duration>(cfg_.round * j);
 }
 
-net::EventLoop& ReactorRuntime::home_loop(NodeState& st) {
-  return sharded_.load(std::memory_order_relaxed) ? shards_[st.shard]->loop
-                                                  : loop_;
-}
-
 void ReactorRuntime::install_hooks(NodeState& st) {
-  NodeState* stp = &st;
-  check::MutexLock node_lock(st.mu);
-  // Replays existing sockets immediately and fires again on every per-round
-  // random-port rotation (from a worker, inside on_round, under st.mu).
-  st.node->set_socket_hook([this, stp](net::Socket& sock, bool added) {
-    if (added) {
-      auto id = loop_.add_socket(sock, [this, stp] {
-        stp->ready.store(true);
-        dispatch(*stp);
-      });
-      check::MutexLock lock(sources_mu_);
-      sources_[&sock] = id;
-    } else {
-      net::EventLoop::SourceId id = 0;
-      {
-        check::MutexLock lock(sources_mu_);
-        auto it = sources_.find(&sock);
-        if (it == sources_.end()) return;
-        id = it->second;
-        sources_.erase(it);
-      }
-      loop_.remove_socket(id);
-    }
-  });
-}
-
-void ReactorRuntime::install_hooks_sharded(NodeState& st) {
   NodeState* stp = &st;
   Shard* sh = shards_[st.shard].get();
   check::MutexLock node_lock(st.mu);
+  // Replays existing sockets immediately and fires again on every per-round
+  // random-port rotation — always under st.mu, on the home shard thread or
+  // a with_node() caller's.
   st.node->set_socket_hook([this, stp, sh](net::Socket& sock, bool added) {
     if (added) {
       if (sock.native_handle() >= 0) {
@@ -153,54 +132,42 @@ void ReactorRuntime::install_hooks_sharded(NodeState& st) {
 }
 
 void ReactorRuntime::arm_first_tick(NodeState& st) {
-  st.next_deadline = Clock::now() + jittered_round(st);
-  st.last_tick = Clock::now();
-  st.timer_id = home_loop(st).add_timer(st.next_deadline,
-                                        [this, &st] { on_round_timer(st); });
+  const auto now = Clock::now();
+  {
+    check::MutexLock lock(st.mu);
+    st.last_tick = now;
+  }
+  st.next_deadline = now + jittered_round(st);
+  st.timer_id = shards_[st.shard]->loop.add_timer(
+      st.next_deadline, [this, &st] { on_round_timer(st); });
 }
 
 void ReactorRuntime::on_round_timer(NodeState& st) {
-  st.fire_us.store(
-      duration_cast<microseconds>(Clock::now().time_since_epoch()).count());
+  st.fire_us =
+      duration_cast<microseconds>(Clock::now().time_since_epoch()).count();
   st.round_due.store(true);
   dispatch(st);
   // Drift-free re-arm: the next deadline grows from the previous *deadline*,
   // so dispatch slop never accumulates. Only when a stall has pushed us a
   // full round (or more) behind do we resync to now — skipping the backlog
   // instead of burst-firing it.
+  Shard& home = *shards_[st.shard];
   st.next_deadline += jittered_round(st);
   auto now = Clock::now();
   if (st.next_deadline <= now) {
     st.next_deadline = now + jittered_round(st);
-    if (sharded_.load(std::memory_order_relaxed)) {
-      shards_[st.shard]->m_resyncs->inc();
-    } else {
-      m_resyncs_->inc();
-    }
+    home.m_resyncs->inc();
   }
-  st.timer_id = home_loop(st).add_timer(st.next_deadline,
-                                        [this, &st] { on_round_timer(st); });
+  st.timer_id = home.loop.add_timer(st.next_deadline,
+                                    [this, &st] { on_round_timer(st); });
 }
 
 void ReactorRuntime::dispatch(NodeState& st) {
-  // `scheduled` only dedups queue/ring entries. A notifier that loses this
+  // `scheduled` only dedups ring/list entries. A notifier that loses this
   // race is covered: the winner clears `scheduled` before draining the
   // flags, so any flag set after that drain finds `scheduled` false and
   // re-enqueues.
   if (st.scheduled.exchange(true)) return;
-  if (!sharded_.load(std::memory_order_relaxed)) {
-    if (inline_dispatch_.load(std::memory_order_relaxed)) {
-      run_node(st);
-      return;
-    }
-    {
-      check::MutexLock lock(queue_mu_);
-      queue_.push_back(&st);
-    }
-    queue_cv_.notify_one();
-    return;
-  }
-
   Shard& home = *shards_[st.shard];
   if (tls_shard.owner == this) {
     const std::size_t from = tls_shard.index;
@@ -232,15 +199,10 @@ void ReactorRuntime::dispatch(NodeState& st) {
     // Fall through: the ring is transiently overfull — the loop's post queue
     // is the unbounded safety valve.
   }
-  // External threads (harness, attacker, with_node-triggered rotations) and
-  // ring-full fallbacks go through the home loop's post queue.
+  // External threads (harness, attacker, with_node-triggered rotations,
+  // another runtime's shards) and ring-full fallbacks go through the home
+  // loop's post queue.
   home.loop.post([this, &st] { shards_[st.shard]->ready.push_back(&st); });
-}
-
-void ReactorRuntime::run_node(NodeState& st) {
-  NodeState* stp = &st;
-  run_batch(std::span<NodeState* const>(&stp, 1), inline_batch_,
-            inline_scratch_);
 }
 
 void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
@@ -270,7 +232,7 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
         st.m_tick_interval_us->record(static_cast<std::uint64_t>(gap));
         auto now_us =
             duration_cast<microseconds>(now.time_since_epoch()).count();
-        auto slop = now_us - st.fire_us.load();
+        auto slop = now_us - st.fire_us;
         st.m_dispatch_us->record(
             static_cast<std::uint64_t>(slop < 0 ? 0 : slop));
         st.last_tick = now;
@@ -290,7 +252,7 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
 
   // Phase 2 — the wide crypto pass: every signature and every port box the
   // drain produced, across ALL nodes, in one batch. No node lock is held
-  // here, so co-workers keep draining and round ticks keep firing.
+  // here, so multicast()/with_node() callers never wait behind the crypto.
   batch.verify();
 
   // Phase 3 — push the verified frames back in, per node, serialized again.
@@ -301,6 +263,9 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
     auto& sec = batch.section_for(*d.node);
     if (!sec.frames.empty()) {
       d.node->ingest(std::span<core::ingress::VerifiedFrame>(sec.frames));
+      // A late post from before a restart can list a node twice in one
+      // pass; both drains filled this one section, which is ingested once.
+      sec.frames.clear();
     }
     if (st.m_polls) {
       auto dt = duration_cast<microseconds>(Clock::now() - t0).count();
@@ -309,29 +274,6 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
     }
   }
   batch.clear();
-}
-
-void ReactorRuntime::worker_main() {
-  std::vector<NodeState*> popped;
-  popped.reserve(kWorkerBatch);
-  std::vector<Drained> scratch;
-  scratch.reserve(kWorkerBatch);
-  core::ingress::IngressBatch batch;
-  for (;;) {
-    popped.clear();
-    {
-      check::MutexLock lock(queue_mu_);
-      queue_cv_.wait(lock, [this]() DRUM_REQUIRES(queue_mu_) {
-        return workers_stop_ || !queue_.empty();
-      });
-      if (workers_stop_ && queue_.empty()) return;
-      while (!queue_.empty() && popped.size() < kWorkerBatch) {
-        popped.push_back(queue_.front());
-        queue_.pop_front();
-      }
-    }
-    run_batch(popped, batch, scratch);
-  }
 }
 
 void ReactorRuntime::drain_rings(Shard& sh) {
@@ -390,81 +332,48 @@ void ReactorRuntime::shard_cycle(Shard& sh) {
   // every node re-arms a round timer on this loop.)
 }
 
+void ReactorRuntime::reset_shard(Shard& sh, std::size_t per_shard) {
+  // stop() already merged the previous run's telemetry into loop_registry_.
+  sh.registry = obs::MetricsRegistry{};
+  sh.loop.set_registry(&sh.registry);
+  sh.m_handoffs = &sh.registry.counter("reactor.shard.ring_handoffs");
+  sh.m_wakes = &sh.registry.counter("reactor.shard.wakeups");
+  sh.m_ring_full = &sh.registry.counter("reactor.shard.ring_full_fallbacks");
+  sh.m_batches = &sh.registry.counter("reactor.shard.batches");
+  sh.m_resyncs = &sh.registry.counter("reactor.timer_resyncs");
+  // Entries left over from the previous run are stale: stop() cleared every
+  // node's scheduling flags.
+  sh.ready.clear();
+  sh.ready.reserve(per_shard + kShardBatch);
+  sh.proc.reserve(per_shard + kShardBatch);
+  sh.drain_scratch.reserve(kShardBatch);
+  sh.idle.store(true, std::memory_order_relaxed);
+  // Sized for the nodes registered now (add_node() may have run since).
+  sh.inbound.clear();
+  sh.inbound.resize(cfg_.shards);
+  for (std::size_t p = 0; p < cfg_.shards; ++p) {
+    if (p == sh.index) continue;
+    sh.inbound[p] = std::make_unique<util::SpscRing<NodeState*>>(
+        std::max<std::size_t>(64, per_shard + 1));
+  }
+}
+
 void ReactorRuntime::start() {
   check::MutexLock lifecycle(lifecycle_mu_);
   if (running_.exchange(true)) return;
-  std::size_t n = cfg_.shards;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
-  n_shards_.store(n, std::memory_order_relaxed);
-  sharded_.store(n >= 2, std::memory_order_relaxed);
-  if (n >= 2) {
-    start_sharded(n);
-  } else {
-    start_single();
-  }
-}
-
-void ReactorRuntime::start_single() {
-  {
-    check::MutexLock lock(queue_mu_);
-    workers_stop_ = false;
-  }
-  // Workers first so inline-vs-queued dispatch is decided before any event
-  // can fire (dispatch() keys off inline_dispatch_ — the lock-free mirror
-  // of workers_.empty(), which itself stays under lifecycle_mu_).
-  inline_dispatch_.store(cfg_.workers == 0);
-  for (std::size_t i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back([this] { worker_main(); });
-  }
+  const std::size_t per_shard =
+      (nodes_.size() + cfg_.shards - 1) / cfg_.shards;
+  for (auto& sh : shards_) reset_shard(*sh, per_shard);
   for (auto& st : nodes_) {
-    // add_socket queues an initial catch-up dispatch per socket, so
-    // datagrams that arrived before start() are polled without an explicit
-    // kick here.
+    // Each replayed socket gets a catch-up dispatch, so datagrams that
+    // arrived while stopped are drained without an explicit kick.
     install_hooks(st);
-    arm_first_tick(st);
-  }
-  // Clear any stop request left by a previous run; lifecycle_mu_ guarantees
-  // no stop() can race this before the new loop thread is launched.
-  loop_.reset();
-  loop_thread_ = std::thread([this] { loop_.run(); });
-}
-
-void ReactorRuntime::start_sharded(std::size_t n_shards) {
-  shards_.clear();
-  const std::size_t per_shard = (nodes_.size() + n_shards - 1) / n_shards;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    Shard& sh = *shards_.back();
-    sh.index = s;
-    sh.loop.set_registry(&sh.registry);
-    sh.m_handoffs = &sh.registry.counter("reactor.shard.ring_handoffs");
-    sh.m_wakes = &sh.registry.counter("reactor.shard.wakeups");
-    sh.m_ring_full = &sh.registry.counter("reactor.shard.ring_full_fallbacks");
-    sh.m_batches = &sh.registry.counter("reactor.shard.batches");
-    sh.m_resyncs = &sh.registry.counter("reactor.timer_resyncs");
-    sh.ready.reserve(per_shard + kShardBatch);
-    sh.proc.reserve(per_shard + kShardBatch);
-    sh.drain_scratch.reserve(kShardBatch);
-    sh.inbound.resize(n_shards);
-    for (std::size_t p = 0; p < n_shards; ++p) {
-      if (p == s) continue;
-      sh.inbound[p] = std::make_unique<util::SpscRing<NodeState*>>(
-          std::max<std::size_t>(64, per_shard + 1));
-    }
-    Shard* shp = &sh;
-    sh.loop.set_cycle_callback([this, shp] { shard_cycle(*shp); });
-  }
-  std::size_t id = 0;
-  for (auto& st : nodes_) {
-    st.shard = id++ % n_shards;
-    install_hooks_sharded(st);
     arm_first_tick(st);
   }
   for (auto& shp : shards_) {
     Shard* sh = shp.get();
+    // Clear the previous run's stop request; lifecycle_mu_ guarantees no
+    // stop() can race this before the thread is launched.
     sh->loop.reset();
     sh->thread = std::thread([this, sh] {
       tls_shard = TlsShard{this, sh->index};
@@ -477,49 +386,15 @@ void ReactorRuntime::start_sharded(std::size_t n_shards) {
 void ReactorRuntime::stop() {
   check::MutexLock lifecycle(lifecycle_mu_);
   if (!running_.load()) return;
-  if (sharded_.load(std::memory_order_relaxed)) {
-    stop_sharded();
-  } else {
-    stop_single();
-  }
-  running_.store(false);
-}
-
-void ReactorRuntime::stop_single() {
-  loop_.stop();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  {
-    check::MutexLock lock(queue_mu_);
-    workers_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-  // With all threads quiesced, return the nodes to plain single-threaded
-  // life: cancel round timers (else a restart would burst-fire the stale
-  // backlog), detach the hooks, and unregister every socket.
-  for (auto& st : nodes_) {
-    loop_.cancel_timer(st.timer_id);
-    check::MutexLock node_lock(st.mu);
-    st.node->set_socket_hook(nullptr);
-  }
-  {
-    check::MutexLock lock(sources_mu_);
-    for (auto& [sock, id] : sources_) loop_.remove_socket(id);
-    sources_.clear();
-  }
-}
-
-void ReactorRuntime::stop_sharded() {
   for (auto& sh : shards_) sh->loop.stop();
   for (auto& sh : shards_) {
     if (sh->thread.joinable()) sh->thread.join();
   }
-  // All shard threads quiesced. Cancel timers, detach hooks, clear the
-  // scheduling flags (rings and ready lists may hold stale entries that die
-  // with the shards below), and unregister sockets.
+  // All shard threads quiesced. Cancel timers (else a restart would
+  // burst-fire the stale backlog), detach hooks, clear the scheduling flags
+  // (ready lists, rings and post queues may keep stale entries; start()
+  // drops the first two, run_batch() tolerates the third), and unregister
+  // sockets.
   for (auto& st : nodes_) {
     shards_[st.shard]->loop.cancel_timer(st.timer_id);
     {
@@ -541,12 +416,12 @@ void ReactorRuntime::stop_sharded() {
     }
     sh->sources.clear();
   }
-  // Fold every shard's loop + reactor.shard.* telemetry into the runtime
-  // registry, then tear the shards down (a restart builds fresh ones).
+  // Fold this run's loop + reactor.shard.* telemetry into the runtime
+  // registry; the shards themselves live on until the destructor.
   for (auto& sh : shards_) loop_registry_.merge(sh->registry);
   loop_registry_.gauge("reactor.shards")
       .set(static_cast<double>(shards_.size()));
-  shards_.clear();
+  running_.store(false);
 }
 
 core::MessageId ReactorRuntime::multicast(NodeId id, util::ByteSpan payload) {

@@ -1,40 +1,42 @@
 // ReactorRuntime — event-driven execution of many protocol nodes in one
 // process (DESIGN.md §8, §13).
 //
-// The thread-per-node NodeRunner shape matches the paper's deployment (one
-// JVM per machine) but caps a single-process experiment at a few dozen nodes:
-// each node costs a thread that wakes every poll_interval whether or not
-// datagrams arrived. ReactorRuntime inverts that: a net::EventLoop owns
-// readiness (epoll for UDP sockets, the wakeup bridge for MemTransport, a
-// timerfd-backed deadline queue for round ticks), and node callbacks run only
-// when there is work. 512 nodes plus a flooding adversary fit in one Release
-// process (examples/swarm.cpp).
+// A thread per node caps a single-process experiment at a few dozen nodes:
+// each node costs a thread that wakes on a cadence whether or not datagrams
+// arrived. ReactorRuntime inverts that: net::EventLoops own readiness (epoll
+// for UDP sockets, a timerfd-backed deadline queue for round ticks; MemSocket
+// readiness callbacks feed the same dispatch path), and node callbacks run
+// only when there is work. 512 nodes plus a flooding adversary fit in one
+// Release process (examples/swarm.cpp).
 //
-// The runtime has two shapes, selected by ReactorConfig::shards:
+// The shard is the only execution unit. ReactorConfig::shards = K >= 1 event
+// loops, one thread each; shard s owns the nodes with id % K == s, its own
+// ingress batch, drain scratch and telemetry registry, so the steady-state
+// hot path allocates nothing and contends on no cross-thread mutex. K = 1 is
+// one loop on one thread with no rings. With K >= 2, a dispatch targeting a
+// node homed on another shard crosses over a bounded util::SpscRing (one per
+// ordered shard pair) plus an eventfd nudge when the consumer had gone idle;
+// everything else stays on the node's home thread. Each loop iteration ends
+// in one drain -> batch-verify -> ingest pass over every node that became
+// runnable (DESIGN.md §12).
 //
-//  * shards == 1 — the compat anchor: ONE loop plus an optional worker pool
-//    (cfg.workers), exactly the PR-8 runtime. Workers pop nodes from a
-//    mutex-guarded queue in small batches and run the DESIGN.md §12 ingress
-//    pipeline across them.
-//  * shards >= 2 — one EventLoop + thread per shard (DESIGN.md §13). Each
-//    shard owns a disjoint set of nodes (id % shards), its own
-//    ingress batch, drain scratch, and telemetry registry, so the
-//    steady-state hot path allocates nothing and contends on no cross-thread
-//    mutex. A dispatch targeting a node homed on another shard crosses over
-//    a bounded util::SpscRing (one per ordered shard pair) plus an eventfd
-//    nudge when the consumer had gone idle; everything else stays on the
-//    node's home thread. `workers` is ignored — each shard drains its own
-//    nodes on its loop thread. 0 = auto (hardware_concurrency).
+// Lifetime: the K shards (loops, registries) are built once by the
+// constructor and destroyed only by the destructor. stop() stops and joins
+// the shard threads and resets per-run state, so a MemSocket ready callback
+// still running on a foreign thread (another runtime's shard sharing the
+// MemNetwork) always reaches a live loop. Such late calls only ever post()
+// to the home loop; the rings are rebuilt by start() because no foreign
+// thread touches them.
 //
-// Serialization contract (both shapes): a core::Node stays single-threaded.
-// Every entry into a node — drain_ingress(), ingest(), on_round(),
-// multicast(), with_node() — happens under that node's own mutex; the
-// scheduled/ready/round_due flags ensure at most one thread drains a node at
-// a time and no readiness edge is lost. In sharded steady state the home
-// thread is the only contender, so the per-node lock is an uncontended CAS —
-// it exists to keep multicast()/with_node() safe from any thread. Delivery
-// callbacks run on whichever thread is currently driving the node and must
-// never re-enter node entry points.
+// Serialization contract: a core::Node stays single-threaded. Every entry
+// into a node — drain_ingress(), ingest(), on_round(), multicast(),
+// with_node() — happens under that node's own mutex; the scheduled/ready/
+// round_due flags ensure at most one pending entry per node and no readiness
+// edge is lost. The home shard thread is the only steady-state contender, so
+// the per-node lock is an uncontended CAS — it exists to keep
+// multicast()/with_node() safe from any thread. Delivery callbacks run on
+// the node's home shard thread (or the multicast()/with_node() caller's) and
+// must never re-enter node entry points.
 //
 // Round ticks are per-node one-shot timers on the node's home loop, re-armed
 // from the previous deadline (next = previous + jittered(round)), never from
@@ -43,18 +45,15 @@
 // instead of burst-firing the backlog; the "reactor.timer_resyncs" counter
 // records each such skip.
 //
-// Telemetry: each node's registry gains the same "runner.*" metrics
-// NodeRunner wrote (ticks, polls, poll_us, tick_interval_us) plus
-// "reactor.dispatch_us". The runtime's own registry (loop_registry()) carries
-// the "loop.*" metrics from net::EventLoop; in sharded mode every shard's
-// loop metrics and its "reactor.shard.*" counters (ring_handoffs, wakeups,
-// ring_full_fallbacks, batches) merge into it at stop(), plus the
-// "reactor.shards" gauge.
+// Telemetry: each node's registry gains "runner.*" metrics (ticks, polls,
+// poll_us, tick_interval_us) plus "reactor.dispatch_us". Every shard's
+// "loop.*" metrics (net::EventLoop) and "reactor.shard.*" counters
+// (ring_handoffs, wakeups, ring_full_fallbacks, batches) merge into the
+// runtime's loop_registry() at stop(), plus the "reactor.shards" gauge.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -78,14 +77,14 @@ struct ReactorConfig {
   /// Uniform jitter as a fraction of `round` (+/-): keeps rounds
   /// unsynchronized across nodes (paper §4, §8).
   double jitter = 0.2;
-  /// Worker threads executing node callbacks when shards == 1. 0 dispatches
-  /// inline on the loop thread — one thread total, the NodeRunner-
-  /// compatibility shape. Ignored when the runtime runs sharded.
+  /// Must be 0: the runtime has no worker pool. The field only remains
+  /// because the benchmark package (perfbench/) still assigns it; the next
+  /// change to the benchmark removes it.
   std::size_t workers = 0;
-  /// Reactor shards: 0 = auto (std::thread::hardware_concurrency), 1 = the
-  /// single-loop runtime above, N >= 2 = one loop thread per shard with SPSC
-  /// cross-shard handoff. The resolved value is fixed at start().
-  std::size_t shards = 0;
+  /// Event-loop shards, K >= 1: one thread per shard, each owning the nodes
+  /// with id % K == its index. 0 is rejected — the count never depends on
+  /// the host.
+  std::size_t shards = 1;
   /// Record "runner.*" / "reactor.*" timing into each node's registry.
   bool instrument = true;
 };
@@ -94,6 +93,8 @@ class ReactorRuntime {
  public:
   using NodeId = std::size_t;
 
+  /// Builds the shards. Throws std::invalid_argument when cfg.shards == 0
+  /// or cfg.workers != 0.
   explicit ReactorRuntime(ReactorConfig cfg);
   /// Stops and joins if still running.
   ~ReactorRuntime();
@@ -103,35 +104,33 @@ class ReactorRuntime {
 
   /// Registers a node; only legal while stopped. `node` must outlive the
   /// runtime. `seed` feeds this node's tick-jitter RNG. Returns the id used
-  /// by multicast()/with_node().
+  /// by multicast()/with_node(); the node is homed on shard id % shards.
   NodeId add_node(core::Node& node, std::uint64_t seed);
 
   /// Installs socket hooks, arms every node's first round tick, and launches
-  /// the loop (or shard) threads. Idempotent while running.
+  /// the shard threads. Idempotent while running.
   void start();
-  /// Idempotent; blocks until all threads joined, then detaches the socket
-  /// hooks so nodes are plain single-threaded objects again. start() may be
-  /// called again afterwards.
+  /// Idempotent; blocks until all shard threads joined, then detaches the
+  /// socket hooks so nodes are plain single-threaded objects again. start()
+  /// may be called again afterwards.
   void stop();
   [[nodiscard]] bool running() const { return running_.load(); }
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
-  /// Shards the last start() resolved to (0 before the first start).
-  [[nodiscard]] std::size_t shard_count() const {
-    return n_shards_.load(std::memory_order_relaxed);
-  }
+  /// The configured shard count.
+  [[nodiscard]] std::size_t shard_count() const { return cfg_.shards; }
 
   /// Thread-safe multicast through node `id`.
   core::MessageId multicast(NodeId id, util::ByteSpan payload);
 
   /// Runs `fn` with exclusive access to node `id`. Keep it short — it blocks
-  /// that node's protocol (and its shard or a worker slot).
+  /// that node's protocol (and its shard).
   void with_node(NodeId id, const std::function<void(core::Node&)>& fn);
 
-  /// The runtime's own telemetry ("loop.*" counters, timer slop histogram,
-  /// "reactor.timer_resyncs", and in sharded mode the merged per-shard
-  /// "reactor.shard.*" counters). Read only while stopped.
+  /// The runtime's own telemetry: every shard's "loop.*" counters, timer
+  /// slop histogram, "reactor.timer_resyncs" and "reactor.shard.*"
+  /// counters, merged at stop(). Read only while stopped.
   [[nodiscard]] const obs::MetricsRegistry& loop_registry() const {
     return loop_registry_;
   }
@@ -144,12 +143,10 @@ class ReactorRuntime {
     core::Node* node DRUM_GUARDED_BY(mu) = nullptr;
     util::Rng rng;  ///< tick jitter; home loop thread only (after start)
 
-    /// Which shard owns this node (id % shards). Written at start(), read
-    /// by dispatch() from any thread — the start/stop lifecycle provides the
-    /// ordering.
+    /// Which shard owns this node (id % shards); fixed by add_node().
     std::size_t shard = 0;
 
-    /// True while the node sits in a run queue, a ring, or a shard-local
+    /// True while the node sits in a ring, a post queue, or a shard-local
     /// ready list, or is being drained — prevents duplicate entries, not
     /// duplicate work (mu does that).
     std::atomic<bool> scheduled{false};
@@ -160,12 +157,10 @@ class ReactorRuntime {
     net::EventLoop::Clock::time_point next_deadline{};
     net::EventLoop::TimerId timer_id = 0;
     /// When the current round tick fired, as µs since the steady-clock
-    /// epoch. Atomic because the next tick can (rarely) fire while a worker
-    /// is still reading the previous value.
-    std::atomic<std::int64_t> fire_us{0};
+    /// epoch.
+    std::int64_t fire_us = 0;
 
-    // Telemetry; written under mu. Same names NodeRunner used, so merged
-    // experiment metrics read identically across runtimes.
+    // Telemetry; written under mu.
     obs::Counter* m_ticks DRUM_GUARDED_BY(mu) = nullptr;
     obs::Counter* m_polls DRUM_GUARDED_BY(mu) = nullptr;
     obs::Histogram* m_poll_us DRUM_GUARDED_BY(mu) = nullptr;
@@ -173,8 +168,8 @@ class ReactorRuntime {
     obs::Histogram* m_dispatch_us DRUM_GUARDED_BY(mu) = nullptr;
     net::EventLoop::Clock::time_point last_tick DRUM_GUARDED_BY(mu){};
 
-    explicit NodeState(core::Node& n, std::uint64_t seed)
-        : node(&n), rng(seed) {}
+    NodeState(core::Node& n, std::uint64_t seed, std::size_t home)
+        : node(&n), rng(seed), shard(home) {}
   };
 
   /// One drained node awaiting its post-verify ingest (run_batch phase 3).
@@ -184,19 +179,19 @@ class ReactorRuntime {
     std::int64_t drain_us = 0;
   };
 
-  /// Everything one shard thread owns (DESIGN.md §13). Only `inbound`,
-  /// `idle`, and `sources` are ever touched by another thread; the rest is
-  /// loop-thread confined after start().
+  /// Everything one shard thread owns (DESIGN.md §13). Only `loop`,
+  /// `inbound`, `idle`, and `sources` are ever touched by another thread;
+  /// the rest is loop-thread confined while running.
   struct Shard {
     std::size_t index = 0;
     net::EventLoop loop;
-    obs::MetricsRegistry registry;
+    obs::MetricsRegistry registry;  ///< per run; merged at stop()
 
     // drum-lint: shard-local
-    /// Nodes to drain this cycle; fed by same-shard dispatches and by
-    /// drain_rings(). Swapped into `proc` before processing so run_batch's
-    /// own dispatches (a node's sends waking a same-shard peer) append to a
-    /// stable vector.
+    /// Nodes to drain this cycle; fed by same-shard dispatches, by
+    /// drain_rings() and by posts from foreign threads. Swapped into `proc`
+    /// before processing so run_batch's own dispatches (a node's sends
+    /// waking a same-shard peer) append to a stable vector.
     std::vector<NodeState*> ready;
     std::vector<NodeState*> proc;
     std::vector<Drained> drain_scratch;
@@ -232,14 +227,12 @@ class ReactorRuntime {
   };
 
   net::EventLoop::Clock::duration jittered_round(NodeState& st);
-  net::EventLoop& home_loop(NodeState& st);
   void arm_first_tick(NodeState& st);
   void on_round_timer(NodeState& st);  // home loop thread
-  /// Routes `st` to whoever runs it: the worker queue / inline path when
-  /// shards == 1, the home shard's ready list or inbound ring otherwise.
+  /// Routes `st` to its home shard: the shard-local ready list when called
+  /// on that shard's thread, the inbound ring from another shard of this
+  /// runtime, the home loop's post queue from any other thread.
   void dispatch(NodeState& st);
-  /// Inline (workers == 0, shards == 1) path: the single-node batch.
-  void run_node(NodeState& st);
   /// The ingress pipeline (DESIGN.md §12): drain every node under its own
   /// lock into `batch`, run the accumulated crypto once with NO node lock
   /// held, then re-lock each drained node to push its verified frames back
@@ -247,14 +240,11 @@ class ReactorRuntime {
   void run_batch(std::span<NodeState* const> sts,
                  core::ingress::IngressBatch& batch,
                  std::vector<Drained>& scratch);
-  void worker_main();
-  void install_hooks(NodeState& st);          // shards == 1
-  void install_hooks_sharded(NodeState& st);  // shards >= 2
-
-  void start_single() DRUM_REQUIRES(lifecycle_mu_);
-  void stop_single() DRUM_REQUIRES(lifecycle_mu_);
-  void start_sharded(std::size_t n_shards) DRUM_REQUIRES(lifecycle_mu_);
-  void stop_sharded() DRUM_REQUIRES(lifecycle_mu_);
+  void install_hooks(NodeState& st);
+  /// Fresh registry, empty ready lists and a rebuilt handoff mesh for the
+  /// next run; called by start() while the shard thread is down.
+  void reset_shard(Shard& sh, std::size_t per_shard)
+      DRUM_REQUIRES(lifecycle_mu_);
 
   /// End-of-cycle hook on shard `sh`'s loop thread: drain inbound rings,
   /// run the batch pipeline over everything accumulated, and only declare
@@ -264,44 +254,19 @@ class ReactorRuntime {
   void drain_rings(Shard& sh);
 
   ReactorConfig cfg_;
-  net::EventLoop loop_;  ///< the shards == 1 loop; idle in sharded mode
   obs::MetricsRegistry loop_registry_;
-  obs::Counter* m_resyncs_ = nullptr;
 
   std::deque<NodeState> nodes_;  // deque: stable addresses, non-movable state
 
-  check::Mutex sources_mu_;
-  std::unordered_map<net::Socket*, net::EventLoop::SourceId> sources_
-      DRUM_GUARDED_BY(sources_mu_);
-
-  check::Mutex queue_mu_;
-  /// _any: waits on a check::MutexLock (BasicLockable), which keeps the
-  /// queue under the annotated capability.
-  std::condition_variable_any queue_cv_;
-  std::deque<NodeState*> queue_ DRUM_GUARDED_BY(queue_mu_);
-  bool workers_stop_ DRUM_GUARDED_BY(queue_mu_) = false;
-
-  /// Serializes start()/stop() against each other; owns the thread handles.
+  /// Serializes start()/stop() against each other; held while the shards'
+  /// per-run state is reset.
   check::Mutex lifecycle_mu_;
-  std::thread loop_thread_ DRUM_GUARDED_BY(lifecycle_mu_);
-  std::vector<std::thread> workers_ DRUM_GUARDED_BY(lifecycle_mu_);
 
-  /// Shards of the current run; built by start_sharded(), torn down by
-  /// stop_sharded(). unique_ptr: EventLoop is neither movable nor copyable.
+  /// Built by the constructor, destroyed by the destructor: a late
+  /// readiness callback from a foreign thread may post to a loop at any
+  /// time. unique_ptr: EventLoop is neither movable nor copyable.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Inline-path scratch (shards == 1, workers == 0); loop thread only.
-  core::ingress::IngressBatch inline_batch_;
-  std::vector<Drained> inline_scratch_;
-
-  /// Mirror of `!workers_.empty()`, readable from loop/worker threads
-  /// without lifecycle_mu_: dispatch() keys inline-vs-queued execution off
-  /// it. Written in start() before any event can fire.
-  std::atomic<bool> inline_dispatch_{true};
-  /// True while the current run is sharded; written under lifecycle_mu_
-  /// before any event can fire, read lock-free by dispatch().
-  std::atomic<bool> sharded_{false};
-  std::atomic<std::size_t> n_shards_{0};
   std::atomic<bool> running_{false};
 };
 

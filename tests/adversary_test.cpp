@@ -224,7 +224,6 @@ TEST(AdversaryTest, LiveSwarmRunsStrategyFromRegistry) {
   cfg.adversary = "pull-amplify";
   cfg.scoring.enabled = true;
   cfg.round = std::chrono::milliseconds(20);
-  cfg.workers = 1;
   cfg.seed = 3;
   harness::Swarm swarm(cfg);
   swarm.start();

@@ -236,8 +236,13 @@ TEST(X25519, Rfc7748DiffieHellman) {
 // ------------------------------------------------------------- Ed25519
 
 struct Rfc8032Case {
-  std::string seed, pub, msg, sig;
+  std::string name, seed, pub, msg, sig;
 };
+
+// Names each case after its RFC 8032 §7.1 test. Without this gtest would
+// name it by dumping the object's bytes, which hold the strings' heap
+// pointers and so differ from run to run.
+void PrintTo(const Rfc8032Case& c, std::ostream* os) { *os << c.name; }
 
 class Ed25519Rfc : public ::testing::TestWithParam<Rfc8032Case> {};
 
@@ -259,18 +264,21 @@ INSTANTIATE_TEST_SUITE_P(
     Rfc8032Section7, Ed25519Rfc,
     ::testing::Values(
         Rfc8032Case{
+            "Test1",
             "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
             "",
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
             "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
         Rfc8032Case{
+            "Test2",
             "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
             "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
             "72",
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
             "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
         Rfc8032Case{
+            "Test3",
             "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
             "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
             "af82",

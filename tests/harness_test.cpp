@@ -441,15 +441,13 @@ TEST(Cluster, TraceRingCapturesRoundTicksWhenEnabled) {
 // Regression: start()/stop() used to check-and-set a naked `started_` bool
 // and join the attacker thread without any lock, so two concurrent stop()
 // calls could both see started_ == true and both join attacker_ — undefined
-// behavior (the same shape as the PR-2 NodeRunner lifecycle race). The
-// lifecycle mutex makes every interleaving safe; this hammers it.
+// behavior. The lifecycle mutex makes every interleaving safe; this hammers it.
 TEST(Swarm, ConcurrentStopAndRestartAreSafe) {
   SwarmConfig cfg;
   cfg.n = 8;
   cfg.alpha = 0.5;  // arm the attacker thread: the race needs its join
   cfg.x = 4;
   cfg.round = std::chrono::milliseconds(20);
-  cfg.workers = 1;
   cfg.seed = 7;
   Swarm swarm(cfg);
   for (int cycle = 0; cycle < 2; ++cycle) {

@@ -1,11 +1,15 @@
 // The event-driven runtime seam: EventLoop readiness/timer semantics and
-// ReactorRuntime multiplexing many nodes over one loop (DESIGN.md §8).
+// ReactorRuntime multiplexing many nodes over its shards (DESIGN.md §8, §13).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -183,7 +187,8 @@ TEST(EventLoop, RemovedSocketStopsDispatching) {
 // The tick-drift regression (satellite of DESIGN.md §8): re-arming a
 // periodic timer from the *previous deadline* keeps the period exact even
 // when every callback burns real time; re-arming from "now" (the old
-// NodeRunner behavior) stretches the period by the per-tick slop. Ten
+// sleep-polling runner's behavior) stretches the period by the per-tick
+// slop. Ten
 // 30 ms periods with ~10 ms of work per tick: drift-free finishes in
 // ~300 ms, the drifting variant needed >= 400 ms.
 constexpr int kDriftTicks = 10;
@@ -225,8 +230,14 @@ TEST(EventLoop, AbsoluteReArmDoesNotAccumulateDrift) {
   EXPECT_LT(elapsed_ms, 395.0);  // drifting re-arm needed >= 400 ms
 }
 
-/// A reactor-hosted fleet of real nodes (mirrors runtime_test's Fleet).
-struct ReactorFleet {
+/// A fleet of real nodes over one MemNetwork (or loopback UDP), hosted by
+/// `reactor`. Nodes with id >= `split` go to a second runtime, `peer`, built
+/// from the same config.
+struct Fleet {
+  /// First payload byte of the messages a test tracks apart from background
+  /// gossip; their deliveries are counted in `marked`.
+  static constexpr std::uint8_t kMark = 0xFF;
+
   util::Rng rng{31};
   net::MemNetwork net;
   std::vector<crypto::Identity> ids;
@@ -234,10 +245,12 @@ struct ReactorFleet {
   std::vector<std::unique_ptr<net::Transport>> transports;
   std::vector<std::unique_ptr<core::Node>> nodes;
   std::unique_ptr<ReactorRuntime> reactor;
+  std::unique_ptr<ReactorRuntime> peer;
   std::atomic<int> delivered{0};
+  std::atomic<int> marked{0};
 
-  ReactorFleet(std::size_t n, bool udp, std::uint16_t base_port,
-               ReactorConfig rc) {
+  Fleet(std::size_t n, bool udp, std::uint16_t base_port, ReactorConfig rc,
+        std::size_t split = SIZE_MAX) {
     const std::uint32_t udp_host = net::parse_ipv4("127.0.0.1");
     dir.resize(n);
     for (std::uint32_t id = 0; id < n; ++id) {
@@ -252,6 +265,7 @@ struct ReactorFleet {
                  true};
     }
     reactor = std::make_unique<ReactorRuntime>(rc);
+    if (split < n) peer = std::make_unique<ReactorRuntime>(rc);
     for (std::uint32_t id = 0; id < n; ++id) {
       transports.push_back(
           udp ? std::unique_ptr<net::Transport>(
@@ -262,66 +276,103 @@ struct ReactorFleet {
       cfg.wk_offer_port = dir[id].wk_offer_port;
       nodes.push_back(std::make_unique<core::Node>(
           cfg, ids[id], dir, *transports.back(), rng.next(),
-          [this](const core::Node::Delivery&) { delivered.fetch_add(1); }));
-      reactor->add_node(*nodes.back(), rng.next());
+          [this](const core::Node::Delivery& d) {
+            delivered.fetch_add(1);
+            if (!d.msg.payload.empty() && d.msg.payload[0] == kMark) {
+              marked.fetch_add(1);
+            }
+          }));
+      (id < split ? *reactor : *peer).add_node(*nodes.back(), rng.next());
     }
+  }
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+  /// Both runtimes stop before either is destroyed: a running one may still
+  /// be delivering into the other's sockets.
+  ~Fleet() {
+    reactor->stop();
+    if (peer) peer->stop();
   }
 };
 
-ReactorConfig fast_config(std::size_t workers) {
+/// Fast rounds on `shards` event loops.
+ReactorConfig fleet_config(std::size_t shards) {
   ReactorConfig rc;
   rc.round = 60ms;
-  rc.workers = workers;
+  rc.shards = shards;
   return rc;
 }
 
-TEST(Reactor, DisseminationOverMemNetworkWithWorkerPool) {
-  ReactorFleet f(6, false, 9300, fast_config(2));
+util::ByteSpan text(const char* s) {
+  return util::ByteSpan(reinterpret_cast<const std::uint8_t*>(s),
+                        std::strlen(s));
+}
+
+TEST(Reactor, ShardCountResolution) {
+  // An explicit count is honoured, even above this host's core count.
+  for (std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    Fleet f(4, false, 8300, fleet_config(k));
+    f.reactor->start();
+    EXPECT_EQ(f.reactor->shard_count(), k);
+    f.reactor->stop();
+  }
+  // There is no auto value: 0 is rejected in every build, as is a worker
+  // pool.
+  EXPECT_THROW(ReactorRuntime rt(fleet_config(0)), std::invalid_argument);
+  ReactorConfig pool = fleet_config(1);
+  pool.workers = 2;
+  EXPECT_THROW(ReactorRuntime rt(pool), std::invalid_argument);
+}
+
+// ---- every fleet test at one shard and at four ---------------------------
+
+/// One shard is one loop thread with no rings; four shards send most gossip
+/// across the SPSC rings. ctest runs the two instances concurrently, so each
+/// binds its own UDP port block.
+class ReactorFleet : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  [[nodiscard]] ReactorConfig config() const {
+    return fleet_config(GetParam());
+  }
+  [[nodiscard]] std::uint16_t udp_port() const {
+    return static_cast<std::uint16_t>(28000 + 100 * GetParam());
+  }
+};
+
+TEST_P(ReactorFleet, DisseminationOverMemNetwork) {
+  Fleet f(6, false, 9300, config());
   f.reactor->start();
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("live"), 4));
+  f.reactor->multicast(0, text("live"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 5; }, 5000ms));
   f.reactor->stop();
   EXPECT_EQ(f.delivered.load(), 5);
 }
 
-TEST(Reactor, DisseminationOverMemNetworkInlineDispatch) {
-  ReactorFleet f(5, false, 9400, fast_config(0));
+TEST_P(ReactorFleet, DisseminationOverUdp) {
+  Fleet f(5, true, udp_port(), config());
   f.reactor->start();
-  f.reactor->multicast(2, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("inl"), 3));
+  f.reactor->multicast(1, text("udp"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 4; }, 5000ms));
   f.reactor->stop();
 }
 
-TEST(Reactor, DisseminationOverUdp) {
-  ReactorFleet f(5, true, 28000, fast_config(1));
-  f.reactor->start();
-  f.reactor->multicast(1, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("udp"), 3));
-  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 4; }, 5000ms));
-  f.reactor->stop();
-}
-
-TEST(Reactor, StopDetachesAndRestartWorks) {
-  ReactorFleet f(4, false, 9500, fast_config(1));
+TEST_P(ReactorFleet, StopDetachesAndRestartWorks) {
+  Fleet f(4, false, 9500, config());
   f.reactor->start();
   f.reactor->stop();
   f.reactor->stop();  // idempotent
   EXPECT_FALSE(f.reactor->running());
-  f.reactor->start();
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("x"), 1));
+  f.reactor->start();  // same shards, rebuilt handoff mesh
+  f.reactor->multicast(0, text("x"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
   f.reactor->stop();
 }
 
-TEST(Reactor, RoundTicksTrackConfiguredRoundWithoutDrift) {
-  ReactorConfig rc;
+TEST_P(ReactorFleet, RoundTicksTrackConfiguredRoundWithoutDrift) {
+  ReactorConfig rc = config();
   rc.round = 50ms;
   rc.jitter = 0.0;  // deterministic period: interval spread is pure slop
-  rc.workers = 0;
-  ReactorFleet f(4, false, 9600, rc);
+  Fleet f(4, false, 9600, rc);
   f.reactor->start();
   std::this_thread::sleep_for(1050ms);
   f.reactor->stop();
@@ -340,11 +391,10 @@ TEST(Reactor, RoundTicksTrackConfiguredRoundWithoutDrift) {
   EXPECT_EQ(reg.histogram_count("reactor.dispatch_us"), ticks);
 }
 
-TEST(Reactor, RegistryCountersReflectProgress) {
-  ReactorFleet f(4, false, 9700, fast_config(1));
+TEST_P(ReactorFleet, RegistryCountersReflectProgress) {
+  Fleet f(4, false, 9700, config());
   f.reactor->start();
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("s"), 1));
+  f.reactor->multicast(0, text("s"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
   f.reactor->stop();
 
@@ -357,104 +407,95 @@ TEST(Reactor, RegistryCountersReflectProgress) {
   EXPECT_GE(delivered, 3u);
 }
 
-TEST(Reactor, LoopTelemetryIsRecorded) {
-  ReactorFleet f(4, false, 9800, fast_config(0));
+TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
+  Fleet f(6, false, 9800, config());
   f.reactor->start();
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("t"), 1));
-  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
-  f.reactor->stop();
-
-  const auto& reg = f.reactor->loop_registry();
-  EXPECT_GT(reg.counter_value("loop.wakeups"), 0u);
-  EXPECT_GT(reg.counter_value("loop.timers_fired"), 0u);
-  EXPECT_GT(reg.histogram_count("loop.timer_slop_us"), 0u);
-}
-
-// ---- sharded mode (DESIGN.md §13) --------------------------------------
-
-ReactorConfig sharded_config(std::size_t shards) {
-  ReactorConfig rc;
-  rc.round = 60ms;
-  rc.shards = shards;
-  return rc;
-}
-
-TEST(Reactor, ShardCountResolution) {
-  // shards == 1 is the legacy single-loop shape.
-  ReactorFleet one(2, false, 8300, fast_config(1));
-  one.reactor->start();
-  EXPECT_EQ(one.reactor->shard_count(), 1u);
-  one.reactor->stop();
-
-  // shards == 0 auto-resolves to the core count (>= 1 on any host).
-  ReactorFleet an(2, false, 8400, sharded_config(0));
-  an.reactor->start();
-  EXPECT_GE(an.reactor->shard_count(), 1u);
-  an.reactor->stop();
-
-  // An explicit count is honored even above the core count (this host may
-  // have a single CPU; the sharded path must still be exercisable).
-  ReactorFleet two(4, false, 8500, sharded_config(2));
-  two.reactor->start();
-  EXPECT_EQ(two.reactor->shard_count(), 2u);
-  two.reactor->stop();
-}
-
-TEST(Reactor, ShardedDisseminationOverMemNetwork) {
-  // 5 nodes over 2 shards: node ids alternate shards (id % 2), so the
-  // source's gossip partners mostly live on the other shard and every
-  // delivery exercises the SPSC handoff path.
-  ReactorFleet f(5, false, 8600, sharded_config(2));
-  f.reactor->start();
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("shrd"), 4));
-  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 4; }, 5000ms));
-  f.reactor->stop();
-  EXPECT_EQ(f.delivered.load(), 4);
-}
-
-TEST(Reactor, ShardedDisseminationOverUdp) {
-  ReactorFleet f(4, true, 28200, sharded_config(2));
-  f.reactor->start();
-  f.reactor->multicast(1, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("su"), 2));
-  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
-  f.reactor->stop();
-}
-
-TEST(Reactor, ShardedStopAndRestart) {
-  ReactorFleet f(4, false, 8700, sharded_config(2));
-  f.reactor->start();
-  f.reactor->stop();
-  f.reactor->stop();  // idempotent
-  EXPECT_FALSE(f.reactor->running());
-  f.reactor->start();  // rebuilds the shard set + handoff mesh
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("r"), 1));
-  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
-  f.reactor->stop();
-}
-
-TEST(Reactor, ShardedTelemetryMergedIntoLoopRegistry) {
-  ReactorFleet f(6, false, 8800, sharded_config(2));
-  f.reactor->start();
-  f.reactor->multicast(0, util::ByteSpan(
-      reinterpret_cast<const std::uint8_t*>("m"), 1));
+  f.reactor->multicast(0, text("m"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 5; }, 5000ms));
   f.reactor->stop();
 
-  // stop() folds each shard's registry into loop_registry(), so the merged
-  // view carries both the per-shard loop counters and the handoff
-  // telemetry. Dissemination from node 0 to the odd-id shard cannot happen
-  // without at least one cross-shard ring handoff, and every handoff is
-  // executed as part of a batch.
+  // stop() folds each shard's registry into loop_registry(): the loop
+  // counters, the timer-slop histogram and the handoff telemetry. With
+  // several shards, node 0's message cannot reach the other shards' nodes
+  // without ring handoffs; one shard has no rings at all.
   const auto& reg = f.reactor->loop_registry();
-  EXPECT_EQ(reg.gauge_value("reactor.shards"), 2.0);
-  EXPECT_GT(reg.counter_value("reactor.shard.ring_handoffs"), 0u);
-  EXPECT_GT(reg.counter_value("reactor.shard.batches"), 0u);
+  EXPECT_EQ(reg.gauge_value("reactor.shards"),
+            static_cast<double>(GetParam()));
   EXPECT_GT(reg.counter_value("loop.wakeups"), 0u);
+  EXPECT_GT(reg.counter_value("loop.timers_fired"), 0u);
+  EXPECT_GT(reg.histogram_count("loop.timer_slop_us"), 0u);
+  EXPECT_GT(reg.counter_value("reactor.shard.batches"), 0u);
+  if (GetParam() == 1) {
+    EXPECT_EQ(reg.counter_value("reactor.shard.ring_handoffs"), 0u);
+  } else {
+    EXPECT_GT(reg.counter_value("reactor.shard.ring_handoffs"), 0u);
+  }
 }
+
+TEST_P(ReactorFleet, WithNodeGivesExclusiveAccess) {
+  Fleet f(4, false, 9200, config());
+  f.reactor->start();
+  f.reactor->multicast(0, text("y"));
+  EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
+  // Reads a registry the node's shard keeps writing; with_node() holds the
+  // node for the duration.
+  EXPECT_TRUE(eventually(
+      [&] {
+        std::uint64_t rounds = 0;
+        f.reactor->with_node(2, [&](core::Node& n) {
+          rounds = n.registry().counter_value("node.rounds");
+        });
+        return rounds >= 1;
+      },
+      5000ms));
+  f.reactor->stop();
+}
+
+// Two runtimes over one MemNetwork. A's shard threads deliver into B's
+// sockets, so they run B's MemSocket ready callbacks, which post to B's
+// loops — while B stops and restarts over and over. A callback that was
+// already running when stop() detached it may still post afterwards, so B's
+// loops must outlive every stop(); under TSan this fails if stop() tears a
+// shard down.
+TEST_P(ReactorFleet, RestartsWhileAnotherRuntimeDeliversIntoIt) {
+  Fleet f(8, false, 9900, config(), /*split=*/4);
+  ReactorRuntime& a = *f.reactor;  // nodes 0-3
+  ReactorRuntime& b = *f.peer;     // nodes 4-7
+  a.start();
+  b.start();
+  std::atomic<bool> done{false};
+  std::thread source([&] {
+    for (std::uint8_t i = 0; !done.load();
+         i = static_cast<std::uint8_t>((i + 1) % 128)) {
+      a.multicast(i % a.size(), util::ByteSpan(&i, 1));
+      std::this_thread::sleep_for(5ms);
+    }
+  });
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    b.stop();
+    b.start();
+    std::this_thread::sleep_for(10ms);
+  }
+  done.store(true);
+  source.join();
+
+  // Both runtimes still disseminate: a marked message from each side
+  // reaches the other seven nodes.
+  const std::uint8_t from_b[] = {Fleet::kMark, 'b'};
+  const std::uint8_t from_a[] = {Fleet::kMark, 'a'};
+  b.multicast(0, util::ByteSpan(from_b));
+  a.multicast(0, util::ByteSpan(from_a));
+  EXPECT_TRUE(eventually([&] { return f.marked.load() >= 14; }, 10000ms));
+  a.stop();
+  b.stop();
+  EXPECT_EQ(f.marked.load(), 14);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ReactorFleet,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         [](const ::testing::TestParamInfo<std::size_t>& p) {
+                           return std::to_string(p.param);
+                         });
 
 }  // namespace
 }  // namespace drum::runtime

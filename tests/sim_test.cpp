@@ -4,6 +4,7 @@
 // strategies), and the §9 ablations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "drum/sim/engine.hpp"
@@ -374,11 +375,22 @@ TEST(SimEngine, RejectsDegenerateConfigs) {
 // Property sweep: for every protocol and a grid of attacks, coverage curves
 // are monotone, bounded by [0,1], and attacked runs never beat the
 // attack-free baseline by more than noise.
+//
+// gtest names each case by dumping its bytes, so `reserved` fills what would
+// otherwise be padding: padding would put uninitialised stack bytes into the
+// test names and change them from one run to the next.
 struct SweepCase {
+  SweepCase(SimProtocol proto_, double alpha_, double x_)
+      : proto(proto_), alpha(alpha_), x(x_) {}
   SimProtocol proto;
+  std::uint32_t reserved = 0;
   double alpha;
   double x;
 };
+static_assert(sizeof(SweepCase) == sizeof(SimProtocol) +
+                                       sizeof(std::uint32_t) +
+                                       2 * sizeof(double),
+              "SweepCase must have no padding bytes");
 
 class SimSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -1,10 +1,10 @@
 // Multi-threaded stress for the runtime layer — the test scripts/check.sh
 // runs under ThreadSanitizer (DRUM_SANITIZE=thread). Application threads
-// hammer NodeRunner's thread-safe surface (multicast / with_node / stop)
-// while the runner threads drive the protocol over the thread-safe
-// MemNetwork; TSan verifies mu_ / lifecycle_mu_ / the atomics actually cover
-// every shared access. Notably: concurrent stop() calls used to race on
-// thread_.join().
+// hammer ReactorRuntime's thread-safe surface (multicast / with_node / stop)
+// while its shard threads drive the protocol over the thread-safe
+// MemNetwork; TSan verifies the node mutexes, lifecycle_mu_ and the atomics
+// actually cover every shared access. Notably: concurrent stop() calls used
+// to race on thread join.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 
 #include "drum/net/mem_transport.hpp"
 #include "drum/runtime/reactor.hpp"
-#include "drum/runtime/runner.hpp"
 #include "drum/util/spsc_ring.hpp"
 
 // Sanitizer instrumentation slows the hot path ~10x; throughput-sensitive
@@ -48,9 +47,10 @@ struct Fleet {
   std::vector<core::Peer> dir;
   std::vector<std::unique_ptr<net::Transport>> transports;
   std::vector<std::unique_ptr<core::Node>> nodes;
-  std::vector<std::unique_ptr<NodeRunner>> runners;
+  std::unique_ptr<ReactorRuntime> reactor;
   std::atomic<int> delivered{0};
 
+  /// n nodes on one single-shard runtime with 30 ms rounds.
   explicit Fleet(std::size_t n, std::uint16_t base_port = 9300) {
     dir.resize(n);
     for (std::uint32_t id = 0; id < n; ++id) {
@@ -64,6 +64,9 @@ struct Fleet {
                  ids[id].dh_public(),
                  true};
     }
+    ReactorConfig rc;
+    rc.round = 30ms;
+    reactor = std::make_unique<ReactorRuntime>(rc);
     for (std::uint32_t id = 0; id < n; ++id) {
       transports.push_back(net.transport(id));
       core::NodeConfig cfg = core::make_node_config(core::Variant::kDrum, id);
@@ -72,18 +75,8 @@ struct Fleet {
       nodes.push_back(std::make_unique<core::Node>(
           cfg, ids[id], dir, *transports.back(), rng.next(),
           [this](const core::Node::Delivery&) { delivered.fetch_add(1); }));
-      RunnerConfig rc;
-      rc.round = 30ms;
-      runners.push_back(
-          std::make_unique<NodeRunner>(*nodes.back(), rc, rng.next()));
+      reactor->add_node(*nodes.back(), rng.next());
     }
-  }
-
-  void start() {
-    for (auto& r : runners) r->start();
-  }
-  void stop() {
-    for (auto& r : runners) r->stop();
   }
 };
 
@@ -98,25 +91,24 @@ bool eventually(const std::function<bool()>& cond,
 }
 
 // Several application threads multicast and read stats through the same
-// runners while the protocol runs. Everything here must be TSan-clean.
+// runtime while the protocol runs. Everything here must be TSan-clean.
 TEST(Stress, ConcurrentMulticastAndWithNode) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 8;
   Fleet f(4);
-  f.start();
+  f.reactor->start();
 
   std::vector<std::thread> apps;
   std::atomic<std::uint64_t> rounds_seen{0};
   for (int t = 0; t < kThreads; ++t) {
     apps.emplace_back([&f, &rounds_seen, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const auto which =
-            static_cast<std::size_t>(t + i) % f.runners.size();
+        const auto which = static_cast<std::size_t>(t + i) % f.nodes.size();
         const std::uint8_t payload[2] = {static_cast<std::uint8_t>(t),
                                          static_cast<std::uint8_t>(i)};
-        f.runners[which]->multicast(util::ByteSpan(payload, sizeof payload));
-        f.runners[(which + 1) % f.runners.size()]->with_node(
-            [&rounds_seen](core::Node& n) {
+        f.reactor->multicast(which, util::ByteSpan(payload, sizeof payload));
+        f.reactor->with_node(
+            (which + 1) % f.nodes.size(), [&rounds_seen](core::Node& n) {
               rounds_seen.fetch_add(n.registry().counter_value("node.rounds"));
             });
       }
@@ -128,34 +120,32 @@ TEST(Stress, ConcurrentMulticastAndWithNode) {
   EXPECT_TRUE(eventually(
       [&] { return f.delivered.load() >= kThreads * kPerThread * 3; },
       10000ms));
-  f.stop();
+  f.reactor->stop();
   EXPECT_EQ(f.delivered.load(), kThreads * kPerThread * 3);
 }
 
-// Many threads stop the same runners at once, while others are still
-// multicasting: stop() must be idempotent and join exactly once.
+// Many threads stop the same runtime at once: stop() must be idempotent
+// and join exactly once.
 TEST(Stress, ConcurrentStopFromManyThreads) {
   Fleet f(4, 9400);
-  f.start();
-  f.runners[0]->multicast(util::ByteSpan(
+  f.reactor->start();
+  f.reactor->multicast(0, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("s"), 1));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 10000ms));
 
   std::vector<std::thread> stoppers;
   for (int t = 0; t < 6; ++t) {
-    stoppers.emplace_back([&f] {
-      for (auto& r : f.runners) r->stop();
-    });
+    stoppers.emplace_back([&f] { f.reactor->stop(); });
   }
   for (auto& t : stoppers) t.join();
-  for (auto& r : f.runners) EXPECT_FALSE(r->running());
+  EXPECT_FALSE(f.reactor->running());
 
   // The fleet is restartable after the pile-up.
-  f.start();
-  f.runners[1]->multicast(util::ByteSpan(
+  f.reactor->start();
+  f.reactor->multicast(1, util::ByteSpan(
       reinterpret_cast<const std::uint8_t*>("t"), 1));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 6; }, 10000ms));
-  f.stop();
+  f.reactor->stop();
 }
 
 // Start/stop churn concurrent with with_node readers: lifecycle transitions
@@ -165,8 +155,8 @@ TEST(Stress, StartStopChurnWithReaders) {
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load()) {
-      for (auto& r : f.runners) {
-        r->with_node([](core::Node& n) {
+      for (std::size_t i = 0; i < f.nodes.size(); ++i) {
+        f.reactor->with_node(i, [](core::Node& n) {
           (void)n.registry().counter_value("node.rounds");
         });
       }
@@ -174,28 +164,28 @@ TEST(Stress, StartStopChurnWithReaders) {
     }
   });
   for (int cycle = 0; cycle < 5; ++cycle) {
-    f.start();
-    f.runners[static_cast<std::size_t>(cycle) % f.runners.size()]->multicast(
+    f.reactor->start();
+    f.reactor->multicast(
+        static_cast<std::size_t>(cycle) % f.nodes.size(),
         util::ByteSpan(reinterpret_cast<const std::uint8_t*>("c"), 1));
     std::this_thread::sleep_for(20ms);
-    f.stop();
+    f.reactor->stop();
   }
   done.store(true);
   reader.join();
   // 5 messages, each delivered to the other 2 nodes — eventually, because
   // dissemination may complete on a later cycle's rounds.
-  f.start();
+  f.reactor->start();
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 10; }, 10000ms));
-  f.stop();
+  f.reactor->stop();
 }
 
-// ReactorRuntime under TSan: one event loop + a worker pool drive 8 nodes
-// while application threads multicast / read through with_node and an
-// attacker thread floods spoofed datagrams. Exercises every cross-thread
-// edge of the reactor: the MemSocket readiness bridge (sender thread ->
-// eventfd), worker/loop dispatch handoff (scheduled/ready/round_due), the
-// per-round socket rotation hooks (worker thread -> epoll registration),
-// and lifecycle stop/start races.
+// ReactorRuntime under TSan: one shard drives 8 nodes while application
+// threads multicast / read through with_node and an attacker thread floods
+// spoofed datagrams. Exercises the reactor's cross-thread edges at one
+// shard: MemSocket readiness from foreign threads (sender thread -> post
+// queue -> shard), the scheduled/ready/round_due flags, the per-round
+// socket rotation hooks, and lifecycle stop/start races.
 TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
   constexpr std::size_t kNodes = 8;
   util::Rng rng{99};
@@ -218,7 +208,6 @@ TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
   }
   ReactorConfig rc;
   rc.round = 30ms;
-  rc.workers = 2;
   ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < kNodes; ++id) {
     transports.push_back(mem.transport(id));
@@ -294,14 +283,13 @@ TEST(Stress, ReactorConcurrentMulticastFloodAndChurn) {
 }
 
 // Cross-node ingress batching under TSan: with more runnable nodes than
-// workers, each worker pops a batch of nodes and runs the DESIGN.md §12
-// pipeline across them — drain A under A.mu, drain B under B.mu, one
-// lock-free crypto pass over both nodes' frames, then re-lock each to
-// ingest. A hard flood with NO inter-send sleep keeps every node's ready
-// flag hot so batches overlap: worker 1 can be verifying frames it drained
-// from node A while worker 2 re-drains A's next backlog. TSan checks that
-// the drained IngressBatch really is private to its worker and that every
-// node entry stays under st.mu.
+// shards, each shard runs the DESIGN.md §12 pipeline across a batch of its
+// nodes — drain A under A.mu, drain B under B.mu, one lock-free crypto pass
+// over both nodes' frames, then re-lock each to ingest. Attacker and
+// application threads keep delivering into those nodes and multicasting
+// through them while their shard verifies with no node lock held. TSan
+// checks that the drained IngressBatch really is private to its shard and
+// that every node entry stays under st.mu.
 TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   constexpr std::size_t kNodes = 12;
   util::Rng rng{101};
@@ -324,7 +312,7 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   }
   ReactorConfig rc;
   rc.round = 20ms;
-  rc.workers = 3;
+  rc.shards = 3;
   ReactorRuntime reactor(rc);
   for (std::uint32_t id = 0; id < kNodes; ++id) {
     transports.push_back(mem.transport(id));
@@ -340,9 +328,8 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   }
   reactor.start();
 
-  // Two attacker threads sweep ALL nodes back-to-back so the run queue
-  // holds many ready nodes at once — the precondition for a worker popping
-  // a multi-node batch.
+  // Two attacker threads sweep ALL nodes back-to-back so each shard holds
+  // many ready nodes at once — the precondition for a multi-node batch.
   std::atomic<bool> flood_stop{false};
   std::vector<std::thread> attackers;
   for (int a = 0; a < 2; ++a) {
@@ -358,9 +345,9 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
                                        : dir[victim].wk_pull_port},
                        util::ByteSpan(junk));
         }
-        // Burst-then-pause: the all-nodes burst is what piles the run
-        // queue up (multi-node worker batches); the pause leaves honest
-        // control traffic enough budget to finish in test time.
+        // Burst-then-pause: the all-nodes burst is what piles the ready
+        // lists up (multi-node batches); the pause leaves honest control
+        // traffic enough budget to finish in test time.
         std::this_thread::sleep_for(3ms * kSanSlowdown);
       }
     });
@@ -514,7 +501,7 @@ TEST(Stress, SpscHandoffMeshPreservesPerProducerFifo) {
 // multicast fans out through the cross-shard SPSC rings while a spoofed
 // flood hammers the well-known ports and app threads multicast and read
 // telemetry concurrently. Ends with the same stop pile-up + restart, which
-// in sharded mode tears down and rebuilds the whole handoff mesh.
+// rebuilds the whole handoff mesh.
 TEST(Stress, ReactorShardedFloodAndChurn) {
   constexpr std::size_t kNodes = 8;
   util::Rng rng{77};
