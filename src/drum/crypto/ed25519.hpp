@@ -1,7 +1,9 @@
 // Ed25519 signatures (RFC 8032). Implemented over the fe25519 field with the
 // complete twisted-Edwards addition law (a = -1, non-square d, so a single
-// unified formula covers addition and doubling). Scalar arithmetic mod the
-// group order L is done with BigInt.
+// unified formula covers addition and doubling). Scalars mod the group order
+// L live on fixed 64-bit limbs, and key generation, signing and verification
+// all run one 4-bit-window multi-scalar multiplication
+// (ed25519_internal.hpp). Signing is variable-time.
 //
 // Drum uses Ed25519 for: message source authentication ("unforgeable
 // multicast"), CA-signed membership certificates, and signed join/leave

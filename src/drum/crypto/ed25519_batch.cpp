@@ -5,8 +5,8 @@
 // Draw independent random 128-bit odd coefficients z_i and check the single
 // combined equation
 //     (Σ z_i S_i mod L)·B + Σ z_i·(-R_i) + Σ (z_i k_i mod L)·(-A_i) == O
-// with one Straus (interleaved window) multi-scalar multiplication, sharing
-// the ~252 doublings of the ladder across the whole batch. An invalid
+// with one detail::ge_msm call, the multi-scalar multiplication single
+// verification also uses, sharing its ~252 doublings across the batch. An invalid
 // signature makes the combination non-zero except with probability ~2^-128
 // over the z_i (odd z_i so a single signature's small-torsion defect can
 // never cancel itself).
@@ -21,14 +21,11 @@
 // be accepted (the standard cofactored-style batch caveat, cf. RFC 8032
 // §8.9); unforgeability is unaffected since the prime-order component —
 // the part bound to the message — is always checked.
-#include <cstring>
 #include <random>
 #include <vector>
 
 #include "drum/crypto/api.hpp"
-#include "drum/crypto/bigint.hpp"
 #include "drum/crypto/ed25519_internal.hpp"
-#include "drum/crypto/sha512.hpp"
 #include "drum/util/rng.hpp"
 
 namespace drum::crypto {
@@ -36,17 +33,18 @@ namespace drum::crypto {
 namespace {
 
 using detail::Ge;
+using detail::Scalar;
 
 // 128-bit odd random coefficient, little-endian in the low 16 bytes.
 // Process entropy, not the deterministic simulation RNG: an attacker must
 // not be able to predict the combination coefficients.
-std::array<std::uint8_t, 32> random_z128_odd() {
+Scalar random_z128_odd() {
   thread_local util::Rng rng = [] {
     std::random_device rd;
     const std::uint64_t seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
     return util::Rng(seed);
   }();
-  std::array<std::uint8_t, 32> z{};
+  Scalar z{};
   std::uint64_t lo = rng.next() | 1;  // odd
   std::uint64_t hi = rng.next();
   for (int i = 0; i < 8; ++i) {
@@ -54,45 +52,6 @@ std::array<std::uint8_t, 32> random_z128_odd() {
     z[8 + i] = static_cast<std::uint8_t>(hi >> (8 * i));
   }
   return z;
-}
-
-struct MsmEntry {
-  std::array<std::uint8_t, 32> scalar;  // little-endian, < L
-  Ge point;
-};
-
-// Straus interleaved multi-scalar multiplication with 4-bit windows:
-// returns whether Σ scalar_i · point_i is the group identity. One shared
-// ladder of 252 doublings; per entry a 15-element table of small multiples
-// and one table addition per non-zero nibble.
-bool msm_is_identity(const std::vector<MsmEntry>& entries) {
-  std::vector<std::array<Ge, 15>> tables(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    tables[i][0] = entries[i].point;
-    for (int j = 1; j < 15; ++j) {
-      detail::ge_add(tables[i][j], tables[i][j - 1], entries[i].point);
-    }
-  }
-  Ge acc;
-  detail::ge_identity(acc);
-  for (int nib = 63; nib >= 0; --nib) {
-    if (nib != 63) {
-      for (int k = 0; k < 4; ++k) detail::ge_add(acc, acc, acc);
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const std::uint8_t byte = entries[i].scalar[nib / 2];
-      const std::uint8_t v = (nib & 1) ? (byte >> 4) : (byte & 0x0f);
-      if (v != 0) detail::ge_add(acc, acc, tables[i][v - 1]);
-    }
-  }
-  return detail::ge_is_identity(acc);
-}
-
-std::array<std::uint8_t, 32> to_le32(const BigInt& v) {
-  auto le = v.to_bytes_le(32);
-  std::array<std::uint8_t, 32> out{};
-  std::copy(le.begin(), le.end(), out.begin());
-  return out;
 }
 
 }  // namespace
@@ -105,73 +64,40 @@ std::vector<bool> ed25519_verify_batch(std::span<const VerifyJob> jobs) {
     return verdicts;
   }
 
-  // Deterministic per-signature parse pass, identical to ed25519_verify's
-  // rejections: non-canonical S and invalid point encodings never reach the
-  // probabilistic combined check.
-  struct Parsed {
-    std::size_t idx;
-    Ge neg_a, neg_r;
-    BigInt s;
-    std::array<std::uint8_t, 32> k;
-  };
-  std::vector<Parsed> parsed;
+  // Deterministic per-signature parse pass, the same one ed25519_verify
+  // runs: non-canonical S and invalid point encodings never reach the
+  // probabilistic combined check. Each parsed signature adds its (-R_i,
+  // -A_i) pair to the combined equation; the base-point term comes first.
+  std::vector<std::size_t> parsed;
+  std::vector<detail::MsmEntry> entries;
   parsed.reserve(jobs.size());
+  entries.reserve(2 * jobs.size() + 1);
+  entries.push_back({{}, detail::base_point()});
+  Scalar zs_sum{};  // Σ z_i S_i mod L
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const VerifyJob& job = jobs[i];
-    BigInt s = BigInt::from_bytes_le(util::ByteSpan(job.sig.data() + 32, 32));
-    if (!(s < ed25519_order())) continue;
-    Ge a, r;
-    if (!detail::ge_frombytes(a, job.pub.data())) continue;
-    if (!detail::ge_frombytes(r, job.sig.data())) continue;
-
-    Sha512 hk;
-    hk.update(util::ByteSpan(job.sig.data(), 32));
-    hk.update(util::ByteSpan(job.pub.data(), job.pub.size()));
-    hk.update(job.message);
-    auto k_full = hk.final();
-    Parsed p;
-    p.idx = i;
-    p.s = std::move(s);
-    p.k = detail::reduce_mod_l(util::ByteSpan(k_full.data(), k_full.size()));
-    detail::ge_neg(p.neg_a, a);
-    detail::ge_neg(p.neg_r, r);
-    parsed.push_back(std::move(p));
+    const auto p = detail::parse_signature(job.pub, job.message, job.sig);
+    if (!p) continue;
+    parsed.push_back(i);
+    const Scalar z = random_z128_odd();
+    zs_sum = detail::sc_muladd(z, p->s, zs_sum);
+    entries.push_back({z, p->neg_r});
+    entries.push_back({detail::sc_muladd(z, p->k, Scalar{}), p->neg_a});
   }
   if (parsed.empty()) return verdicts;
+  entries[0].scalar = zs_sum;
 
-  // Assemble the combined equation: one base-point term plus (-R_i, -A_i)
-  // pairs per signature.
-  std::vector<MsmEntry> entries;
-  entries.reserve(2 * parsed.size() + 1);
-  entries.emplace_back();  // base-point slot, scalar filled in below
-  BigInt zs_sum(0);
-  for (const Parsed& p : parsed) {
-    const auto z = random_z128_odd();
-    const BigInt big_z = BigInt::from_bytes_le(util::ByteSpan(z.data(), 16));
-    zs_sum = (zs_sum + big_z * p.s) % ed25519_order();
-    MsmEntry er;
-    er.scalar = z;
-    er.point = p.neg_r;
-    entries.push_back(er);
-    MsmEntry ea;
-    const BigInt big_k = BigInt::from_bytes_le(util::ByteSpan(p.k.data(), 32));
-    ea.scalar = to_le32((big_z * big_k) % ed25519_order());
-    ea.point = p.neg_a;
-    entries.push_back(ea);
-  }
-  entries[0].scalar = to_le32(zs_sum);
-  entries[0].point = detail::base_point();
-
-  if (msm_is_identity(entries)) {
-    for (const Parsed& p : parsed) verdicts[p.idx] = true;
+  Ge sum;
+  detail::ge_msm(sum, entries);
+  if (detail::ge_is_identity(sum)) {
+    for (std::size_t i : parsed) verdicts[i] = true;
     return verdicts;
   }
 
   // Combined check failed: at least one signature in the batch is bad.
   // Attribute exactly with per-signature verification.
-  for (const Parsed& p : parsed) {
-    const VerifyJob& job = jobs[p.idx];
-    verdicts[p.idx] = ed25519_verify(job.pub, job.message, job.sig);
+  for (std::size_t i : parsed) {
+    verdicts[i] = ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig);
   }
   return verdicts;
 }

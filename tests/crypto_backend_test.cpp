@@ -2,9 +2,8 @@
 // vectors (FIPS 180-4, RFC 8439, RFC 8032) replayed against every compiled
 // backend, randomized scalar-vs-native equivalence over odd lengths and
 // block boundaries, batch Ed25519 negative tests (a corrupted signature at
-// any batch position is detected and attributed to exactly that index), and
-// property tests for the word-based BigInt division the mod-L hot path
-// relies on.
+// any batch position is detected and attributed to exactly that index, and
+// malformed encodings are rejected exactly as single verification does).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,7 +12,6 @@
 
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/backend.hpp"
-#include "drum/crypto/bigint.hpp"
 #include "drum/crypto/chacha20.hpp"
 #include "drum/crypto/ed25519.hpp"
 #include "drum/crypto/sha256.hpp"
@@ -387,49 +385,6 @@ TEST(BatchVerify, MalformedEncodingsRejectedDeterministically) {
           << i;
     }
   }
-}
-
-// --------------------------------------------- BigInt division properties
-
-BigInt random_bigint(util::Rng& rng, std::size_t nbytes) {
-  Bytes b = random_bytes(rng, nbytes);
-  return BigInt::from_bytes_le(ByteSpan(b));
-}
-
-TEST(BigIntDivision, RemainderMatchesConstruction) {
-  // Build x = q*m + r with r < m by construction (r gets strictly fewer
-  // bits than m), then demand x % m == r. Random widths cover the
-  // single-limb fast path, two-limb divisors, and every normalize shift.
-  util::Rng rng(301);
-  for (int iter = 0; iter < 2000; ++iter) {
-    BigInt m = random_bigint(rng, 1 + rng.below(40));
-    if (m.is_zero()) continue;
-    BigInt q = random_bigint(rng, rng.below(48));
-    std::size_t rbits = m.bit_length() - 1;
-    BigInt r = rbits == 0 ? BigInt() : random_bigint(rng, (rbits + 7) / 8);
-    while (!(r < m)) r = r - m;  // at most a few iterations; keeps r random
-    BigInt x = q * m + r;
-    EXPECT_EQ(x % m, r) << "iter=" << iter << " x=" << x.to_hex()
-                        << " m=" << m.to_hex();
-  }
-}
-
-TEST(BigIntDivision, EdgeCases) {
-  const BigInt& L = ed25519_order();
-  EXPECT_TRUE((L % L).is_zero());
-  EXPECT_EQ(BigInt(0) % L, BigInt(0));
-  EXPECT_EQ(BigInt(12345) % L, BigInt(12345));
-  EXPECT_EQ((L + BigInt(7)) % L, BigInt(7));
-  EXPECT_TRUE(((L * BigInt(0xdeadbeefULL)) % L).is_zero());
-  // Divisor with its top bit already set (normalize shift of zero).
-  BigInt m = BigInt::from_hex("ffffffffffffffff0000000000000001");
-  BigInt q = BigInt::from_hex("123456789abcdef0fedcba9876543210");
-  BigInt r = BigInt::from_hex("42");
-  EXPECT_EQ((q * m + r) % m, r);
-  // Dividend exactly one limb longer than the divisor.
-  BigInt m2 = BigInt::from_hex("80000000" "00000001");
-  EXPECT_EQ((m2 * BigInt(0xffffffffULL) + BigInt(5)) % m2, BigInt(5));
-  EXPECT_THROW(L % BigInt(0), std::domain_error);
 }
 
 }  // namespace
