@@ -7,38 +7,27 @@
 
 namespace drum::crypto {
 
-namespace {
-
-template <typename Hash>
-typename Hash::Digest hmac(util::ByteSpan key, util::ByteSpan data) {
-  std::array<std::uint8_t, Hash::kBlockSize> k{};
-  if (key.size() > Hash::kBlockSize) {
-    Hash kh;
-    kh.update(key);
-    auto d = kh.final();
+Sha256::Digest hmac_sha256(util::ByteSpan key, util::ByteSpan data) {
+  std::array<std::uint8_t, Sha256::kBlockSize> k{};
+  if (key.size() > Sha256::kBlockSize) {
+    auto d = sha256(key);
     std::copy(d.begin(), d.end(), k.begin());
   } else {
     std::copy(key.begin(), key.end(), k.begin());
   }
-  std::array<std::uint8_t, Hash::kBlockSize> ipad, opad;
-  for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
+  std::array<std::uint8_t, Sha256::kBlockSize> ipad{}, opad{};
+  for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Hash inner;
+  Sha256 inner;
   inner.update(util::ByteSpan(ipad.data(), ipad.size()));
   inner.update(data);
   auto inner_digest = inner.final();
-  Hash outer;
+  Sha256 outer;
   outer.update(util::ByteSpan(opad.data(), opad.size()));
   outer.update(util::ByteSpan(inner_digest.data(), inner_digest.size()));
   return outer.final();
-}
-
-}  // namespace
-
-Sha256::Digest hmac_sha256(util::ByteSpan key, util::ByteSpan data) {
-  return hmac<Sha256>(key, data);
 }
 
 std::vector<Sha256::Digest> hmac_sha256_batch(
@@ -57,9 +46,7 @@ std::vector<Sha256::Digest> hmac_sha256_batch(
   for (std::size_t i = 0; i < n; ++i) {
     std::array<std::uint8_t, Sha256::kBlockSize> k{};
     if (keys[i].size() > Sha256::kBlockSize) {
-      Sha256 kh;
-      kh.update(keys[i]);
-      auto d = kh.final();
+      auto d = sha256(keys[i]);
       std::copy(d.begin(), d.end(), k.begin());
     } else {
       std::copy(keys[i].begin(), keys[i].end(), k.begin());
@@ -93,10 +80,6 @@ std::vector<Sha256::Digest> hmac_sha256_batch(
     spans[i] = util::ByteSpan(buf.data(), buf.size());
   }
   return sha256_batch(std::span<const util::ByteSpan>(spans));
-}
-
-Sha512::Digest hmac_sha512(util::ByteSpan key, util::ByteSpan data) {
-  return hmac<Sha512>(key, data);
 }
 
 util::Bytes hkdf_sha256(util::ByteSpan ikm, util::ByteSpan salt,

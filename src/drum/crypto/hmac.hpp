@@ -1,4 +1,4 @@
-// HMAC (RFC 2104) over SHA-256 and SHA-512, plus HKDF (RFC 5869).
+// HMAC-SHA256 (RFC 2104), plus HKDF-SHA256 (RFC 5869).
 // Used to authenticate encrypted-port boxes and to derive pairwise session
 // keys from X25519 shared secrets.
 #pragma once
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "drum/crypto/sha256.hpp"
-#include "drum/crypto/sha512.hpp"
 #include "drum/util/bytes.hpp"
 
 namespace drum::crypto {
@@ -26,9 +25,6 @@ Sha256::Digest hmac_sha256(util::ByteSpan key, util::ByteSpan data);
 std::vector<Sha256::Digest> hmac_sha256_batch(
     std::span<const util::ByteSpan> keys,
     std::span<const util::ByteSpan> datas);
-
-/// HMAC-SHA512(key, data).
-Sha512::Digest hmac_sha512(util::ByteSpan key, util::ByteSpan data);
 
 /// HKDF-SHA256 extract-then-expand (RFC 5869). `out_len` <= 255*32.
 util::Bytes hkdf_sha256(util::ByteSpan ikm, util::ByteSpan salt,
