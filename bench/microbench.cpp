@@ -1,13 +1,13 @@
 // google-benchmark microbenchmarks of the hot paths: the crypto primitives
 // (what bounds a node's per-round CPU budget, and hence how expensive it is
 // for a victim to process fabricated messages), digest/buffer operations,
-// the obs primitives, and one full simulated gossip round. The crypto
+// the obs primitives, and one full simulated gossip round. The SHA-256
 // benchmarks run once per compiled backend (scalar reference vs the
 // CPUID-selected native one) so the SIMD speedup is measured in-tree. After
 // the registered benchmarks, main() runs an instrumented-vs-uninstrumented
 // cluster comparison (tracing on vs off) and writes microbench_obs.json,
-// then times each backend's bulk throughput and the single-vs-batch Ed25519
-// verify cost and writes BENCH_crypto.json.
+// then times each backend's SHA-256 throughput and the single-vs-batch
+// Ed25519 verify cost and writes BENCH_crypto.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,7 +18,6 @@
 #include "drum/core/buffer.hpp"
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/backend.hpp"
-#include "drum/crypto/chacha20.hpp"
 #include "drum/crypto/ed25519.hpp"
 #include "drum/crypto/hmac.hpp"
 #include "drum/crypto/keys.hpp"
@@ -42,9 +41,9 @@ util::Bytes random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// Crypto benchmarks take the backend name as a capture so the scalar
+// SHA-256 benchmarks take the backend name as a capture so the scalar
 // reference and the CPUID-selected native path are measured side by side
-// in one run (acceptance: native ≥3× scalar on SHA-256 and ChaCha20).
+// in one run.
 void BM_Sha256_1KiB(benchmark::State& state, const char* backend) {
   crypto::set_active_backend(backend);
   auto data = random_bytes(1024, 1);
@@ -87,23 +86,6 @@ void BM_HmacSha256_64B(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256_64B);
-
-void BM_ChaCha20_1KiB(benchmark::State& state, const char* backend) {
-  crypto::set_active_backend(backend);
-  auto key = random_bytes(32, 4);
-  auto nonce = random_bytes(12, 5);
-  auto data = random_bytes(1024, 6);
-  for (auto _ : state) {
-    crypto::chacha20_xor(util::ByteSpan(key), util::ByteSpan(nonce), 1,
-                         data.data(), data.size());
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1024);
-  crypto::set_active_backend("native");
-}
-BENCHMARK_CAPTURE(BM_ChaCha20_1KiB, scalar, "scalar");
-BENCHMARK_CAPTURE(BM_ChaCha20_1KiB, native, "native");
 
 void BM_X25519(benchmark::State& state) {
   util::Rng rng(7);
@@ -309,9 +291,9 @@ void run_obs_overhead_report() {
   }
 }
 
-// Per-backend bulk throughput and the single-vs-batch Ed25519 verify cost,
-// written to BENCH_crypto.json — the CI artifact that tracks the SIMD
-// speedups release over release.
+// Per-backend SHA-256 throughput and the single-vs-batch Ed25519 verify
+// cost, written to BENCH_crypto.json — the CI artifact that tracks the SIMD
+// speedup release over release.
 void run_crypto_report() {
   using clock = std::chrono::steady_clock;
   auto seconds_of = [](clock::time_point t0, clock::time_point t1) {
@@ -332,8 +314,6 @@ void run_crypto_report() {
 
   const std::size_t kBufLen = 1 << 20;
   auto buf = random_bytes(kBufLen, 40);
-  auto key = random_bytes(32, 41);
-  auto nonce = random_bytes(12, 42);
 
   std::string out = "{\n  \"backends\": [";
   bool first = true;
@@ -341,17 +321,11 @@ void run_crypto_report() {
     crypto::set_active_backend(be->name);
     double sha_s = time_per_call(
         [&] { benchmark::DoNotOptimize(crypto::sha256(util::ByteSpan(buf))); });
-    double cha_s = time_per_call([&] {
-      crypto::chacha20_xor(util::ByteSpan(key), util::ByteSpan(nonce), 1,
-                           buf.data(), buf.size());
-      benchmark::DoNotOptimize(buf.data());
-    });
     const double mib = static_cast<double>(kBufLen) / (1024.0 * 1024.0);
     char entry[256];
     std::snprintf(entry, sizeof entry,
-                  "%s\n    {\"name\": \"%s\", \"sha256_mb_s\": %.1f, "
-                  "\"chacha20_mb_s\": %.1f}",
-                  first ? "" : ",", be->name, mib / sha_s, mib / cha_s);
+                  "%s\n    {\"name\": \"%s\", \"sha256_mb_s\": %.1f}",
+                  first ? "" : ",", be->name, mib / sha_s);
     out += entry;
     first = false;
   }

@@ -85,17 +85,4 @@ std::vector<Sha256::Digest> sha256_batch(
   return out;
 }
 
-void chacha20_xor(util::ByteSpan key, util::ByteSpan nonce,
-                  std::uint32_t counter, std::uint8_t* data, std::size_t len) {
-  ChaCha20 c(key, nonce, counter);
-  c.crypt(data, len);
-}
-
-util::Bytes chacha20_xor_copy(util::ByteSpan key, util::ByteSpan nonce,
-                              std::uint32_t counter, util::ByteSpan data) {
-  util::Bytes out(data.begin(), data.end());
-  chacha20_xor(key, nonce, counter, out.data(), out.size());
-  return out;
-}
-
 }  // namespace drum::crypto

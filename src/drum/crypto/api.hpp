@@ -3,15 +3,16 @@
 // Shapes, uniformly:
 //   * one-shot  — crypto::sha256(msg), crypto::sha512(msg),
 //                 crypto::chacha20_xor(...), crypto::ed25519_verify(...)
-//   * incremental — the Sha256 / Sha512 / ChaCha20 classes
+//   * incremental — the Sha256 / Sha512 classes
 //                 (construct = init, update, final)
 //   * batch     — crypto::sha256_batch(msgs),
 //                 crypto::ed25519_verify_batch(jobs)
 //
-// Every form routes through the active crypto::Backend (backend.hpp):
+// The SHA-256 forms route through the active crypto::Backend (backend.hpp):
 // scalar reference, or ISA-accelerated paths picked at startup from CPUID
 // and overridable with DRUM_CRYPTO_BACKEND=scalar|native. Results are
-// bit-identical across backends.
+// bit-identical across backends. ChaCha20 (chacha20.hpp, included here) has
+// one portable implementation and no backend slot.
 #pragma once
 
 #include <span>
@@ -37,15 +38,6 @@ Sha512::Digest sha512(util::ByteSpan data);
 /// exactly sha256(messages[i]).
 std::vector<Sha256::Digest> sha256_batch(
     std::span<const util::ByteSpan> messages);
-
-/// One-shot ChaCha20: XORs the keystream for (key, nonce, counter) into
-/// `data` in place. Equivalent to ChaCha20(key, nonce, counter).crypt(...).
-void chacha20_xor(util::ByteSpan key, util::ByteSpan nonce,
-                  std::uint32_t counter, std::uint8_t* data, std::size_t len);
-
-/// Copying form of chacha20_xor.
-util::Bytes chacha20_xor_copy(util::ByteSpan key, util::ByteSpan nonce,
-                              std::uint32_t counter, util::ByteSpan data);
 
 /// One unit of batch signature verification. `message` is a non-owning view;
 /// the caller keeps the bytes alive until ed25519_verify_batch returns.

@@ -27,7 +27,6 @@ CpuFeatures detect_cpu() {
   CpuFeatures f;
   unsigned a = 0, b = 0, c = 0, d = 0;
   if (__get_cpuid(1, &a, &b, &c, &d)) {
-    f.sse2 = (d >> 26) & 1;
     f.ssse3 = (c >> 9) & 1;
     f.sse41 = (c >> 19) & 1;
     const bool osxsave = (c >> 27) & 1;
@@ -50,7 +49,6 @@ Backend make_scalar() {
   b.name = "scalar";
   b.sha256_compress = detail::sha256_compress_scalar;
   b.sha256_compress_x8 = detail::sha256_compress_x8_scalar;
-  b.chacha20_xor_blocks = detail::chacha20_xor_blocks_scalar;
   return b;
 }
 
@@ -66,12 +64,6 @@ Backend make_native() {
 #if defined(DRUM_CRYPTO_HAVE_AVX2)
   if (cpu.avx2) {
     b.sha256_compress_x8 = detail::sha256_compress_x8_avx2;
-    b.chacha20_xor_blocks = detail::chacha20_xor_blocks_avx2;
-  }
-#endif
-#if defined(DRUM_CRYPTO_HAVE_SSE2)
-  if (cpu.sse2 && b.chacha20_xor_blocks == detail::chacha20_xor_blocks_scalar) {
-    b.chacha20_xor_blocks = detail::chacha20_xor_blocks_sse2;
   }
 #endif
   return b;
@@ -117,8 +109,7 @@ bool native_backend_accelerated() {
   const Backend& n = native_backend();
   const Backend& s = scalar_backend();
   return n.sha256_compress != s.sha256_compress ||
-         n.sha256_compress_x8 != s.sha256_compress_x8 ||
-         n.chacha20_xor_blocks != s.chacha20_xor_blocks;
+         n.sha256_compress_x8 != s.sha256_compress_x8;
 }
 
 const Backend& active_backend() { return *active_slot(); }

@@ -1,21 +1,24 @@
-// crypto::Backend — runtime dispatch between the portable scalar reference
-// implementations and ISA-specific (SHA-NI / AVX2 / SSE2) ones.
+// crypto::Backend — runtime dispatch of the SHA-256 block functions between
+// the portable scalar reference implementation and ISA-specific (SHA-NI /
+// AVX2) ones.
 //
 // Why it exists: the paper's cost model (§6, App. A–C) bounds a victim's
 // survivability by how cheaply it processes an adversarial flood — every
-// fabricated message costs a hash, a MAC check, or a decrypt before it can
-// be discarded. Vectorized primitives shrink that per-message cost by 4–8×,
-// directly widening the flood a node can absorb per round.
+// fabricated port box costs an HMAC-SHA256 check before it can be
+// discarded, and hmac_sha256_batch runs a flood's boxes eight at a time
+// through the multi-buffer path. Vectorized compression shrinks that
+// per-message cost, directly widening the flood a node can absorb per round.
 //
-// Design: each primitive keeps its scalar implementation as the portable
-// reference backend; ISA-specific translation units (compiled with their
-// own -m flags, so the rest of the tree stays portable) export alternative
-// entry points for the block-level hot loops only. A Backend is a plain
-// table of function pointers; the active one is chosen once at startup from
-// CPUID and can be forced with DRUM_CRYPTO_BACKEND=scalar|native (or from
-// tests/benches via set_active_backend()). All backends are bit-identical:
-// they implement the same FIPS 180-4 / RFC 8439 functions, differing only
-// in how many blocks they process per instruction.
+// Design: SHA-256 keeps its scalar implementation as the portable reference
+// backend; ISA-specific translation units (compiled with their own -m flags,
+// so the rest of the tree stays portable) export alternative entry points
+// for the block-level hot loops only. A Backend is a plain table of function
+// pointers; the active one is chosen once at startup from CPUID and can be
+// forced with DRUM_CRYPTO_BACKEND=scalar|native (or from tests/benches via
+// set_active_backend()). All backends are bit-identical: they implement the
+// same FIPS 180-4 compression, differing only in how many blocks they
+// process per instruction. ChaCha20 has no slot: the port box encrypts less
+// than one keystream block, so a block-parallel kernel would never run.
 //
 // Callers never include this header to do crypto — they use
 // drum/crypto/api.hpp, which routes through the active backend internally.
@@ -45,27 +48,20 @@ struct Backend {
   void (*sha256_compress_x8)(std::uint32_t states[8][8],
                              const std::uint8_t* const blocks[8],
                              std::size_t nblocks);
-
-  /// ChaCha20 (RFC 8439): XOR `nblocks` keystream blocks into `data` in
-  /// place. `state` is the full 16-word input state; the block counter for
-  /// block b is state[12] + b (mod 2^32) — the caller advances state[12]
-  /// by nblocks afterwards.
-  void (*chacha20_xor_blocks)(const std::uint32_t state[16],
-                              std::uint8_t* data, std::size_t nblocks);
 };
 
 /// The portable reference backend (always available, any architecture).
 const Backend& scalar_backend();
 
 /// The best backend this build and this CPU support. Falls back to the
-/// scalar functions per-primitive when an ISA path is missing, and equals
+/// scalar function per slot when an ISA path is missing, and equals
 /// scalar_backend()'s table entirely on non-x86 builds.
 const Backend& native_backend();
 
-/// True when native_backend() accelerates at least one primitive.
+/// True when native_backend() accelerates at least one slot.
 bool native_backend_accelerated();
 
-/// The backend all api.hpp entry points route through. Resolved once on
+/// The backend the SHA-256 entry points route through. Resolved once on
 /// first use: native unless DRUM_CRYPTO_BACKEND=scalar is set in the
 /// environment (DRUM_CRYPTO_BACKEND=native is accepted and is the default;
 /// any other value is ignored with a warning).
@@ -83,7 +79,6 @@ std::vector<const Backend*> all_backends();
 /// Raw CPUID feature bits the selection is based on (x86-64; all false on
 /// other architectures). Exposed for diagnostics and test logging.
 struct CpuFeatures {
-  bool sse2 = false;
   bool ssse3 = false;
   bool sse41 = false;
   bool avx2 = false;    ///< includes the OS-saves-YMM (XGETBV) check

@@ -1,9 +1,8 @@
-// Internal declarations of the per-backend block functions assembled into
-// Backend tables by backend.cpp. Scalar entry points live in sha256.cpp /
-// chacha20.cpp next to the reference implementations; ISA-specific ones
-// live in their own translation units (sha256_shani.cpp, sha256_avx2.cpp,
-// chacha20_sse2.cpp, chacha20_avx2.cpp) compiled with the matching -m
-// flags. Not installed / not part of the public API.
+// Internal declarations of the per-backend SHA-256 block functions assembled
+// into Backend tables by backend.cpp. Scalar entry points live in sha256.cpp
+// next to the reference implementation; ISA-specific ones live in their own
+// translation units (sha256_shani.cpp, sha256_avx2.cpp) compiled with the
+// matching -m flags. Not installed / not part of the public API.
 #pragma once
 
 #include <cstddef>
@@ -16,8 +15,6 @@ void sha256_compress_scalar(std::uint32_t state[8], const std::uint8_t* blocks,
 void sha256_compress_x8_scalar(std::uint32_t states[8][8],
                                const std::uint8_t* const blocks[8],
                                std::size_t nblocks);
-void chacha20_xor_blocks_scalar(const std::uint32_t state[16],
-                                std::uint8_t* data, std::size_t nblocks);
 
 #if defined(DRUM_CRYPTO_HAVE_SHANI)
 // SHA extensions (one block per ~64 cycles); requires SHA-NI + SSSE3 + SSE4.1.
@@ -30,15 +27,6 @@ void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* blocks,
 void sha256_compress_x8_avx2(std::uint32_t states[8][8],
                              const std::uint8_t* const blocks[8],
                              std::size_t nblocks);
-// Eight ChaCha20 blocks per pass.
-void chacha20_xor_blocks_avx2(const std::uint32_t state[16],
-                              std::uint8_t* data, std::size_t nblocks);
-#endif
-
-#if defined(DRUM_CRYPTO_HAVE_SSE2)
-// Four ChaCha20 blocks per pass (SSE2 is baseline on x86-64).
-void chacha20_xor_blocks_sse2(const std::uint32_t state[16],
-                              std::uint8_t* data, std::size_t nblocks);
 #endif
 
 }  // namespace drum::crypto::detail

@@ -1,13 +1,15 @@
 #include "drum/crypto/chacha20.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
-
-#include "drum/crypto/backend.hpp"
-#include "drum/crypto/backend_impl.hpp"
 
 namespace drum::crypto {
 
 namespace {
+
+constexpr std::size_t kKeySize = 32;
+constexpr std::size_t kNonceSize = 12;
 
 inline std::uint32_t rotl(std::uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
@@ -52,70 +54,32 @@ void run_block(const std::array<std::uint32_t, 16>& in,
 
 }  // namespace
 
-namespace detail {
-
-// Portable reference (the scalar backend): one block at a time.
-void chacha20_xor_blocks_scalar(const std::uint32_t state[16],
-                                std::uint8_t* data, std::size_t nblocks) {
-  std::array<std::uint32_t, 16> st;
-  for (int i = 0; i < 16; ++i) st[i] = state[i];
-  std::array<std::uint8_t, 64> ks;
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    run_block(st, ks);
-    st[12] += 1;  // 32-bit block counter, wraps (RFC 8439 §2.3)
-    for (int i = 0; i < 64; ++i) data[64 * blk + i] ^= ks[i];
-  }
-}
-
-}  // namespace detail
-
-ChaCha20::ChaCha20(util::ByteSpan key, util::ByteSpan nonce,
-                   std::uint32_t counter) {
+void chacha20_xor(util::ByteSpan key, util::ByteSpan nonce,
+                  std::uint32_t counter, std::uint8_t* data, std::size_t len) {
   if (key.size() != kKeySize) throw std::invalid_argument("chacha20 key size");
   if (nonce.size() != kNonceSize) {
     throw std::invalid_argument("chacha20 nonce size");
   }
-  state_[0] = 0x61707865; state_[1] = 0x3320646e;
-  state_[2] = 0x79622d32; state_[3] = 0x6b206574;
-  for (int i = 0; i < 8; ++i) state_[4 + i] = load_le32(key.data() + 4 * i);
-  state_[12] = counter;
-  for (int i = 0; i < 3; ++i) state_[13 + i] = load_le32(nonce.data() + 4 * i);
-}
+  std::array<std::uint32_t, 16> state{};
+  state[0] = 0x61707865; state[1] = 0x3320646e;
+  state[2] = 0x79622d32; state[3] = 0x6b206574;
+  for (int i = 0; i < 8; ++i) state[4 + i] = load_le32(key.data() + 4 * i);
+  state[12] = counter;
+  for (int i = 0; i < 3; ++i) state[13 + i] = load_le32(nonce.data() + 4 * i);
 
-void ChaCha20::refill() {
-  run_block(state_, keystream_);
-  state_[12] += 1;
-  ks_pos_ = 0;
-}
-
-void ChaCha20::crypt(std::uint8_t* data, std::size_t len) {
-  std::size_t i = 0;
-  // Drain any keystream buffered by a previous partial-block call.
-  while (ks_pos_ < 64 && i < len) data[i++] ^= keystream_[ks_pos_++];
-  // Whole blocks go through the active backend in one call.
-  if (const std::size_t nblocks = (len - i) / 64) {
-    active_backend().chacha20_xor_blocks(state_.data(), data + i, nblocks);
-    state_[12] += static_cast<std::uint32_t>(nblocks);
-    i += nblocks * 64;
-  }
-  if (i < len) {
-    refill();
-    while (i < len) data[i++] ^= keystream_[ks_pos_++];
+  std::array<std::uint8_t, 64> keystream{};
+  for (std::size_t off = 0; off < len; off += 64) {
+    run_block(state, keystream);
+    state[12] += 1;  // 32-bit block counter, wraps (RFC 8439 §2.3)
+    const std::size_t n = std::min<std::size_t>(64, len - off);
+    for (std::size_t i = 0; i < n; ++i) data[off + i] ^= keystream[i];
   }
 }
 
-util::Bytes ChaCha20::crypt_copy(util::ByteSpan data) {
+util::Bytes chacha20_xor_copy(util::ByteSpan key, util::ByteSpan nonce,
+                              std::uint32_t counter, util::ByteSpan data) {
   util::Bytes out(data.begin(), data.end());
-  crypt(out.data(), out.size());
-  return out;
-}
-
-std::array<std::uint8_t, 64> ChaCha20::block(util::ByteSpan key,
-                                             util::ByteSpan nonce,
-                                             std::uint32_t counter) {
-  ChaCha20 c(key, nonce, counter);
-  std::array<std::uint8_t, 64> out;
-  run_block(c.state_, out);
+  chacha20_xor(key, nonce, counter, out.data(), out.size());
   return out;
 }
 

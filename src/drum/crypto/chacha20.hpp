@@ -2,44 +2,29 @@
 // encrypt-then-MAC "port box" that protects random port numbers on the wire
 // (paper §4: "random ports ... are encrypted").
 //
-// This is the incremental form; the one-shot chacha20_xor() lives in
-// drum/crypto/api.hpp. Whole-block spans route through the active
-// crypto::Backend (scalar reference, 4-way SSE2, or 8-way AVX2 — see
-// backend.hpp); all backends generate bit-identical keystreams.
+// One portable scalar routine produces every keystream byte. Its only caller,
+// the port box, encrypts a 2-byte port — less than one 64-byte block — so
+// block-parallel SIMD kernels would never run, and ChaCha20 has no
+// crypto::Backend slot. Declared here and reached through
+// drum/crypto/api.hpp like every other primitive.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "drum/util/bytes.hpp"
 
 namespace drum::crypto {
 
-class ChaCha20 {
- public:
-  static constexpr std::size_t kKeySize = 32;
-  static constexpr std::size_t kNonceSize = 12;
+/// One-shot ChaCha20: XORs the keystream for (key, nonce, counter) into
+/// `data` in place. The 32-bit block counter starts at `counter` and wraps
+/// (RFC 8439 §2.3). Throws std::invalid_argument unless `key` is 32 bytes
+/// and `nonce` 12.
+void chacha20_xor(util::ByteSpan key, util::ByteSpan nonce,
+                  std::uint32_t counter, std::uint8_t* data, std::size_t len);
 
-  ChaCha20(util::ByteSpan key, util::ByteSpan nonce, std::uint32_t counter = 0);
-
-  /// XORs the keystream into `data` in place. Stateful: successive calls
-  /// continue the stream.
-  void crypt(std::uint8_t* data, std::size_t len);
-
-  /// Convenience: returns data XOR keystream.
-  util::Bytes crypt_copy(util::ByteSpan data);
-
-  /// Raw block function (exposed for RFC 8439 test vectors).
-  static std::array<std::uint8_t, 64> block(util::ByteSpan key,
-                                            util::ByteSpan nonce,
-                                            std::uint32_t counter);
-
- private:
-  void refill();
-
-  std::array<std::uint32_t, 16> state_;
-  std::array<std::uint8_t, 64> keystream_{};
-  std::size_t ks_pos_ = 64;  // exhausted
-};
+/// Copying form of chacha20_xor.
+util::Bytes chacha20_xor_copy(util::ByteSpan key, util::ByteSpan nonce,
+                              std::uint32_t counter, util::ByteSpan data);
 
 }  // namespace drum::crypto

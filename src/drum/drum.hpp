@@ -8,8 +8,8 @@
 //   obs         — metrics registry (counters/gauges/histograms), gossip
 //                 trace ring, JSON/CSV exporters
 //   crypto      — SHA-256/512, HMAC/HKDF, ChaCha20, X25519, Ed25519 (one-
-//                 shot/incremental/batch, see crypto/api.hpp; SIMD backends
-//                 behind crypto/backend.hpp), port boxes, identities
+//                 shot/incremental/batch, see crypto/api.hpp; SHA-256 SIMD
+//                 backends behind crypto/backend.hpp), port boxes, identities
 //   net         — Transport abstraction, in-memory LAN, UDP sockets
 //   core        — the Drum protocol node, its Push/Pull/ablation variants,
 //                 and the peer-scoring/greylist defense layer

@@ -1,7 +1,7 @@
 // Backend-dispatch tests for drum::crypto: the published known-answer
-// vectors (FIPS 180-4, RFC 8439, RFC 8032) replayed against every compiled
-// backend, randomized scalar-vs-native equivalence over odd lengths and
-// block boundaries, batch Ed25519 negative tests (a corrupted signature at
+// vectors (FIPS 180-4, RFC 8032) replayed against every compiled backend,
+// randomized scalar-vs-native equivalence over odd lengths and block
+// boundaries, batch Ed25519 negative tests (a corrupted signature at
 // any batch position is detected and attributed to exactly that index, and
 // malformed encodings are rejected exactly as single verification does).
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/backend.hpp"
-#include "drum/crypto/chacha20.hpp"
 #include "drum/crypto/ed25519.hpp"
 #include "drum/crypto/sha256.hpp"
 #include "drum/util/rng.hpp"
@@ -66,7 +65,6 @@ TEST(BackendDispatch, TableIsSaneAndSelectable) {
     ASSERT_NE(be, nullptr);
     EXPECT_NE(be->sha256_compress, nullptr);
     EXPECT_NE(be->sha256_compress_x8, nullptr);
-    EXPECT_NE(be->chacha20_xor_blocks, nullptr);
     EXPECT_TRUE(set_active_backend(be->name));
     EXPECT_STREQ(active_backend().name, be->name);
   }
@@ -78,7 +76,7 @@ TEST(BackendDispatch, NativeAccelerationMatchesCpuFeatures) {
   const CpuFeatures& f = cpu_features();
   // The native table accelerates something iff the build compiled an ISA
   // path the CPU can run. On plain-scalar builds both sides are false.
-  bool cpu_could = f.sha_ni || f.avx2 || f.sse2;
+  bool cpu_could = f.sha_ni || f.avx2;
   if (!cpu_could) {
     EXPECT_FALSE(native_backend_accelerated());
   }
@@ -111,33 +109,6 @@ TEST(BackendKat, Sha256Fips180EveryBackend) {
     EXPECT_EQ(
         to_hex(ByteSpan(h.final())),
         "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-  }
-}
-
-TEST(BackendKat, ChaCha20Rfc8439EveryBackend) {
-  BackendGuard guard;
-  auto key = from_hex(
-      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  auto nonce = from_hex("000000000000004a00000000");
-  ASSERT_TRUE(key && nonce);
-  const std::string plaintext =
-      "Ladies and Gentlemen of the class of '99: If I could offer you "
-      "only one tip for the future, sunscreen would be it.";
-  const std::string want_hex =
-      "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
-      "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
-      "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
-      "5af90bbf74a35be6b40b8eedf2785e42874d";
-  for (const Backend* be : all_backends()) {
-    ASSERT_TRUE(set_active_backend(be->name));
-    SCOPED_TRACE(be->name);
-    Bytes ct = chacha20_xor_copy(ByteSpan(*key), ByteSpan(*nonce), 1,
-                                 span_of(plaintext));
-    EXPECT_EQ(to_hex(ByteSpan(ct)), want_hex);
-    // Round-trip back to the plaintext.
-    Bytes pt = chacha20_xor_copy(ByteSpan(*key), ByteSpan(*nonce), 1,
-                                 ByteSpan(ct));
-    EXPECT_EQ(to_hex(ByteSpan(pt)), to_hex(span_of(plaintext)));
   }
 }
 
@@ -254,41 +225,6 @@ TEST(BackendEquivalence, Sha256BatchMatchesOneShot) {
   for (const Backend* be : all_backends()) {
     ASSERT_TRUE(set_active_backend(be->name));
     EXPECT_EQ(sha256_batch(same_spans), want8) << be->name;
-  }
-}
-
-TEST(BackendEquivalence, ChaCha20OddLengthsAndCounterContinuation) {
-  BackendGuard guard;
-  util::Rng rng(103);
-  Bytes key = random_bytes(rng, ChaCha20::kKeySize);
-  Bytes nonce = random_bytes(rng, ChaCha20::kNonceSize);
-  const std::size_t lengths[] = {1, 17, 63, 64, 65, 129, 256, 257, 1000, 4097};
-  for (std::size_t len : lengths) {
-    Bytes data = random_bytes(rng, len);
-    ASSERT_TRUE(set_active_backend("scalar"));
-    Bytes want = chacha20_xor_copy(ByteSpan(key), ByteSpan(nonce), 7,
-                                   ByteSpan(data));
-    for (const Backend* be : all_backends()) {
-      ASSERT_TRUE(set_active_backend(be->name));
-      // One-shot.
-      EXPECT_EQ(chacha20_xor_copy(ByteSpan(key), ByteSpan(nonce), 7,
-                                  ByteSpan(data)),
-                want)
-          << be->name << " diverges at len=" << len;
-      // Incremental in odd chunks: the stream (and its counter) must
-      // continue seamlessly across crypt() calls.
-      Bytes inc = data;
-      ChaCha20 c(ByteSpan(key), ByteSpan(nonce), 7);
-      std::size_t pos = 0;
-      while (pos < inc.size()) {
-        std::size_t chunk =
-            std::min<std::size_t>(1 + rng.below(150), inc.size() - pos);
-        c.crypt(inc.data() + pos, chunk);
-        pos += chunk;
-      }
-      EXPECT_EQ(inc, want)
-          << be->name << " incremental diverges at len=" << len;
-    }
   }
 }
 
