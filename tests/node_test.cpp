@@ -566,9 +566,10 @@ TEST(Node, RemovedPeerNoLongerAccepted) {
 }
 
 TEST(Node, RandomReplyPortsRotateAcrossRoundsAndAreEncrypted) {
-  // Observe the pull-reply ports node 0 advertises: stand in for peer 1 by
-  // binding its well-known pull port ourselves and opening the boxes with
-  // the pair key (paper §4: ports are random, fresh, and encrypted).
+  // Observe the reply ports node 0 advertises: stand in for peer 1 by
+  // binding its well-known pull and offer ports ourselves and opening the
+  // boxes with the pair key (paper §4: ports are random, fresh, and
+  // encrypted). Every box seals exactly one 2-byte port.
   util::Rng rng(6);
   net::MemNetwork net;
   auto id0 = crypto::Identity::generate(rng);
@@ -580,11 +581,13 @@ TEST(Node, RandomReplyPortsRotateAcrossRoundsAndAreEncrypted) {
   auto peer_tr = net.transport(1);
   auto peer_pull_sock = peer_tr->bind(3100);  // we play peer 1
   ASSERT_TRUE(peer_pull_sock);
+  auto peer_offer_sock = peer_tr->bind(3101);
+  ASSERT_TRUE(peer_offer_sock);
 
   auto node_tr = net.transport(0);
   NodeConfig cfg = make_node_config(Variant::kDrum, 0);
-  // Pull-only view towards the single peer: with one candidate, every
-  // round's pull-request goes to "peer 1".
+  // With one candidate, every round's pull-request and push offer go to
+  // "peer 1".
   cfg.wk_pull_port = 3000;
   cfg.wk_offer_port = 3001;
   Node node(cfg, id0, dir, *node_tr, 77, nullptr);
@@ -592,11 +595,13 @@ TEST(Node, RandomReplyPortsRotateAcrossRoundsAndAreEncrypted) {
   auto key = id1.derive_pair_key(id0.dh_public());
   std::set<std::uint16_t> ports;
   int requests = 0;
+  int offers = 0;
   for (int r = 0; r < 8; ++r) {
     node.on_round();
     while (auto d = peer_pull_sock->recv()) {
       auto req = decode_pull_request(util::ByteSpan(d->payload), 4096);
       EXPECT_EQ(req.sender, 0u);
+      EXPECT_EQ(req.boxed_reply_port.size(), crypto::kPortBoxOverhead + 2);
       auto port = crypto::portbox_open_port(
           util::ByteSpan(key), util::ByteSpan(req.boxed_reply_port));
       ASSERT_TRUE(port.has_value());  // encrypted, but we hold the pair key
@@ -604,8 +609,19 @@ TEST(Node, RandomReplyPortsRotateAcrossRoundsAndAreEncrypted) {
       ports.insert(*port);
       ++requests;
     }
+    while (auto d = peer_offer_sock->recv()) {
+      auto offer = decode_push_offer(util::ByteSpan(d->payload));
+      EXPECT_EQ(offer.sender, 0u);
+      EXPECT_EQ(offer.boxed_reply_port.size(), crypto::kPortBoxOverhead + 2);
+      auto port = crypto::portbox_open_port(
+          util::ByteSpan(key), util::ByteSpan(offer.boxed_reply_port));
+      ASSERT_TRUE(port.has_value());
+      EXPECT_GE(*port, 49152);
+      ++offers;
+    }
   }
   EXPECT_GE(requests, 8);
+  EXPECT_GE(offers, 8);
   // Fresh random port (almost) every round.
   EXPECT_GE(ports.size(), 6u);
 }
