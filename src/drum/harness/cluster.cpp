@@ -244,15 +244,13 @@ void Cluster::fire_attacker_burst() {
                                  1024 + rng_.below(60000))};
         mem_net_->send_raw(spoofed, target, util::ByteSpan(payload));
       } else {
-        // UDP mode: a real attacker socket (lazily bound, reused).
-        static thread_local std::unique_ptr<net::Transport> attacker_tr;
-        static thread_local std::unique_ptr<net::Socket> attacker_sock;
-        if (!attacker_sock) {
-          attacker_tr = std::make_unique<net::UdpTransport>(
+        // UDP mode: a real attacker socket, bound on the first burst.
+        if (!attacker_sock_) {
+          attacker_transport_ = std::make_unique<net::UdpTransport>(
               net::parse_ipv4("127.0.0.1"));
-          attacker_sock = attacker_tr->bind(0).take();
+          attacker_sock_ = attacker_transport_->bind(0).take();
         }
-        attacker_sock->send(target, util::ByteSpan(payload));
+        attacker_sock_->send(target, util::ByteSpan(payload));
       }
     }
   }

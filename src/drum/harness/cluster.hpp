@@ -190,6 +190,9 @@ class Cluster {
   ClusterConfig cfg_;
   util::Rng rng_;
   std::unique_ptr<net::MemNetwork> mem_net_;  // null in UDP mode
+  // UDP mode's flood source; null until the first attacker burst.
+  std::unique_ptr<net::Transport> attacker_transport_;
+  std::unique_ptr<net::Socket> attacker_sock_;
   std::vector<core::Peer> directory_;
   std::vector<LiveNode> nodes_;
   std::vector<std::uint32_t> victims_;  // attacked node ids
