@@ -49,16 +49,18 @@ struct VerifyJob {
 
 /// Verifies many Ed25519 signatures, sharing the doubling ladder across the
 /// whole batch (random linear combination + Straus multi-scalar
-/// multiplication). Malformed encodings (non-canonical S, invalid points)
-/// are rejected per-signature up front exactly as ed25519_verify does, and
-/// if the combined check fails the batch falls back to per-signature
-/// verification to attribute the exact bad indices — so any single bad
-/// signature gets the same verdict as ed25519_verify, and a forgery passes
-/// only with probability ~2^-128 per attempt. Sole caveat (standard for
-/// batch Ed25519, cf. RFC 8032 §8.9 and ed25519_batch.cpp): multiple
-/// colluding signatures whose defects lie entirely in the order-8 torsion
-/// subgroup may cancel inside the combination and be accepted; this does
-/// not affect unforgeability.
+/// multiplication) and decoding each distinct public key once, as one term
+/// for all of its signatures. Malformed encodings (non-canonical S, invalid
+/// points) are rejected per-signature up front exactly as ed25519_verify
+/// does, and if the combined check fails the batch falls back to
+/// per-signature verification to attribute the exact bad indices — so any
+/// single bad signature gets the same verdict as ed25519_verify, and a
+/// forgery passes only with probability ~2^-128 per attempt (the 128-bit
+/// coefficients come from a ChaCha20 keystream under a 256-bit key from
+/// std::random_device). Sole caveat (standard for batch Ed25519, cf. RFC
+/// 8032 §8.9 and ed25519_batch.cpp): multiple colluding signatures whose
+/// defects lie entirely in the order-8 torsion subgroup may cancel inside
+/// the combination and be accepted; this does not affect unforgeability.
 std::vector<bool> ed25519_verify_batch(std::span<const VerifyJob> jobs);
 
 }  // namespace drum::crypto

@@ -28,7 +28,7 @@ const Fe& const_d() {
   return d;
 }
 
-// 2d, used in the unified addition formula.
+// 2d, the k of the cached form.
 const Fe& const_d2() {
   static const Fe d2 = [] {
     Fe out;
@@ -68,22 +68,46 @@ bool ge_is_identity(const Ge& h) {
   return fe_is_zero(h.x) && fe_is_zero(diff);
 }
 
-void ge_add(Ge& out, const Ge& p, const Ge& q) {
-  Fe a, b, c, d, e, f, g, h, t0, t1;
-  fe_sub(t0, p.y, p.x);
-  fe_sub(t1, q.y, q.x);
-  fe_mul(a, t0, t1);           // A = (Y1-X1)(Y2-X2)
-  fe_add(t0, p.y, p.x);
-  fe_add(t1, q.y, q.x);
-  fe_mul(b, t0, t1);           // B = (Y1+X1)(Y2+X2)
-  fe_mul(c, p.t, q.t);
-  fe_mul(c, c, const_d2());    // C = 2d T1 T2
-  fe_mul(d, p.z, q.z);
-  fe_add(d, d, d);             // D = 2 Z1 Z2
+void ge_to_cached(GeCached& out, const Ge& p) {
+  fe_add(out.ypx, p.y, p.x);
+  fe_sub(out.ymx, p.y, p.x);
+  fe_add(out.z2, p.z, p.z);
+  fe_mul(out.t2d, p.t, const_d2());
+}
+
+void ge_add(Ge& out, const Ge& p, const GeCached& q) {
+  Fe a, b, c, d, e, f, g, h;
+  fe_sub(e, p.y, p.x);
+  fe_mul(a, e, q.ymx);         // A = (Y1-X1)(Y2-X2)
+  fe_add(e, p.y, p.x);
+  fe_mul(b, e, q.ypx);         // B = (Y1+X1)(Y2+X2)
+  fe_mul(c, p.t, q.t2d);       // C = 2d T1 T2
+  fe_mul(d, p.z, q.z2);        // D = 2 Z1 Z2
   fe_sub(e, b, a);
   fe_sub(f, d, c);
   fe_add(g, d, c);
   fe_add(h, b, a);
+  fe_mul(out.x, e, f);
+  fe_mul(out.y, g, h);
+  fe_mul(out.t, e, h);
+  fe_mul(out.z, f, g);
+}
+
+void ge_dbl(Ge& out, const Ge& p) {
+  // With a = -1: E = 2XY, G = Y^2 - X^2, F = G - 2Z^2, H = -(X^2 + Y^2).
+  // The code keeps -F and -H, which negates all four outputs: the same
+  // projective point.
+  Fe a, b, c, e, f, g, h;
+  fe_sq(a, p.x);               // X^2
+  fe_sq(b, p.y);               // Y^2
+  fe_sq(c, p.z);
+  fe_add(c, c, c);             // 2 Z^2
+  fe_add(h, a, b);             // -H
+  fe_add(e, p.x, p.y);
+  fe_sq(e, e);
+  fe_sub(e, e, h);             // E = (X+Y)^2 - X^2 - Y^2
+  fe_sub(g, b, a);             // G
+  fe_sub(f, c, g);             // -F
   fe_mul(out.x, e, f);
   fe_mul(out.y, g, h);
   fe_mul(out.t, e, h);
@@ -187,11 +211,24 @@ constexpr u64 kL[5] = {0x5812631a5cf5d3ed, 0x14def9dea2f79cd6, 0,
                        0x1000000000000000, 0};
 constexpr u64 kMu[5] = {0xed9ce5a30a2c131b, 0x2106215d086329a7,
                         0xffffffffffffffeb, 0xffffffffffffffff, 0xf};
+// 8L, kL shifted left by three bits.
+constexpr u64 k8L[5] = {kL[0] << 3, kL[1] << 3 | kL[0] >> 61,
+                        kL[2] << 3 | kL[1] >> 61, kL[3] << 3 | kL[2] >> 61,
+                        kL[4] << 3 | kL[3] >> 61};
 
 u64 load64(const std::uint8_t* p) {
   u64 v = 0;
   for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
   return v;
+}
+
+// The low four limbs as 32 little-endian bytes.
+Scalar to_scalar(const u64 limbs[4]) {
+  Scalar out;
+  for (int i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(limbs[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
 }
 
 // out[0, na + nb) = a · b.
@@ -230,11 +267,7 @@ Scalar barrett_reduce(const u64 x[8]) {
   mul_limbs(ql, q + 5, 5, kL, 4);
   sub_limbs(r, x, ql);
   if (sub_limbs(t, r, kL) == 0) std::copy_n(t, 5, r);
-  Scalar out;
-  for (int i = 0; i < 32; ++i) {
-    out[i] = static_cast<std::uint8_t>(r[i / 8] >> (8 * (i % 8)));
-  }
-  return out;
+  return to_scalar(r);
 }
 
 }  // namespace
@@ -271,22 +304,40 @@ bool sc_is_canonical(const std::uint8_t s[32]) {
   return false;  // s == L
 }
 
+Scalar sc_add_mod_8l(const Scalar& a, const Scalar& b) {
+  // a + b < 16L < 2^257: five limbs, then at most one subtraction of 8L.
+  u64 sum[5], t[5];
+  u64 carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    const u128 s = static_cast<u128>(load64(a.data() + 8 * i)) +
+                   load64(b.data() + 8 * i) + carry;
+    sum[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
+  }
+  sum[4] = carry;
+  if (sub_limbs(t, sum, k8L) == 0) std::copy_n(t, 5, sum);
+  return to_scalar(sum);
+}
+
 // Straus interleaving with 4-bit windows: one shared chain of 252
-// doublings; per entry a table of the multiples 1..15 of its point and one
-// table addition per non-zero nibble of its scalar. The additions and the
-// table indices follow the scalars, so a secret scalar leaks through timing.
+// doublings; per entry a table of the multiples 1..15 of its point, in
+// cached form, and one table addition per non-zero nibble of its scalar.
+// The additions and the table indices follow the scalars, so a secret
+// scalar leaks through timing.
 void ge_msm(Ge& out, std::span<const MsmEntry> entries) {
-  std::vector<std::array<Ge, 15>> tables(entries.size());
+  std::vector<std::array<GeCached, 15>> tables(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    tables[i][0] = entries[i].point;
+    Ge multiple = entries[i].point;
+    ge_to_cached(tables[i][0], multiple);
     for (int j = 1; j < 15; ++j) {
-      ge_add(tables[i][j], tables[i][j - 1], entries[i].point);
+      ge_add(multiple, multiple, tables[i][0]);
+      ge_to_cached(tables[i][j], multiple);
     }
   }
   ge_identity(out);
   for (int nib = 63; nib >= 0; --nib) {
     if (nib != 63) {
-      for (int k = 0; k < 4; ++k) ge_add(out, out, out);
+      for (int k = 0; k < 4; ++k) ge_dbl(out, out);
     }
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const std::uint8_t byte = entries[i].scalar[nib / 2];
@@ -294,6 +345,13 @@ void ge_msm(Ge& out, std::span<const MsmEntry> entries) {
       if (v != 0) ge_add(out, out, tables[i][v - 1]);
     }
   }
+}
+
+std::optional<Ge> ge_decode_neg(const std::uint8_t s[32]) {
+  Ge p;
+  if (!ge_frombytes(p, s)) return std::nullopt;
+  ge_neg(p, p);
+  return p;
 }
 
 namespace {
@@ -314,13 +372,10 @@ std::optional<ParsedSignature> parse_signature(const Ed25519PublicKey& pub,
                                                util::ByteSpan message,
                                                const Ed25519Signature& sig) {
   if (!sc_is_canonical(sig.data() + 32)) return std::nullopt;
-  Ge a, r;
-  if (!ge_frombytes(a, pub.data()) || !ge_frombytes(r, sig.data())) {
-    return std::nullopt;
-  }
+  auto neg_r = ge_decode_neg(sig.data());
+  if (!neg_r) return std::nullopt;
   ParsedSignature out;
-  ge_neg(out.neg_a, a);
-  ge_neg(out.neg_r, r);
+  out.neg_r = *neg_r;
   std::copy_n(sig.begin() + 32, 32, out.s.begin());
   out.k = challenge(sig.data(), pub, message);
   return out;
@@ -388,14 +443,18 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
 
 bool ed25519_verify(const Ed25519PublicKey& pub, util::ByteSpan message,
                     const Ed25519Signature& sig) {
+  const auto neg_a = detail::ge_decode_neg(pub.data());
+  if (!neg_a) return false;
   const auto p = detail::parse_signature(pub, message, sig);
   if (!p) return false;
   // S·B == R + k·A  ⇔  S·B + k·(-A) + (-R) == O.
   const detail::MsmEntry terms[] = {{p->s, detail::base_point()},
-                                    {p->k, p->neg_a}};
+                                    {p->k, *neg_a}};
   Ge sum;
   detail::ge_msm(sum, terms);
-  detail::ge_add(sum, sum, p->neg_r);
+  detail::GeCached neg_r;
+  detail::ge_to_cached(neg_r, p->neg_r);
+  detail::ge_add(sum, sum, neg_r);
   return detail::ge_is_identity(sum);
 }
 

@@ -1,9 +1,10 @@
-// Ed25519 signatures (RFC 8032). Implemented over the fe25519 field with the
-// complete twisted-Edwards addition law (a = -1, non-square d, so a single
-// unified formula covers addition and doubling). Scalars mod the group order
-// L live on fixed 64-bit limbs, and key generation, signing and verification
-// all run one 4-bit-window multi-scalar multiplication
-// (ed25519_internal.hpp). Signing is variable-time.
+// Ed25519 signatures (RFC 8032). Implemented over the fe25519 field in
+// extended twisted-Edwards coordinates (a = -1, non-square d) with one
+// dedicated doubling and one complete addition against a cached operand.
+// Scalars mod the group order L live on fixed 64-bit limbs, and key
+// generation, signing and verification all run one 4-bit-window
+// multi-scalar multiplication (ed25519_internal.hpp). Signing is
+// variable-time.
 //
 // Drum uses Ed25519 for: message source authentication ("unforgeable
 // multicast"), CA-signed membership certificates, and signed join/leave

@@ -4,12 +4,21 @@
 //     S_i·B = R_i + k_i·A_i        with k_i = SHA512(R_i || A_i || M_i) mod L.
 // Draw independent random 128-bit odd coefficients z_i and check the single
 // combined equation
-//     (Σ z_i S_i mod L)·B + Σ z_i·(-R_i) + Σ (z_i k_i mod L)·(-A_i) == O
+//     (Σ z_i S_i mod L)·B + Σ z_i·(-R_i) + Σ_A (Σ_{i: A_i = A} z_i k_i)·(-A) == O
 // with one detail::ge_msm call, the multi-scalar multiplication single
-// verification also uses, sharing its ~252 doublings across the batch. An invalid
-// signature makes the combination non-zero except with probability ~2^-128
-// over the z_i (odd z_i so a single signature's small-torsion defect can
-// never cancel itself).
+// verification also uses, sharing its ~252 doublings across the batch. An
+// invalid signature makes the combination non-zero except with probability
+// ~2^-128 over the z_i (odd z_i so a single signature's small-torsion
+// defect can never cancel itself). The z_i come from a ChaCha20 keystream
+// under a per-thread 256-bit key from std::random_device, one nonce per
+// batch, so an attacker cannot predict them.
+//
+// Each distinct public key is decoded once and gets one MSM entry, whose
+// scalar sums (z_i k_i mod L) over that key's signatures mod 8L, the order
+// of the whole curve group. The merged entry is therefore the same group
+// element as the per-signature entries even when A has a torsion
+// component, and every verdict is the one those entries would give. A
+// batch of n signatures under s keys costs n + s + 1 entries, not 2n + 1.
 //
 // Verdict policy: per-signature parse failures (non-canonical S, invalid A
 // or R encodings) are rejected deterministically before the combined check,
@@ -21,12 +30,15 @@
 // be accepted (the standard cofactored-style batch caveat, cf. RFC 8032
 // §8.9); unforgeability is unaffected since the prime-order component —
 // the part bound to the message — is always checked.
+#include <algorithm>
+#include <array>
+#include <map>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/ed25519_internal.hpp"
-#include "drum/util/rng.hpp"
 
 namespace drum::crypto {
 
@@ -35,24 +47,42 @@ namespace {
 using detail::Ge;
 using detail::Scalar;
 
-// 128-bit odd random coefficient, little-endian in the low 16 bytes.
+// n random 128-bit odd coefficients, little-endian in the low 16 bytes.
 // Process entropy, not the deterministic simulation RNG: an attacker must
 // not be able to predict the combination coefficients.
-Scalar random_z128_odd() {
-  thread_local util::Rng rng = [] {
+std::vector<Scalar> random_z128_odd(std::size_t n) {
+  struct Stream {
+    std::array<std::uint8_t, 32> key;
+    std::uint64_t batches = 0;  // the nonce: one keystream per batch
+  };
+  thread_local Stream stream = [] {
+    Stream s;
     std::random_device rd;
-    const std::uint64_t seed = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-    return util::Rng(seed);
+    for (auto& b : s.key) b = static_cast<std::uint8_t>(rd());
+    return s;
   }();
-  Scalar z{};
-  std::uint64_t lo = rng.next() | 1;  // odd
-  std::uint64_t hi = rng.next();
+  std::array<std::uint8_t, 12> nonce{};
   for (int i = 0; i < 8; ++i) {
-    z[i] = static_cast<std::uint8_t>(lo >> (8 * i));
-    z[8 + i] = static_cast<std::uint8_t>(hi >> (8 * i));
+    nonce[i] = static_cast<std::uint8_t>(stream.batches >> (8 * i));
+  }
+  ++stream.batches;
+  std::vector<std::uint8_t> keystream(16 * n);
+  chacha20_xor(stream.key, nonce, 0, keystream.data(), keystream.size());
+  std::vector<Scalar> z(n, Scalar{});
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy_n(keystream.begin() + 16 * i, 16, z[i].begin());
+    z[i][0] |= 1;  // odd
   }
   return z;
 }
+
+// One distinct public key of the batch: -A, if it decodes, and the sum of
+// its signatures' coefficients z_i k_i mod 8L.
+struct Signer {
+  std::optional<Ge> neg_a;
+  Scalar scalar{};
+  bool used = false;  // some signature under this key passed the parse
+};
 
 }  // namespace
 
@@ -66,8 +96,10 @@ std::vector<bool> ed25519_verify_batch(std::span<const VerifyJob> jobs) {
 
   // Deterministic per-signature parse pass, the same one ed25519_verify
   // runs: non-canonical S and invalid point encodings never reach the
-  // probabilistic combined check. Each parsed signature adds its (-R_i,
-  // -A_i) pair to the combined equation; the base-point term comes first.
+  // probabilistic combined check. Each parsed signature adds its -R_i term
+  // and its share of its key's -A term; the base-point term comes first.
+  const std::vector<Scalar> z = random_z128_odd(jobs.size());
+  std::map<Ed25519PublicKey, Signer> signers;
   std::vector<std::size_t> parsed;
   std::vector<detail::MsmEntry> entries;
   parsed.reserve(jobs.size());
@@ -76,16 +108,24 @@ std::vector<bool> ed25519_verify_batch(std::span<const VerifyJob> jobs) {
   Scalar zs_sum{};  // Σ z_i S_i mod L
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const VerifyJob& job = jobs[i];
+    auto [it, fresh] = signers.try_emplace(job.pub);
+    Signer& signer = it->second;
+    if (fresh) signer.neg_a = detail::ge_decode_neg(job.pub.data());
+    if (!signer.neg_a) continue;
     const auto p = detail::parse_signature(job.pub, job.message, job.sig);
     if (!p) continue;
     parsed.push_back(i);
-    const Scalar z = random_z128_odd();
-    zs_sum = detail::sc_muladd(z, p->s, zs_sum);
-    entries.push_back({z, p->neg_r});
-    entries.push_back({detail::sc_muladd(z, p->k, Scalar{}), p->neg_a});
+    zs_sum = detail::sc_muladd(z[i], p->s, zs_sum);
+    entries.push_back({z[i], p->neg_r});
+    signer.scalar = detail::sc_add_mod_8l(
+        signer.scalar, detail::sc_muladd(z[i], p->k, Scalar{}));
+    signer.used = true;
   }
   if (parsed.empty()) return verdicts;
   entries[0].scalar = zs_sum;
+  for (const auto& [pub, signer] : signers) {
+    if (signer.used) entries.push_back({signer.scalar, *signer.neg_a});
+  }
 
   Ge sum;
   detail::ge_msm(sum, entries);

@@ -1,9 +1,10 @@
 // Internal Ed25519 arithmetic shared by ed25519.cpp (key generation, sign,
 // verify) and ed25519_batch.cpp (batch verification): the group in extended
-// homogeneous coordinates over fe25519 with the complete twisted-Edwards
-// addition law, scalars mod the group order L, the one multi-scalar
-// multiplication, and the parse step of verification. Not part of the
-// public API — include drum/crypto/ed25519.hpp / api.hpp instead.
+// homogeneous coordinates over fe25519, with one addition (an extended
+// point plus a point in cached form) and one doubling; scalars mod the
+// group order L; the one multi-scalar multiplication; and the parse step
+// of verification. Not part of the public API — include
+// drum/crypto/ed25519.hpp / api.hpp instead.
 #pragma once
 
 #include <array>
@@ -18,8 +19,15 @@
 namespace drum::crypto::detail {
 
 // Extended homogeneous coordinates (X:Y:Z:T), x = X/Z, y = Y/Z, xy = T/Z.
+// Every coordinate is a reduced field element (fe25519.hpp).
 struct Ge {
   Fe x, y, z, t;
+};
+
+// The second operand of ge_add: (Y+X, Y-X, 2Z, 2d·T) of an extended point,
+// so an addition needs 8 multiplications and no curve constant.
+struct GeCached {
+  Fe ypx, ymx, z2, t2d;
 };
 
 // Curve constants: d = -121665/121666, 2d, sqrt(-1) (all mod p).
@@ -29,10 +37,16 @@ const Fe& const_sqrtm1();
 
 void ge_identity(Ge& h);
 bool ge_is_identity(const Ge& h);
+void ge_to_cached(GeCached& out, const Ge& p);
 
-// Unified twisted-Edwards addition (a = -1): complete for Ed25519 because d
-// is non-square, so it also handles doubling and identity correctly.
-void ge_add(Ge& out, const Ge& p, const Ge& q);
+// out = p + q, the one addition (add-2008-hwcd-3, a = -1, k = 2d, 8M). The
+// law is complete for Ed25519 because d is non-square: it is also right
+// when p = q and for the identity and the torsion points.
+void ge_add(Ge& out, const Ge& p, const GeCached& q);
+// out = 2p (dbl-2008-hwcd, a = -1, 4S + 4M). Complete on the curve: its
+// denominators y^2 - x^2 = 1 + d·x^2·y^2 and 2 - (y^2 - x^2) never vanish
+// for non-square d.
+void ge_dbl(Ge& out, const Ge& p);
 void ge_neg(Ge& out, const Ge& p);
 
 void ge_tobytes(std::uint8_t s[32], const Ge& h);
@@ -43,7 +57,8 @@ bool ge_frombytes(Ge& h, const std::uint8_t s[32]);
 const Ge& base_point();
 
 // A 256-bit scalar as 32 little-endian bytes. The sc_ functions work mod
-// the group order L = 2^252 + 27742317777372353535851937790883648493.
+// the group order L = 2^252 + 27742317777372353535851937790883648493,
+// except sc_add_mod_8l.
 using Scalar = std::array<std::uint8_t, 32>;
 
 // x mod L for a 512-bit little-endian x, such as a SHA-512 digest.
@@ -52,6 +67,11 @@ Scalar sc_reduce(const std::uint8_t x[64]);
 Scalar sc_muladd(const Scalar& a, const Scalar& b, const Scalar& c);
 // Whether s < L, i.e. s is a canonical scalar encoding.
 bool sc_is_canonical(const std::uint8_t s[32]);
+
+// (a + b) mod 8L for a, b < 8L. 8L is the order of the whole curve group,
+// so n·P depends only on n mod 8L for every point P, torsion included; mod
+// L it would not. Batch verification sums one signer's coefficients here.
+Scalar sc_add_mod_8l(const Scalar& a, const Scalar& b);
 
 struct MsmEntry {
   Scalar scalar;  // any 256-bit value
@@ -63,16 +83,21 @@ struct MsmEntry {
 // combined equation. Variable time.
 void ge_msm(Ge& out, std::span<const MsmEntry> entries);
 
-// A signature that passed the deterministic checks of RFC 8032 §5.1.7:
-// S < L, and A and R decode.
+// -P for the point P that s encodes (RFC 8032 §5.1.3); empty when s is not
+// a valid encoding. Verification decodes each public key A through here.
+std::optional<Ge> ge_decode_neg(const std::uint8_t s[32]);
+
+// A signature that passed the deterministic checks of RFC 8032 §5.1.7
+// other than the decoding of A, which the caller does once per key with
+// ge_decode_neg: S < L, and R decodes.
 struct ParsedSignature {
-  Ge neg_a, neg_r;  // -A and -R
-  Scalar s;         // S
-  Scalar k;         // SHA512(R || A || M) mod L
+  Ge neg_r;   // -R
+  Scalar s;   // S
+  Scalar k;   // SHA512(R || A || M) mod L
 };
 
 // The parse step shared by ed25519_verify and ed25519_verify_batch; empty
-// when S is non-canonical or A or R is not a valid encoding.
+// when S is non-canonical or R is not a valid encoding.
 std::optional<ParsedSignature> parse_signature(const Ed25519PublicKey& pub,
                                                util::ByteSpan message,
                                                const Ed25519Signature& sig);

@@ -78,16 +78,16 @@ void fe_tobytes(std::uint8_t* s, const Fe& f) {
 
 void fe_add(Fe& h, const Fe& f, const Fe& g) {
   for (int i = 0; i < 5; ++i) h.v[i] = f.v[i] + g.v[i];
-  carry_pass(h);
 }
 
 void fe_sub(Fe& h, const Fe& f, const Fe& g) {
-  // Add 2p (in loose form) to keep limbs non-negative.
-  h.v[0] = f.v[0] + 0xFFFFFFFFFFFDAULL - g.v[0];
-  h.v[1] = f.v[1] + 0xFFFFFFFFFFFFEULL - g.v[1];
-  h.v[2] = f.v[2] + 0xFFFFFFFFFFFFEULL - g.v[2];
-  h.v[3] = f.v[3] + 0xFFFFFFFFFFFFEULL - g.v[3];
-  h.v[4] = f.v[4] + 0xFFFFFFFFFFFFEULL - g.v[4];
+  // Add 8p (in loose form), whose limbs exceed any subtrahend limb below
+  // 2^53, to keep every limb non-negative.
+  h.v[0] = f.v[0] + 0x3FFFFFFFFFFF68ULL - g.v[0];
+  h.v[1] = f.v[1] + 0x3FFFFFFFFFFFF8ULL - g.v[1];
+  h.v[2] = f.v[2] + 0x3FFFFFFFFFFFF8ULL - g.v[2];
+  h.v[3] = f.v[3] + 0x3FFFFFFFFFFFF8ULL - g.v[3];
+  h.v[4] = f.v[4] + 0x3FFFFFFFFFFFF8ULL - g.v[4];
   carry_pass(h);
 }
 
@@ -96,6 +96,28 @@ void fe_neg(Fe& h, const Fe& f) {
   fe_zero(zero);
   fe_sub(h, zero, f);
 }
+
+namespace {
+// Carries the column sums of a product into reduced limbs. Each t_i is
+// below 2^115 (limbs below 2^54), so t4's carry times 19 fits in 64 bits.
+inline void carry_product(Fe& h, u128 t0, u128 t1, u128 t2, u128 t3,
+                          u128 t4) {
+  u64 r0, r1, r2, r3, r4, carry;
+  r0 = (u64)t0 & kMask; carry = (u64)(t0 >> 51);
+  t1 += carry;
+  r1 = (u64)t1 & kMask; carry = (u64)(t1 >> 51);
+  t2 += carry;
+  r2 = (u64)t2 & kMask; carry = (u64)(t2 >> 51);
+  t3 += carry;
+  r3 = (u64)t3 & kMask; carry = (u64)(t3 >> 51);
+  t4 += carry;
+  r4 = (u64)t4 & kMask; carry = (u64)(t4 >> 51);
+  r0 += carry * 19;
+  r1 += r0 >> 51; r0 &= kMask;  // r1 < 2^51 + 2^13
+
+  h.v[0] = r0; h.v[1] = r1; h.v[2] = r2; h.v[3] = r3; h.v[4] = r4;
+}
+}  // namespace
 
 void fe_mul(Fe& h, const Fe& f, const Fe& g) {
   const u64 f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
@@ -113,41 +135,28 @@ void fe_mul(Fe& h, const Fe& f, const Fe& g) {
   u128 t4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 +
             (u128)f4 * g0;
 
-  u64 r0, r1, r2, r3, r4, carry;
-  r0 = (u64)t0 & kMask; carry = (u64)(t0 >> 51);
-  t1 += carry;
-  r1 = (u64)t1 & kMask; carry = (u64)(t1 >> 51);
-  t2 += carry;
-  r2 = (u64)t2 & kMask; carry = (u64)(t2 >> 51);
-  t3 += carry;
-  r3 = (u64)t3 & kMask; carry = (u64)(t3 >> 51);
-  t4 += carry;
-  r4 = (u64)t4 & kMask; carry = (u64)(t4 >> 51);
-  r0 += carry * 19;
-  r1 += r0 >> 51; r0 &= kMask;
-  r2 += r1 >> 51; r1 &= kMask;
-
-  h.v[0] = r0; h.v[1] = r1; h.v[2] = r2; h.v[3] = r3; h.v[4] = r4;
+  carry_product(h, t0, t1, t2, t3, t4);
 }
 
-void fe_sq(Fe& h, const Fe& f) { fe_mul(h, f, f); }
+void fe_sq(Fe& h, const Fe& f) {
+  // fe_mul(h, f, f) with each cross product f_i·f_j (i != j) taken once
+  // and doubled.
+  const u64 f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
+  const u64 f0_2 = 2 * f0, f1_2 = 2 * f1;
+  const u64 f3_19 = 19 * f3, f4_19 = 19 * f4;
+
+  u128 t0 = (u128)f0 * f0 + (u128)f1_2 * f4_19 + (u128)(2 * f2) * f3_19;
+  u128 t1 = (u128)f0_2 * f1 + (u128)(2 * f2) * f4_19 + (u128)f3 * f3_19;
+  u128 t2 = (u128)f0_2 * f2 + (u128)f1 * f1 + (u128)(2 * f3) * f4_19;
+  u128 t3 = (u128)f0_2 * f3 + (u128)f1_2 * f2 + (u128)f4 * f4_19;
+  u128 t4 = (u128)f0_2 * f4 + (u128)f1_2 * f3 + (u128)f2 * f2;
+
+  carry_product(h, t0, t1, t2, t3, t4);
+}
 
 void fe_mul_small(Fe& h, const Fe& f, u64 n) {
-  u128 t[5];
-  for (int i = 0; i < 5; ++i) t[i] = (u128)f.v[i] * n;
-  u64 r0, r1, r2, r3, r4, carry;
-  r0 = (u64)t[0] & kMask; carry = (u64)(t[0] >> 51);
-  t[1] += carry;
-  r1 = (u64)t[1] & kMask; carry = (u64)(t[1] >> 51);
-  t[2] += carry;
-  r2 = (u64)t[2] & kMask; carry = (u64)(t[2] >> 51);
-  t[3] += carry;
-  r3 = (u64)t[3] & kMask; carry = (u64)(t[3] >> 51);
-  t[4] += carry;
-  r4 = (u64)t[4] & kMask; carry = (u64)(t[4] >> 51);
-  r0 += carry * 19;
-  r1 += r0 >> 51; r0 &= kMask;
-  h.v[0] = r0; h.v[1] = r1; h.v[2] = r2; h.v[3] = r3; h.v[4] = r4;
+  carry_product(h, (u128)f.v[0] * n, (u128)f.v[1] * n, (u128)f.v[2] * n,
+                (u128)f.v[3] * n, (u128)f.v[4] * n);
 }
 
 void fe_cswap(Fe& f, Fe& g, u64 b) {

@@ -1,8 +1,21 @@
 // Arithmetic in GF(2^255 - 19), the base field of Curve25519/Ed25519.
 // Representation: 5 limbs of 51 bits (radix 2^51), unsigned, loosely reduced
 // between operations; tobytes() performs the full canonical reduction.
-// Follows the well-known "donna-64bit" layout. Verified indirectly through
-// the RFC 7748 / RFC 8032 test vectors in tests/crypto_test.cpp.
+// Follows the well-known "donna-64bit" layout. Tested directly in
+// tests/crypto_test.cpp (Fe.*) and through the RFC 7748 / RFC 8032 vectors.
+//
+// Limb bounds. Every limb of an element is below some power of two:
+//   * fe_frombytes, fe_mul, fe_sq, fe_mul_small, fe_sub and fe_neg return
+//     limbs below 2^52 ("reduced");
+//   * fe_add does not carry: on inputs below 2^53 it returns limbs below
+//     2^54, so the sum of two reduced elements is below 2^53;
+//   * fe_mul, fe_sq, fe_mul_small and fe_tobytes accept limbs below 2^54
+//     (fe_mul's 128-bit column sums then stay below 2^115);
+//   * fe_sub and fe_neg accept limbs below 2^53: fe_sub adds 8p, whose
+//     limbs exceed 2^53, before subtracting, so an unreduced subtrahend
+//     cannot wrap a limb.
+// So the sum of two reduced elements may go into any function, and a sum
+// with a larger input only into fe_mul, fe_sq, fe_mul_small or fe_tobytes.
 #pragma once
 
 #include <array>
@@ -29,9 +42,10 @@ void fe_add(Fe& h, const Fe& f, const Fe& g);
 void fe_sub(Fe& h, const Fe& f, const Fe& g);
 void fe_neg(Fe& h, const Fe& f);
 void fe_mul(Fe& h, const Fe& f, const Fe& g);
+/// h = f^2 in 15 limb products instead of fe_mul's 25.
 void fe_sq(Fe& h, const Fe& f);
-/// h = f * n for small n (n < 2^13); used for *121666 in the X25519 ladder
-/// and small curve constants.
+/// h = f * n for n < 2^17; the X25519 ladder multiplies by
+/// a24 = 121665 (RFC 7748 §5).
 void fe_mul_small(Fe& h, const Fe& f, std::uint64_t n);
 
 /// Constant-time conditional swap: (f,g) <- b ? (g,f) : (f,g). b in {0,1}.

@@ -3,7 +3,9 @@
 // randomized scalar-vs-native equivalence over odd lengths and block
 // boundaries, batch Ed25519 negative tests (a corrupted signature at
 // any batch position is detected and attributed to exactly that index, and
-// malformed encodings are rejected exactly as single verification does).
+// malformed encodings are rejected exactly as single verification does),
+// each with one key per signature, one key for all and two keys
+// interleaved.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -237,16 +239,30 @@ struct SignedMessage {
   Ed25519Signature sig;
 };
 
-std::vector<SignedMessage> make_signed(util::Rng& rng, std::size_t n) {
+// n signed messages; message i is signed by key i % signers, so
+// signers == n gives every message its own key and fewer signers share keys.
+std::vector<SignedMessage> make_signed(util::Rng& rng, std::size_t n,
+                                       std::size_t signers) {
   std::vector<SignedMessage> out(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (auto& b : out[i].seed) b = static_cast<std::uint8_t>(rng.below(256));
-    out[i].pub = ed25519_public_key(out[i].seed);
+    if (i < signers) {
+      for (auto& b : out[i].seed) b = static_cast<std::uint8_t>(rng.below(256));
+      out[i].pub = ed25519_public_key(out[i].seed);
+    } else {
+      out[i].seed = out[i % signers].seed;
+      out[i].pub = out[i % signers].pub;
+    }
     out[i].msg = random_bytes(rng, 10 + rng.below(90));
     out[i].sig = ed25519_sign(out[i].seed, out[i].pub, ByteSpan(out[i].msg));
   }
   return out;
 }
+
+// The signer counts every batch test runs under: one key per message, one
+// key for all, and two keys interleaved. Batch verification merges the
+// signatures under one key into one term, so the last two exercise the
+// merged path.
+std::array<std::size_t, 3> signer_layouts(std::size_t n) { return {n, 1, 2}; }
 
 std::vector<VerifyJob> jobs_of(const std::vector<SignedMessage>& sm) {
   std::vector<VerifyJob> jobs;
@@ -259,66 +275,90 @@ TEST(BatchVerify, AllValidBatchesPass) {
   util::Rng rng(201);
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                         std::size_t{8}, std::size_t{64}}) {
-    auto sm = make_signed(rng, n);
-    auto verdicts = ed25519_verify_batch(jobs_of(sm));
-    ASSERT_EQ(verdicts.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(verdicts[i]) << i;
+    for (std::size_t signers : signer_layouts(n)) {
+      auto sm = make_signed(rng, n, signers);
+      auto verdicts = ed25519_verify_batch(jobs_of(sm));
+      ASSERT_EQ(verdicts.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(verdicts[i]) << "signers=" << signers << " i=" << i;
+      }
+    }
   }
 }
 
 TEST(BatchVerify, CorruptSignatureAtEachPositionIsAttributed) {
   util::Rng rng(202);
   constexpr std::size_t kBatch = 8;
-  auto sm = make_signed(rng, kBatch);
-  for (std::size_t bad = 0; bad < kBatch; ++bad) {
-    auto jobs = jobs_of(sm);
-    // Flip one bit in R (first half) or S (second half) alternately.
-    jobs[bad].sig[bad % 2 ? 40 : 3] ^= 0x04;
-    auto verdicts = ed25519_verify_batch(jobs);
-    ASSERT_EQ(verdicts.size(), kBatch);
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      EXPECT_EQ(verdicts[i], i != bad) << "bad=" << bad << " i=" << i;
-      // The batch path must agree with single verification exactly.
-      EXPECT_EQ(verdicts[i],
-                ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig))
-          << "bad=" << bad << " i=" << i;
+  for (std::size_t signers : signer_layouts(kBatch)) {
+    auto sm = make_signed(rng, kBatch, signers);
+    for (std::size_t bad = 0; bad < kBatch; ++bad) {
+      auto jobs = jobs_of(sm);
+      // Flip one bit in R (first half) or S (second half) alternately.
+      jobs[bad].sig[bad % 2 ? 40 : 3] ^= 0x04;
+      auto verdicts = ed25519_verify_batch(jobs);
+      ASSERT_EQ(verdicts.size(), kBatch);
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        EXPECT_EQ(verdicts[i], i != bad)
+            << "signers=" << signers << " bad=" << bad << " i=" << i;
+        // The batch path must agree with single verification exactly.
+        EXPECT_EQ(verdicts[i],
+                  ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig))
+            << "signers=" << signers << " bad=" << bad << " i=" << i;
+      }
     }
   }
 }
 
 TEST(BatchVerify, CorruptMessageAndWrongKeyAreAttributed) {
   util::Rng rng(203);
-  auto sm = make_signed(rng, 6);
-  auto jobs = jobs_of(sm);
-  Bytes tampered = sm[2].msg;
-  tampered[0] ^= 0x80;
-  jobs[2].message = ByteSpan(tampered);  // signed bytes != presented bytes
-  jobs[4].pub = sm[5].pub;               // right signature, wrong signer
-  auto verdicts = ed25519_verify_batch(jobs);
-  ASSERT_EQ(verdicts.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(verdicts[i], i != 2 && i != 4) << i;
+  const Ed25519PublicKey outsider = make_signed(rng, 1, 1)[0].pub;
+  for (std::size_t signers : signer_layouts(6)) {
+    auto sm = make_signed(rng, 6, signers);
+    auto jobs = jobs_of(sm);
+    Bytes tampered = sm[2].msg;
+    tampered[0] ^= 0x80;
+    jobs[2].message = ByteSpan(tampered);  // signed bytes != presented bytes
+    // Right signature, wrong signer: another key of the batch if it has
+    // one, so the job joins that key's merged term.
+    jobs[4].pub = sm[5].pub != sm[4].pub ? sm[5].pub : outsider;
+    auto verdicts = ed25519_verify_batch(jobs);
+    ASSERT_EQ(verdicts.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(verdicts[i], i != 2 && i != 4)
+          << "signers=" << signers << " i=" << i;
+    }
   }
 }
 
 TEST(BatchVerify, MalformedEncodingsRejectedDeterministically) {
   util::Rng rng(204);
-  auto sm = make_signed(rng, 5);
-  auto jobs = jobs_of(sm);
   // Non-canonical scalar: S = L (RFC 8032 requires S < L).
   auto order_le = arr_from_hex<32>(
       "edd3f55c1a631258d69cf7a2def9de14000000000000000000000000000000" "10");
-  std::copy(order_le.begin(), order_le.end(), jobs[1].sig.begin() + 32);
-  // Non-canonical field element for R: 2^255 - 1 has y >= p.
-  for (std::size_t i = 0; i < 32; ++i) jobs[3].sig[i] = 0xff;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    auto verdicts = ed25519_verify_batch(jobs);
-    ASSERT_EQ(verdicts.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      EXPECT_EQ(verdicts[i], i != 1 && i != 3) << i;
-      EXPECT_EQ(verdicts[i],
-                ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig))
-          << i;
+  // A public key with y = p: not a valid encoding (RFC 8032 §5.1.3).
+  Ed25519PublicKey y_is_p;
+  y_is_p.fill(0xff);
+  y_is_p.front() = 0xed;
+  y_is_p.back() = 0x7f;
+  for (std::size_t signers : signer_layouts(8)) {
+    auto sm = make_signed(rng, 8, signers);
+    auto jobs = jobs_of(sm);
+    std::copy(order_le.begin(), order_le.end(), jobs[1].sig.begin() + 32);
+    // Non-canonical field element for R: 2^255 - 1 has y >= p.
+    for (std::size_t i = 0; i < 32; ++i) jobs[3].sig[i] = 0xff;
+    // One invalid key shared by two jobs.
+    jobs[4].pub = y_is_p;
+    jobs[6].pub = y_is_p;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      auto verdicts = ed25519_verify_batch(jobs);
+      ASSERT_EQ(verdicts.size(), jobs.size());
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(verdicts[i], i != 1 && i != 3 && i != 4 && i != 6)
+            << "signers=" << signers << " i=" << i;
+        EXPECT_EQ(verdicts[i],
+                  ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig))
+            << "signers=" << signers << " i=" << i;
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "drum/crypto/chacha20.hpp"
 #include "drum/crypto/ed25519.hpp"
 #include "drum/crypto/ed25519_internal.hpp"
+#include "drum/crypto/fe25519.hpp"
 #include "drum/crypto/hmac.hpp"
 #include "drum/crypto/keys.hpp"
 #include "drum/crypto/portbox.hpp"
@@ -611,6 +614,220 @@ TEST(ScalarModL, ReduceAgreesWithMulAdd) {
     EXPECT_EQ(detail::sc_reduce(x.data()), detail::sc_muladd(hi, two_256, lo))
         << to_hex(ByteSpan(x));
   }
+}
+
+// Sums of two scalars mod 8L, the merged per-signer scalar of batch
+// verification.
+TEST(ScalarMod8L, AddMatchesReference) {
+  struct Case {
+    const char *a, *b;
+    const char* want;  // (a + b) mod 8L
+  };
+  const std::string l8_minus_1 =
+      "80000000000000000000000000000000a6f7cef517bce6b2c09318d2e7ae9f67";
+  const Case cases[] = {
+      // 0 + 0
+      {"0", "0", "0"},
+      // (8L - 1) + 0
+      {l8_minus_1.c_str(), "0", l8_minus_1.c_str()},
+      // (8L - 1) + 1 wraps to 0
+      {l8_minus_1.c_str(), "1", "0"},
+      // (8L - 1) + (8L - 1), the largest sum, carries out of 256 bits
+      {l8_minus_1.c_str(), l8_minus_1.c_str(),
+       "80000000000000000000000000000000a6f7cef517bce6b2c09318d2e7ae9f66"},
+      // (L - 1) + (L - 1) stays below 8L
+      {"1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ec",
+       "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ec",
+       "2000000000000000000000000000000029bdf3bd45ef39acb024c634b9eba7d8"},
+      // random, wraps
+      {"3bb0b1b2568c43961dfc388c3d5df9725e06e22dfff3f4ecb1dcec40db7aca58",
+       "77af3ebd3a862aac5826a9974368903d646c2d6447d433985b11bb37b54c3950",
+       "335ff06f91126e427622e22380c689af1b7b409d300b41d24c5b8ea5a9186440"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(detail::sc_add_mod_8l(le_of<32>(c.a), le_of<32>(c.b)),
+              le_of<32>(c.want))
+        << c.a << " " << c.b;
+  }
+}
+
+// P = B + T2 has a component of order 2 (T2 = (0, -1)). One MSM entry over
+// the sum of two scalars mod 8L is the same point as the two entries; the
+// sum mod L is not, because it flips the parity that selects T2. This is
+// why batch verification merges a signer's scalars mod 8L.
+TEST(ScalarMod8L, MergedEntryEqualsSeparateEntries) {
+  detail::Ge t2, p;
+  ASSERT_TRUE(detail::ge_frombytes(t2, enc32(0xec, 0xff, 0x7f).data()));
+  const detail::Scalar one = le_of<32>("1");
+  const detail::MsmEntry b_plus_t2[] = {{one, detail::base_point()},
+                                        {one, t2}};
+  detail::ge_msm(p, b_plus_t2);
+
+  auto encode = [](std::initializer_list<detail::MsmEntry> terms) {
+    detail::Ge sum;
+    detail::ge_msm(sum, std::vector<detail::MsmEntry>(terms));
+    std::array<std::uint8_t, 32> out;
+    detail::ge_tobytes(out.data(), sum);
+    return out;
+  };
+  const detail::Scalar l_minus_1 = le_of<32>(
+      "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ec");
+  const auto separate = encode({{l_minus_1, p}, {l_minus_1, p}});
+  const auto mod_8l =
+      encode({{detail::sc_add_mod_8l(l_minus_1, l_minus_1), p}});
+  const auto mod_l =
+      encode({{detail::sc_muladd(one, l_minus_1, l_minus_1), p}});
+  EXPECT_EQ(separate, mod_8l);
+  EXPECT_NE(separate, mod_l);
+}
+
+// ---------------------------------------------------------- field GF(p)
+//
+// fe25519.hpp documents the limb bounds each function accepts and returns.
+// At the largest limbs it accepts, each function must give the same value
+// as on the canonically reduced inputs, and a function that returns reduced
+// limbs must return them below 2^52.
+
+constexpr std::uint64_t kLimb52 = std::uint64_t{1} << 52;
+constexpr std::uint64_t kLimb53 = std::uint64_t{1} << 53;
+constexpr std::uint64_t kLimb54 = std::uint64_t{1} << 54;
+// fe_mul_small's factor n is below this.
+constexpr std::uint64_t kMulSmallBound = std::uint64_t{1} << 17;
+
+// The canonical encoding of f, as a big-endian hex number.
+std::string fe_hex(const Fe& f) {
+  std::array<std::uint8_t, 32> s;
+  fe_tobytes(s.data(), f);
+  std::reverse(s.begin(), s.end());
+  return to_hex(ByteSpan(s));
+}
+
+Fe fe_of(const std::string& hex) {
+  Fe f;
+  fe_frombytes(f, le_of<32>(hex).data());
+  return f;
+}
+
+// fe_frombytes(fe_tobytes(f)): the same value with limbs below 2^51.
+Fe canonical(const Fe& f) {
+  std::array<std::uint8_t, 32> s;
+  fe_tobytes(s.data(), f);
+  Fe out;
+  fe_frombytes(out, s.data());
+  return out;
+}
+
+// Elements whose every limb is below `bound`: zero, all limbs at
+// bound - 1, and random limbs.
+std::vector<Fe> elements_below(std::uint64_t bound, util::Rng& rng) {
+  std::vector<Fe> out(2, Fe{});
+  for (auto& l : out[1].v) l = bound - 1;
+  for (int i = 0; i < 40; ++i) {
+    Fe f;
+    for (auto& l : f.v) l = rng.next() % bound;
+    out.push_back(f);
+  }
+  return out;
+}
+
+void expect_reduced(const Fe& f) {
+  for (auto l : f.v) EXPECT_LT(l, kLimb52);
+}
+
+TEST(Fe, MulAndSqAtLimbsBelow2To54) {
+  util::Rng rng(30);
+  const auto elements = elements_below(kLimb54, rng);
+  for (const Fe& f : elements) {
+    Fe h, want;
+    fe_sq(h, f);
+    expect_reduced(h);
+    fe_mul(want, canonical(f), canonical(f));
+    EXPECT_EQ(fe_hex(h), fe_hex(want));
+    for (const Fe& g : elements) {
+      fe_mul(h, f, g);
+      expect_reduced(h);
+      fe_mul(want, canonical(f), canonical(g));
+      EXPECT_EQ(fe_hex(h), fe_hex(want));
+    }
+  }
+}
+
+TEST(Fe, MulSmallAtLimbsBelow2To54) {
+  util::Rng rng(31);
+  for (const Fe& f : elements_below(kLimb54, rng)) {
+    for (std::uint64_t n : {std::uint64_t{121665}, kMulSmallBound - 1}) {
+      Fe h, n_fe, want;
+      fe_mul_small(h, f, n);
+      expect_reduced(h);
+      fe_zero(n_fe);
+      n_fe.v[0] = n;
+      fe_mul(want, canonical(f), n_fe);
+      EXPECT_EQ(fe_hex(h), fe_hex(want)) << n;
+    }
+  }
+}
+
+TEST(Fe, AddSubAndNegAtLimbsBelow2To53) {
+  util::Rng rng(32);
+  const auto elements = elements_below(kLimb53, rng);
+  const std::string zero(64, '0');
+  for (const Fe& f : elements) {
+    Fe h, want;
+    fe_neg(h, f);
+    expect_reduced(h);
+    fe_add(want, h, canonical(f));
+    EXPECT_EQ(fe_hex(want), zero);
+    for (const Fe& g : elements) {
+      fe_add(h, f, g);
+      for (auto l : h.v) EXPECT_LT(l, kLimb54);
+      fe_add(want, canonical(f), canonical(g));
+      EXPECT_EQ(fe_hex(h), fe_hex(want));
+      fe_sub(h, f, g);
+      expect_reduced(h);
+      fe_sub(want, canonical(f), canonical(g));
+      EXPECT_EQ(fe_hex(h), fe_hex(want));
+    }
+  }
+}
+
+// Expected values were computed with Python integers mod p = 2^255 - 19.
+TEST(Fe, MatchesReference) {
+  const Fe a = fe_of(
+      "74dda335287385820942dc06bc69f2658575062102fbcd4f357fbc5af71a1bfc");
+  const Fe b = fe_of(
+      "12d908b5ae6cff55ce0c3f08e12656f10e11160004524a7c3d2bd371fc80be13");
+  const Fe p_minus_1 = fe_of(
+      "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec");
+  const Fe top = fe_of(std::string(64, 'f'));  // 2^255 - 1 = p + 18
+  Fe h;
+  fe_mul(h, a, b);
+  EXPECT_EQ(fe_hex(h),
+            "0f2f5fd36167d0df6130840c052d16a04b69eaea33bf48b0d978660629743423");
+  fe_sq(h, a);
+  EXPECT_EQ(fe_hex(h),
+            "157a444da86c1d310de21bdcc7a7bba001ca46f418cfe6a9f697283a2ad7e98b");
+  fe_add(h, a, b);
+  EXPECT_EQ(fe_hex(h),
+            "07b6abead6e084d7d74f1b0f9d90495693861c21074e17cb72ab8fccf39ada22");
+  fe_sub(h, a, b);
+  EXPECT_EQ(fe_hex(h),
+            "62049a7f7a06862c3b369cfddb439b747763f020fea982d2f853e8e8fa995de9");
+  fe_sub(h, b, a);
+  EXPECT_EQ(fe_hex(h),
+            "1dfb658085f979d3c4c9630224bc648b889c0fdf01567d2d07ac17170566a204");
+  fe_mul_small(h, a, 121665);
+  EXPECT_EQ(fe_hex(h),
+            "6a1a128d9e0d2d33683a5d4e6ba8ea670515ceeaf7e1196097eb9b962fade347");
+  fe_sq(h, p_minus_1);  // (-1)^2
+  EXPECT_EQ(fe_hex(h), std::string(63, '0') + "1");
+  fe_add(h, p_minus_1, p_minus_1);
+  EXPECT_EQ(fe_hex(h),
+            "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeb");
+  EXPECT_EQ(fe_hex(top), std::string(62, '0') + "12");
+  fe_sq(h, top);  // 18^2
+  EXPECT_EQ(fe_hex(h), std::string(61, '0') + "144");
+  fe_sub(h, top, p_minus_1);  // 18 - (-1)
+  EXPECT_EQ(fe_hex(h), std::string(62, '0') + "13");
 }
 
 // ------------------------------------------------------------- portbox
