@@ -10,9 +10,10 @@ Walks both documents and compares every numeric leaf that lives at the same
 path. Keys are classified by name:
 
   lower-is-better   wall/latency/cpu times (*_ms, *_us, *_s, *_ns, latency_*,
-                    cpu_*, *slop*), per-op costs (*_per_op, us_per_*);
+                    cpu_*, *slop*), per-op costs (*_per_op, *_us_per_*);
   higher-is-better  rates and ratios (*per_sec*, *throughput*, speedup*,
-                    *ops*, verified_*, delivered);
+                    *ops*, verified_*, delivered, *_mb_s and other
+                    bytes-per-second rates);
   identity          workload echo ("config"/"workload" subtrees, seeds,
                     counts) — must match exactly, otherwise the two runs
                     measured different things and the comparison is refused;
@@ -42,11 +43,13 @@ import json
 import re
 import sys
 
+# `_s$` is seconds unless a byte unit precedes it: sha256_mb_s is MB/s.
 LOWER_BETTER_RE = re.compile(
     r"(?:^|_)(?:wall|latency|cpu|slop|dispatch|poll|tick_interval)"
-    r"(?:_|$)|_(?:ms|us|ns|s)$|_us_(?:mean|p50|p90|p99)$|_per_op$")
+    r"(?:_|$)|_(?:ms|us|ns)$|(?<![kmg]b)_s$|_us_(?:mean|p50|p90|p99)$"
+    r"|_per_op$|(?:^|_)(?:ms|us|ns)_per_")
 HIGHER_BETTER_RE = re.compile(
-    r"per_sec|throughput|speedup|_ops$|^ops_|verified|delivered")
+    r"per_sec|throughput|speedup|_ops$|^ops_|verified|delivered|_[kmg]b_s$")
 IDENTITY_KEYS = {"config", "workload", "seed", "seeds", "n", "nodes", "runs",
                  "runs_per_point", "points", "threads", "workers", "trials"}
 HOST_KEYS = ("cpu_model", "hardware_threads", "cores", "compiler")
@@ -177,7 +180,8 @@ def self_test() -> int:
         "host": {"cpu_model": "X", "hardware_threads": 4, "compiler": "g12"},
         "workload": {"n": 120, "seed": 1},
         "sweep": [{"threads": 1, "wall_ms": 100.0, "msgs_per_sec": 5000.0,
-                   "chunks": 120}],
+                   "chunks": 120, "sha256_mb_s": 1000.0,
+                   "batch64_us_per_sig": 50.0}],
     }
 
     def clone(**leaf):
@@ -196,6 +200,13 @@ def self_test() -> int:
     cases.append(("within tolerance passes", 0, clone(wall_ms=110.0), {}))
     cases.append(("unclassified drift never gates", 0, clone(chunks=240),
                   {}))
+    cases.append(("faster MB/s improves (exit 0)", 0,
+                  clone(sha256_mb_s=2000.0), {}))
+    cases.append(("slower MB/s regresses", 1, clone(sha256_mb_s=500.0), {}))
+    cases.append(("slower us_per_sig regresses", 1,
+                  clone(batch64_us_per_sig=80.0), {}))
+    cases.append(("faster us_per_sig improves (exit 0)", 0,
+                  clone(batch64_us_per_sig=30.0), {}))
 
     other_host = clone()
     other_host["host"]["cpu_model"] = "Y"
