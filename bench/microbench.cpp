@@ -120,30 +120,56 @@ void BM_Ed25519Verify_50B(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify_50B);
 
-// Batched verification: `range(0)` signatures share one combined check.
-// items processed = signatures, so google-benchmark reports per-signature
-// cost directly (acceptance: batch-64 ≤0.6× the single-verify time).
-void BM_Ed25519VerifyBatch_50B(benchmark::State& state) {
-  util::Rng rng(20);
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  auto id = crypto::Identity::generate(rng);
+// `n` verify jobs over 50-byte messages, each signed by its own key when
+// `distinct_signers`, else all by one key.
+struct SignedBatch {
   std::vector<util::Bytes> msgs;
   std::vector<crypto::VerifyJob> jobs;
-  for (std::size_t i = 0; i < batch; ++i) {
-    msgs.push_back(random_bytes(50, 300 + i));
+};
+SignedBatch make_batch(std::size_t n, bool distinct_signers,
+                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  SignedBatch b;
+  std::vector<crypto::Identity> ids;
+  for (std::size_t i = 0; i < (distinct_signers ? n : 1); ++i) {
+    ids.push_back(crypto::Identity::generate(rng));
   }
-  for (const auto& m : msgs) {
-    jobs.push_back({id.sign_public(), util::ByteSpan(m.data(), m.size()),
-                    id.sign(util::ByteSpan(m.data(), m.size()))});
+  for (std::size_t i = 0; i < n; ++i) {
+    b.msgs.push_back(random_bytes(50, seed + 1 + i));
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& id = ids[i % ids.size()];
+    const util::ByteSpan m(b.msgs[i].data(), b.msgs[i].size());
+    b.jobs.push_back({id.sign_public(), m, id.sign(m)});
+  }
+  return b;
+}
+
+// Batched verification: `range(0)` signatures share one combined check.
+// items processed = signatures, so google-benchmark reports per-signature
+// cost directly. The one-signer rows are the perfbench traffic, where the
+// batch merges every signature's key term into one; the Distinct rows give
+// every signature its own key, which the merge cannot help.
+void run_verify_batch(benchmark::State& state, bool distinct_signers) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const SignedBatch b = make_batch(batch, distinct_signers, 20);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crypto::ed25519_verify_batch(std::span<const crypto::VerifyJob>(jobs)));
+    benchmark::DoNotOptimize(crypto::ed25519_verify_batch(
+        std::span<const crypto::VerifyJob>(b.jobs)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
+
+void BM_Ed25519VerifyBatch_50B(benchmark::State& state) {
+  run_verify_batch(state, false);
+}
 BENCHMARK(BM_Ed25519VerifyBatch_50B)->Arg(8)->Arg(16)->Arg(64);
+
+void BM_Ed25519VerifyBatchDistinct_50B(benchmark::State& state) {
+  run_verify_batch(state, true);
+}
+BENCHMARK(BM_Ed25519VerifyBatchDistinct_50B)->Arg(8)->Arg(16)->Arg(64);
 
 void BM_PortBoxSealOpen(benchmark::State& state) {
   util::Rng rng(12);
@@ -292,7 +318,8 @@ void run_obs_overhead_report() {
 }
 
 // Per-backend SHA-256 throughput and the single-vs-batch Ed25519 verify
-// cost, written to BENCH_crypto.json — the CI artifact that tracks the SIMD
+// cost (batch-64 under one key and under 64 keys), written to
+// BENCH_crypto.json — the CI artifact that tracks the SIMD
 // speedup release over release.
 void run_crypto_report() {
   using clock = std::chrono::steady_clock;
@@ -331,33 +358,30 @@ void run_crypto_report() {
   }
   crypto::set_active_backend("native");
 
-  util::Rng rng(43);
-  auto id = crypto::Identity::generate(rng);
-  std::vector<util::Bytes> msgs;
-  std::vector<crypto::VerifyJob> jobs;
-  for (std::uint64_t i = 0; i < 64; ++i) msgs.push_back(random_bytes(50, i));
-  for (const auto& m : msgs) {
-    jobs.push_back({id.sign_public(), util::ByteSpan(m.data(), m.size()),
-                    id.sign(util::ByteSpan(m.data(), m.size()))});
-  }
+  const SignedBatch one = make_batch(64, false, 43);
+  const SignedBatch distinct = make_batch(64, true, 43);
+  const crypto::VerifyJob& job = one.jobs[0];
   double single_s = time_per_call([&] {
-    benchmark::DoNotOptimize(crypto::ed25519_verify(
-        id.sign_public(), util::ByteSpan(msgs[0].data(), msgs[0].size()),
-        jobs[0].sig));
+    benchmark::DoNotOptimize(
+        crypto::ed25519_verify(job.pub, job.message, job.sig));
   });
-  double batch_s = time_per_call([&] {
-    benchmark::DoNotOptimize(crypto::ed25519_verify_batch(
-        std::span<const crypto::VerifyJob>(jobs)));
-  });
-  // Both costs stay lower-is-better leaves. A derived single/batch ratio
+  auto batch_s = [&](const SignedBatch& b) {
+    return time_per_call([&] {
+      benchmark::DoNotOptimize(crypto::ed25519_verify_batch(
+          std::span<const crypto::VerifyJob>(b.jobs)));
+    });
+  };
+  // Every cost stays a lower-is-better leaf. A derived single/batch ratio
   // would read as a regression whenever single verification gets faster.
   char tail[256];
   std::snprintf(tail, sizeof tail,
                 "\n  ],\n  \"ed25519\": {\"verify_us\": %.1f, "
-                "\"batch64_us_per_sig\": %.1f}\n}\n",
-                single_s * 1e6, batch_s / 64.0 * 1e6);
+                "\"batch64_us_per_sig\": %.1f, "
+                "\"batch64_distinct_us_per_sig\": %.1f}\n}\n",
+                single_s * 1e6, batch_s(one) / 64.0 * 1e6,
+                batch_s(distinct) / 64.0 * 1e6);
   out += tail;
-  std::printf("\ncrypto backends (1 MiB buffers; batch of 64 signatures):\n%s",
+  std::printf("\ncrypto backends (1 MiB buffers; batches of 64 signatures):\n%s",
               out.c_str());
   if (obs::write_text_file("BENCH_crypto.json", out)) {
     std::printf("  artifact: BENCH_crypto.json\n");
