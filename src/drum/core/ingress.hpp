@@ -44,9 +44,9 @@ enum class Channel { kOffer, kPullReq, kPushReply, kPullData, kPushData };
 
 namespace ingress {
 
-/// recv_batch window per call in stage A and in the round-end flush — the
-/// recvmmsg vlen. Matches the kernel's UIO_FASTIOV fast path so one syscall
-/// drains up to 64 datagrams without heap iovec allocation.
+/// recv_batch window per call in stage A — the recvmmsg vlen. Matches the
+/// kernel's UIO_FASTIOV fast path so one syscall drains up to 64 datagrams
+/// without heap iovec allocation.
 inline constexpr std::size_t kRecvChunk = 64;
 
 /// How stage A disposed of a control frame relative to its channel budget.

@@ -146,13 +146,23 @@ void Node::init_metrics() {
 
 Node::~Node() {
   if (!socket_hook_) return;
-  for (auto& bs : sockets_) socket_hook_(*bs.sock, /*added=*/false);
+  for (auto& bs : sockets_) {
+    if (bs.watched) socket_hook_(*bs.sock, /*watch=*/false);
+  }
 }
 
 void Node::set_socket_hook(SocketHook hook) {
   socket_hook_ = std::move(hook);
   if (!socket_hook_) return;
-  for (auto& bs : sockets_) socket_hook_(*bs.sock, /*added=*/true);
+  for (auto& bs : sockets_) {
+    if (bs.watched) socket_hook_(*bs.sock, /*watch=*/true);
+  }
+}
+
+void Node::set_watched(BoundSocket& bs, bool watched) {
+  if (bs.watched == watched) return;
+  bs.watched = watched;
+  if (socket_hook_) socket_hook_(*bs.sock, watched);
 }
 
 const Peer* Node::find_peer(std::uint32_t id) const {
@@ -360,7 +370,13 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
       const std::size_t window =
           scored ? (reads < read_cap ? read_cap - reads : 0)
                  : budget_remaining(bs.channel);
-      if (window == 0) break;
+      if (window == 0) {
+        // Spent for the round: nothing more is read here before the flush,
+        // so stop being woken for it. Scored channels stay watched — their
+        // read cap counts per drain, so a later drain may still read them.
+        if (!scored) set_watched(bs, false);
+        break;
+      }
       const std::size_t want = std::min(window, ingress::kRecvChunk);
       const std::size_t got = bs.sock->recv_batch(chunk, want);
       if (scored) reads += got;
@@ -707,12 +723,15 @@ void Node::apply_data(ingress::VerifiedFrame& f) {
 
 void Node::rotate_random_ports() {
   // Retire expired random sockets, telling the runtime hook first so an
-  // event loop can drop its registration before the socket dies.
+  // event loop can drop its registration before the socket dies. An
+  // unwatched socket has no registration left to drop.
   std::erase_if(sockets_, [&](const BoundSocket& bs) {
     const bool expire = !bs.well_known &&
                         bs.created_round + cfg_.port_lifetime_rounds <=
                             round_;
-    if (expire && socket_hook_) socket_hook_(*bs.sock, /*added=*/false);
+    if (expire && bs.watched && socket_hook_) {
+      socket_hook_(*bs.sock, /*watch=*/false);
+    }
     return expire;
   });
   auto bind_random = [&](Channel ch) -> std::uint16_t {
@@ -720,7 +739,7 @@ void Node::rotate_random_ports() {
     if (!res) return 0;
     std::uint16_t port = res->local().port;
     auto sock = res.take();
-    if (socket_hook_) socket_hook_(*sock, /*added=*/true);
+    if (socket_hook_) socket_hook_(*sock, /*watch=*/true);
     sockets_.push_back(BoundSocket{std::move(sock), ch, round_, false});
     return port;
   };
@@ -825,15 +844,8 @@ void Node::on_round() {
   // anything beyond this round's budgets, i.e. mostly the flood. (The
   // discard_unread=false ablation keeps the backlog instead; see config.)
   if (cfg_.discard_unread) {
-    net::Datagram chunk[ingress::kRecvChunk];
     for (auto& bs : sockets_) {
-      std::uint64_t flushed = 0;
-      while (true) {
-        const std::size_t got =
-            bs.sock->recv_batch(chunk, ingress::kRecvChunk);
-        flushed += got;
-        if (got < ingress::kRecvChunk) break;
-      }
+      const std::size_t flushed = bs.sock->discard();
       if (flushed) {
         c_.flushed_unread->inc(flushed);
         chan_[static_cast<int>(bs.channel)].flushed_unread->inc(flushed);
@@ -860,6 +872,8 @@ void Node::on_round() {
 
   buffer_.on_round(round_);
   rotate_random_ports();
+  // Fresh budgets: watch again what this round's drains set aside.
+  for (auto& bs : sockets_) set_watched(bs, true);
   send_gossip();
 
   check_invariants();

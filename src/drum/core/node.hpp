@@ -149,17 +149,23 @@ class Node {
   void set_own_certificate(util::Bytes own_cert);
   void set_cert_validator(CertValidator validator);
 
-  /// Socket lifecycle hook for readiness-driven runtimes (DESIGN.md §8): a
-  /// reactor must learn about every socket this node binds — including the
-  /// per-round random-port rotation — to (un)register it with its
-  /// EventLoop. Called as hook(socket, true) right after a socket is bound
-  /// and hook(socket, false) right before it is destroyed. Installing a
-  /// hook immediately replays all currently bound sockets as additions;
-  /// installing nullptr detaches without replay. The hook runs on whatever
-  /// thread drives the node (constructor thread at install, the node's home
-  /// shard thread during on_round rotation) — never concurrently with itself,
-  /// because the node itself is single-threaded.
-  using SocketHook = std::function<void(net::Socket&, bool added)>;
+  /// Socket watch hook for readiness-driven runtimes (DESIGN.md §8):
+  /// hook(socket, true) asks the runtime to watch a socket and drive the
+  /// node when it may hold datagrams — catching up on any already queued —
+  /// and hook(socket, false) asks it to stop. A socket is watched right
+  /// after it is bound (including the per-round random-port rotation) and
+  /// unwatched right before it is destroyed. In between, drain_ingress()
+  /// unwatches a socket whose channel has spent its budget for the round —
+  /// nothing more is read from it before the round-end flush, so a flood
+  /// past the budget stops waking the node — and on_round() watches it
+  /// again once the budgets reset. Scored channels stay watched. Calls for
+  /// one socket strictly alternate, starting with true. Installing a hook
+  /// immediately replays every watched socket as true; installing nullptr
+  /// detaches without calls. The hook runs on whatever thread drives the
+  /// node (constructor thread at install, the node's home shard thread
+  /// during ingress and on_round) — never concurrently with itself, because
+  /// the node itself is single-threaded.
+  using SocketHook = std::function<void(net::Socket&, bool watch)>;
   void set_socket_hook(SocketHook hook);
 
   /// The node's full metric store: activity counters under "node.*"
@@ -205,6 +211,9 @@ class Node {
     Channel channel;
     std::uint64_t created_round = 0;
     bool well_known = false;
+    /// False from the drain that spent the channel's budget until the next
+    /// on_round(): the socket hook has been told to stop watching it.
+    bool watched = true;
   };
 
   /// One full local ingress cycle: drain → verify → ingest on a private
@@ -252,6 +261,9 @@ class Node {
   const Peer* resolve_sender(std::uint32_t id, const util::Bytes& cert);
   util::ByteSpan pair_key(std::uint32_t peer_id);
   void rotate_random_ports();
+  /// Records whether the runtime should watch `bs` and tells the socket
+  /// hook when that changes.
+  void set_watched(BoundSocket& bs, bool watched);
   void send_gossip();
 
   /// Stage one outgoing datagram for the current cycle; flushed as a single

@@ -32,6 +32,17 @@ std::size_t Socket::recv_batch(Datagram* out, std::size_t max) {
   return n;
 }
 
+std::size_t Socket::discard() {
+  constexpr std::size_t kChunk = 64;
+  Datagram chunk[kChunk];
+  std::size_t total = 0;
+  while (true) {
+    const std::size_t got = recv_batch(chunk, kChunk);
+    total += got;
+    if (got < kChunk) return total;
+  }
+}
+
 void Socket::send_batch(const Address& to, const util::ByteSpan* payloads,
                         std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) send(to, payloads[i]);

@@ -95,8 +95,10 @@ EventLoop::SourceId EventLoop::add_socket(Socket& sock, Callback on_ready) {
     if (has_fd) {
       epoll_event ev{};
       // Edge-triggered: each datagram arrival re-arms the event (UDP's
-      // sk_data_ready fires per packet), so stale unread backlog — a node
-      // out of budget mid-round — does not busy-spin the loop.
+      // sk_data_ready fires per packet), so stale unread backlog does not
+      // busy-spin the loop. New arrivals still fire, so a flood keeps
+      // waking its victim; the runtime removes a socket whose channel has
+      // spent its round budget and adds it back at the round tick.
       ev.events = EPOLLIN | EPOLLET;
       ev.data.u64 = id;
       if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, sock.native_handle(), &ev) !=

@@ -3,8 +3,9 @@
 //
 // One loop multiplexes three event kinds:
 //  * fd sockets (UdpSocket): registered with epoll, edge-triggered — each
-//    arriving datagram re-arms the event, so a budget-exhausted node that
-//    stops reading does not spin the loop;
+//    arriving datagram re-arms the event, so backlog a node leaves unread
+//    does not spin the loop (a socket whose budget is spent for the round
+//    is removed outright until the round tick, DESIGN.md §8);
 //  * fd-less sockets (MemSocket): a wakeup bridge — the socket's
 //    set_ready_callback() flags the source and signals the loop's eventfd
 //    from the sender's thread;

@@ -1,6 +1,7 @@
 #include "drum/net/mem_transport.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "drum/check/check.hpp"
@@ -64,6 +65,21 @@ class MemSocket final : public Socket {
     DRUM_INVARIANT(n == max || q.empty() || q.begin()->first > now,
                    "recv_batch stopped with deliverable datagrams pending");
 #endif
+    return n;
+  }
+
+  // Erases the deliverable prefix in one lock; in-flight datagrams stay.
+  std::size_t discard() override {
+    check::SharedLock map(net_.map_mu_);
+    auto it = net_.queues_.find(local_);
+    if (it == net_.queues_.end()) return 0;
+    MemNetwork::Queue& dst = it->second;
+    check::MutexLock lock(dst.mu);
+    auto& q = dst.q;
+    const auto due =
+        q.upper_bound(net_.now_us_.load(std::memory_order_relaxed));
+    const auto n = static_cast<std::size_t>(std::distance(q.begin(), due));
+    q.erase(q.begin(), due);
     return n;
   }
 

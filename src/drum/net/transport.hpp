@@ -72,6 +72,14 @@ class Socket {
   /// one syscall.
   virtual std::size_t recv_batch(Datagram* out, std::size_t max);
 
+  /// Drops every datagram receivable now and returns how many it dropped —
+  /// the round-end flush of unread backlog (paper §4). Datagrams still in
+  /// flight stay queued, as with recv_batch. The default adapts
+  /// recv_batch(), so wrapping sockets keep working; UdpSocket overrides it
+  /// with payload-less recvmmsg calls and MemSocket erases its queue under
+  /// one lock, so neither copies a datagram it is about to throw away.
+  virtual std::size_t discard();
+
   /// Fire-and-forget send. May drop (loss, full queue, no such port) —
   /// exactly like UDP.
   virtual void send(const Address& to, util::ByteSpan payload) = 0;

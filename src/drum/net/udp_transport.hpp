@@ -4,7 +4,8 @@
 // EventLoop drains them (UdpSocket exposes its fd via native_handle()). The
 // OS socket buffer plays the bounded-receive-queue role that a flood fills.
 // recv_batch()/send_batch() use recvmmsg/sendmmsg so victims drain and the
-// attack generator sprays at line rate, one syscall per batch.
+// attack generator sprays at line rate, one syscall per batch; discard()
+// drops a backlog with payload-less recvmmsg calls.
 #pragma once
 
 #include <cstdint>

@@ -82,11 +82,13 @@ void ReactorRuntime::install_hooks(NodeState& st) {
   NodeState* stp = &st;
   Shard* sh = shards_[st.shard].get();
   check::MutexLock node_lock(st.mu);
-  // Replays existing sockets immediately and fires again on every per-round
-  // random-port rotation — always under st.mu, on the home shard thread or
-  // a with_node() caller's.
-  st.node->set_socket_hook([this, stp, sh](net::Socket& sock, bool added) {
-    if (added) {
+  // Replays watched sockets immediately and fires again on every per-round
+  // random-port rotation and every budget-spent unwatch / round-start
+  // rewatch — always under st.mu, on the home shard thread or a
+  // with_node() caller's. Calls for one socket alternate, so a second watch
+  // or an unknown unwatch is a bookkeeping slip.
+  st.node->set_socket_hook([this, stp, sh](net::Socket& sock, bool watch) {
+    if (watch) {
       if (sock.native_handle() >= 0) {
         // Real fd: epoll on the home shard's loop — readiness fires on the
         // home thread with no cross-thread structure at all.
@@ -95,7 +97,9 @@ void ReactorRuntime::install_hooks(NodeState& st) {
           dispatch(*stp);
         });
         check::MutexLock lock(sh->sources_mu);
-        sh->sources[&sock] = id;
+        [[maybe_unused]] const bool fresh =
+            sh->sources.emplace(&sock, id).second;
+        DRUM_ASSERT(fresh, "socket watched twice");
       } else {
         // MemSocket: bypass the loop's mem bridge (whose notify path takes
         // the consumer loop's mutex from the sender's thread) and route the
@@ -103,7 +107,10 @@ void ReactorRuntime::install_hooks(NodeState& st) {
         // stay thread-local, cross-shard sends ride the SPSC ring.
         {
           check::MutexLock lock(sh->sources_mu);
-          sh->sources[&sock] = 0;  // 0: no loop registration to undo
+          // 0: no loop registration to undo
+          [[maybe_unused]] const bool fresh =
+              sh->sources.emplace(&sock, 0).second;
+          DRUM_ASSERT(fresh, "socket watched twice");
         }
         sock.set_ready_callback([this, stp] {
           stp->ready.store(true);
@@ -118,6 +125,7 @@ void ReactorRuntime::install_hooks(NodeState& st) {
       {
         check::MutexLock lock(sh->sources_mu);
         auto it = sh->sources.find(&sock);
+        DRUM_ASSERT(it != sh->sources.end(), "unwatch of a socket the shard does not watch");
         if (it == sh->sources.end()) return;
         id = it->second;
         sh->sources.erase(it);

@@ -208,8 +208,9 @@ class ReactorRuntime {
     /// shard one eventfd nudge; see dispatch() for the fence protocol.
     std::atomic<bool> idle{true};
 
-    /// Socket registrations for this shard's nodes. Hook callbacks usually
-    /// fire on the home loop thread (per-round port rotation), but
+    /// Socket registrations for this shard's nodes: the sockets they want
+    /// watched. Hook callbacks usually fire on the home loop thread (port
+    /// rotation, budget-spent unwatches, round-start rewatches), but
     /// with_node() can rotate from any thread, hence the lock.
     check::Mutex sources_mu;
     std::unordered_map<net::Socket*, net::EventLoop::SourceId> sources

@@ -4,6 +4,7 @@
 // in-memory network.
 #include <gtest/gtest.h>
 
+#include "drum/check/check.hpp"
 #include "drum/membership/ca.hpp"
 #include "drum/membership/failure_detector.hpp"
 #include "drum/membership/service.hpp"
@@ -272,6 +273,10 @@ struct TwoNodeFixture {
   std::vector<std::unique_ptr<core::Node>> nodes;
   std::vector<std::unique_ptr<MembershipService>> services;
   std::vector<std::vector<core::Node::Delivery>> app_deliveries;
+
+  // Every fixture re-creates the same identities from the same seed: open a
+  // new nonce-tracker window so one process can run many fixtures.
+  TwoNodeFixture() { check::reset_nonce_tracker(); }
 
   void add_node(std::uint32_t id, bool seed_roster_now = true) {
     while (ids.size() <= id) ids.push_back(crypto::Identity::generate(rng));

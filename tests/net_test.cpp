@@ -165,6 +165,18 @@ TEST(MemTransport, RecvBatchHonorsInFlightLatency) {
   net.advance_to(2000);
   ASSERT_EQ(s->recv_batch(out, 4), 1u);
   EXPECT_EQ(out[0].payload, late);
+
+  // discard() drops only what is due, too: the in-flight datagram stays
+  // queued and arrives once it is due.
+  net.send_raw(Address{2, 7}, Address{1, 100}, util::ByteSpan(early));
+  net.advance_to(3000);
+  net.send_raw(Address{2, 7}, Address{1, 100}, util::ByteSpan(late));
+  EXPECT_EQ(s->discard(), 1u);
+  EXPECT_EQ(s->discard(), 0u);
+  EXPECT_EQ(s->recv_batch(out, 4), 0u);
+  net.advance_to(4000);
+  ASSERT_EQ(s->recv_batch(out, 4), 1u);
+  EXPECT_EQ(out[0].payload, late);
 }
 
 TEST(MemTransport, SendManyScattersToDistinctDestinations) {
@@ -336,6 +348,29 @@ TEST(UdpTransport, MaxSizeDatagramPreservesBoundary) {
   EXPECT_EQ(got->payload.size(), kMax);
   EXPECT_EQ(got->payload, big);
   EXPECT_EQ(b->recv(), std::nullopt);  // exactly one datagram, not a stream
+}
+
+TEST(UdpTransport, DiscardDropsQueuedDatagramsOfEverySize) {
+  obs::MetricsRegistry reg;
+  UdpTransport tr;
+  tr.set_registry(&reg);
+  auto a = tr.bind(0);
+  auto b = tr.bind(0);
+  ASSERT_TRUE(a && b);
+  // Empty, small, and the largest payload one UDP datagram can carry: each
+  // is dropped whole, whatever its size, without a receive buffer.
+  const util::Bytes sizes[] = {util::Bytes{}, util::Bytes(40, 0x5A),
+                               util::Bytes(65507, 0xA5)};
+  for (const auto& p : sizes) a->send(b->local(), util::ByteSpan(p));
+  const std::uint64_t recv_before = reg.counter_value("net.udp.recv");
+  // Loopback delivery is asynchronous; keep discarding until all arrived.
+  std::size_t dropped = 0;
+  for (int i = 0; i < 2000 && dropped < 3; ++i) dropped += b->discard();
+  EXPECT_EQ(dropped, 3u);
+  Datagram out[4];
+  EXPECT_EQ(b->recv_batch(out, 4), 0u);
+  EXPECT_EQ(b->discard(), 0u);
+  EXPECT_EQ(reg.counter_value("net.udp.recv") - recv_before, 3u);
 }
 
 TEST(UdpTransport, BatchedSendAndReceiveRoundTrip) {

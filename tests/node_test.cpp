@@ -4,10 +4,14 @@
 // layer, so failures localize precisely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "drum/check/check.hpp"
 #include "drum/core/node.hpp"
@@ -270,27 +274,114 @@ struct Solo {
 };
 
 TEST(Node, FloodedChannelIsBudgetBoundedPerRound) {
+  // Declared before the node: ~Node still calls the hook.
+  std::vector<std::pair<std::uint16_t, bool>> calls;  // (port, watch)
   Solo p;
+  p.node->set_socket_hook([&calls](net::Socket& s, bool watch) {
+    calls.emplace_back(s.local().port, watch);
+  });
+  ASSERT_EQ(calls.size(), 5u);  // replay: 2 well-known + 3 random ports
+  calls.clear();
   // Flood node 0's pull-request port with garbage before its round.
   util::Bytes junk = {static_cast<std::uint8_t>(MsgType::kPullRequest), 9, 9};
-  for (int i = 0; i < 500; ++i) {
-    p.net.send_raw(net::Address{77, 1}, net::Address{0, 3000},
-                   util::ByteSpan(junk));
-  }
+  auto flood = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      p.net.send_raw(net::Address{77, 1}, net::Address{0, 3000},
+                     util::ByteSpan(junk));
+    }
+  };
+  flood(500);
   poll_node(*p.node);
   // Budget for pull-requests in Drum with F=4 is 2.
   EXPECT_EQ(p.node->registry().counter_value("node.datagrams_read"), 2u);
   EXPECT_EQ(p.node->registry().counter_value("node.decode_errors"), 2u);
-  // The round tick flushes the rest unread.
+  // The spent channel's socket is no longer watched: the rest of the flood
+  // cannot wake the node this round.
+  using Call = std::pair<std::uint16_t, bool>;
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], (Call{3000, false}));
+  calls.clear();
+  flood(500);
+  poll_node(*p.node);
+  EXPECT_TRUE(calls.empty());
+  EXPECT_EQ(p.node->registry().counter_value("node.datagrams_read"), 2u);
+  // The round tick flushes the rest unread and watches the port again.
   p.node->on_round();
-  EXPECT_GE(p.node->registry().counter_value("node.flushed_unread"), 498u);
+  EXPECT_EQ(p.node->registry().counter_value("node.flushed_unread"), 998u);
+  EXPECT_EQ(std::count(calls.begin(), calls.end(), Call{3000, true}), 1);
+  EXPECT_EQ(std::count(calls.begin(), calls.end(), Call{3000, false}), 0);
   // Fresh round, fresh budget.
-  for (int i = 0; i < 10; ++i) {
-    p.net.send_raw(net::Address{77, 1}, net::Address{0, 3000},
-                   util::ByteSpan(junk));
-  }
+  flood(10);
   poll_node(*p.node);
   EXPECT_EQ(p.node->registry().counter_value("node.datagrams_read"), 4u);
+}
+
+TEST(Node, SocketHookCallsAlternatePerSocket) {
+  // Per socket, the hook's calls must go watch, stop, watch, ... — through
+  // budget-spent unwatches, round-start rewatches, port rotation (which
+  // retires unwatched sockets silently), a hook reinstalled while a socket
+  // is unwatched, and destruction.
+  using Log = std::map<const net::Socket*, std::vector<bool>>;
+  Log first;
+  Log second;
+  std::set<std::uint16_t> ports;
+  auto recorder = [&ports](Log& log) {
+    return [&ports, &log](net::Socket& s, bool watch) {
+      log[&s].push_back(watch);
+      ports.insert(s.local().port);
+    };
+  };
+  auto alternates = [](const Log& log) {
+    for (const auto& [sock, calls] : log) {
+      if (calls.empty() || !calls.front()) return false;
+      for (std::size_t i = 1; i < calls.size(); ++i) {
+        if (calls[i] == calls[i - 1]) return false;
+      }
+    }
+    return true;
+  };
+  auto p = std::make_unique<Solo>();
+  util::Bytes junk = {0xEE, 1, 2, 3};
+  // Past every budget on the given ports (the largest budget is 4).
+  auto flood = [&](const std::set<std::uint16_t>& to) {
+    for (std::uint16_t port : to) {
+      for (int i = 0; i < 8; ++i) {
+        p->net.send_raw(net::Address{77, 1}, net::Address{0, port},
+                        util::ByteSpan(junk));
+      }
+    }
+    poll_node(*p->node);
+  };
+
+  p->node->set_socket_hook(recorder(first));
+  // Every channel spent every round, so each random socket is unwatched
+  // when it expires.
+  for (int r = 0; r < 6; ++r) {
+    flood(ports);
+    p->node->on_round();
+  }
+  EXPECT_EQ(p->node->registry().counter_value("node.rounds"), 6u);
+  // Reinstall while only the pull-request socket is unwatched: the new hook
+  // hears about every other socket and not that one, until on_round().
+  flood({3000});
+  p->node->set_socket_hook(recorder(second));
+  // Two well-known sockets plus three random ones per live round.
+  const std::size_t bound = 2 + 3 * p->node->config().port_lifetime_rounds;
+  EXPECT_EQ(second.size(), bound - 1);
+  for (const auto& [sock, calls] : second) {
+    EXPECT_NE(sock->local().port, 3000);
+  }
+  for (int r = 0; r < 4; ++r) {
+    flood(ports);
+    p->node->on_round();
+  }
+  flood({3000});
+  p.reset();
+
+  EXPECT_TRUE(alternates(first));
+  EXPECT_TRUE(alternates(second));
+  // Destruction stops watching everything still watched.
+  for (const auto& [sock, calls] : second) EXPECT_FALSE(calls.back());
 }
 
 TEST(Node, FloodOnPullPortDoesNotConsumeOfferBudget) {

@@ -2,6 +2,7 @@
 // ReactorRuntime multiplexing many nodes over its shards (DESIGN.md §8, §13).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "drum/check/check.hpp"
 #include "drum/net/event_loop.hpp"
 #include "drum/net/mem_transport.hpp"
 #include "drum/net/udp_transport.hpp"
@@ -251,6 +253,9 @@ struct Fleet {
 
   Fleet(std::size_t n, bool udp, std::uint16_t base_port, ReactorConfig rc,
         std::size_t split = SIZE_MAX) {
+    // Every fleet re-creates the same identities from the same seed: open a
+    // new nonce-tracker window so one process can run many fleets.
+    check::reset_nonce_tracker();
     const std::uint32_t udp_host = net::parse_ipv4("127.0.0.1");
     dir.resize(n);
     for (std::uint32_t id = 0; id < n; ++id) {
@@ -328,7 +333,8 @@ TEST(Reactor, ShardCountResolution) {
 
 /// One shard is one loop thread with no rings; four shards send most gossip
 /// across the SPSC rings. ctest runs the two instances concurrently, so each
-/// binds its own UDP port block.
+/// binds its own UDP port blocks: udp_port() and, for the flood case,
+/// udp_port() + 50.
 class ReactorFleet : public ::testing::TestWithParam<std::size_t> {
  protected:
   [[nodiscard]] ReactorConfig config() const {
@@ -354,6 +360,53 @@ TEST_P(ReactorFleet, DisseminationOverUdp) {
   f.reactor->multicast(1, text("udp"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 4; }, 5000ms));
   f.reactor->stop();
+}
+
+// A flood past node 0's budgets must not keep waking it: once a channel has
+// spent its budget for the round, node 0 stops watching that socket until
+// its next round tick. So node 0 polls about as often as the unflooded
+// nodes, while its round-end flush discards the flood unread.
+TEST_P(ReactorFleet, FloodPastBudgetDoesNotWakeTheVictim) {
+  Fleet f(8, true, static_cast<std::uint16_t>(udp_port() + 50), config());
+  net::UdpTransport attacker_net;
+  auto attacker = attacker_net.bind(0);
+  ASSERT_TRUE(attacker);
+  const util::Bytes junk = {0xEE, 0xEE, 0xEE, 0xEE};
+  const std::vector<util::ByteSpan> burst(50, util::ByteSpan(junk));
+  f.reactor->start();
+  // 200 bursts 3 ms apart: about 10 of the fleet's 60 ms rounds.
+  for (int b = 0; b < 200; ++b) {
+    for (std::uint16_t port : {f.dir[0].wk_pull_port, f.dir[0].wk_offer_port}) {
+      attacker->send_batch(net::Address{f.dir[0].host, port}, burst.data(),
+                           burst.size());
+    }
+    std::this_thread::sleep_for(3ms);
+  }
+  f.reactor->stop();
+
+  std::vector<std::uint64_t> others;
+  for (std::size_t i = 1; i < f.nodes.size(); ++i) {
+    others.push_back(f.nodes[i]->registry().counter_value("runner.polls"));
+  }
+  std::sort(others.begin(), others.end());
+  const std::uint64_t median = others[others.size() / 2];
+  const auto& victim = f.nodes[0]->registry();
+  EXPECT_LE(victim.counter_value("runner.polls"), median + 20)
+      << "unflooded median " << median;
+  const core::NodeConfig& cfg = f.nodes[0]->config();
+  const std::pair<const char*, std::size_t> budgets[] = {
+      {"offer", cfg.offer_budget()},
+      {"pull_req", cfg.pull_request_budget()},
+      {"push_reply", cfg.push_reply_budget()},
+      {"pull_data", cfg.pull_data_budget()},
+      {"push_data", cfg.push_data_budget()}};
+  for (const auto& [chan, budget] : budgets) {
+    const auto* used =
+        victim.find_histogram(std::string("chan.") + chan + ".budget_used");
+    ASSERT_NE(used, nullptr) << chan;
+    EXPECT_LE(used->max(), budget) << chan;
+  }
+  EXPECT_GE(victim.counter_value("node.flushed_unread"), 1000u);
 }
 
 TEST_P(ReactorFleet, StopDetachesAndRestartWorks) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "drum/check/check.hpp"
 #include "drum/net/mem_transport.hpp"
 #include "drum/runtime/reactor.hpp"
 #include "drum/util/spsc_ring.hpp"
@@ -52,6 +53,9 @@ struct Fleet {
 
   /// n nodes on one single-shard runtime with 30 ms rounds.
   explicit Fleet(std::size_t n, std::uint16_t base_port = 9300) {
+    // Every fleet re-creates the same identities from the same seed: open a
+    // new nonce-tracker window so one process can run many fleets.
+    check::reset_nonce_tracker();
     dir.resize(n);
     for (std::uint32_t id = 0; id < n; ++id) {
       ids.push_back(crypto::Identity::generate(rng));
