@@ -3,7 +3,7 @@
 // for a victim to process fabricated messages), digest/buffer operations,
 // the obs primitives, and one full simulated gossip round. The SHA-256
 // benchmarks run once per compiled backend (scalar reference vs the
-// CPUID-selected native one) so the SIMD speedup is measured in-tree. After
+// CPUID-selected native one) so the SHA-NI speedup is measured in-tree. After
 // the registered benchmarks, main() runs an instrumented-vs-uninstrumented
 // cluster comparison (tracing on vs off) and writes microbench_obs.json,
 // then times each backend's SHA-256 throughput and the single-vs-batch
@@ -56,26 +56,6 @@ void BM_Sha256_1KiB(benchmark::State& state, const char* backend) {
 }
 BENCHMARK_CAPTURE(BM_Sha256_1KiB, scalar, "scalar");
 BENCHMARK_CAPTURE(BM_Sha256_1KiB, native, "native");
-
-// Eight-message batched hashing — the multi-buffer AVX2 path.
-void BM_Sha256Batch8x1KiB(benchmark::State& state, const char* backend) {
-  crypto::set_active_backend(backend);
-  std::vector<util::Bytes> msgs;
-  std::vector<util::ByteSpan> spans;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    msgs.push_back(random_bytes(1024, 100 + i));
-  }
-  for (const auto& m : msgs) spans.emplace_back(m.data(), m.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crypto::sha256_batch(std::span<const util::ByteSpan>(spans)));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 8 *
-                          1024);
-  crypto::set_active_backend("native");
-}
-BENCHMARK_CAPTURE(BM_Sha256Batch8x1KiB, scalar, "scalar");
-BENCHMARK_CAPTURE(BM_Sha256Batch8x1KiB, native, "native");
 
 void BM_HmacSha256_64B(benchmark::State& state) {
   auto key = random_bytes(32, 2);
@@ -319,7 +299,7 @@ void run_obs_overhead_report() {
 
 // Per-backend SHA-256 throughput and the single-vs-batch Ed25519 verify
 // cost (batch-64 under one key and under 64 keys), written to
-// BENCH_crypto.json — the CI artifact that tracks the SIMD
+// BENCH_crypto.json — the CI artifact that tracks the SHA-NI
 // speedup release over release.
 void run_crypto_report() {
   using clock = std::chrono::steady_clock;

@@ -17,41 +17,25 @@ std::uint32_t whole(double d) {
 }
 
 /// Splits `x` fabricated messages across the victim's enabled control
-/// channels the way the paper's attacker does: evenly over what is
-/// attackable (offer / pull-request, plus the reply port under the wk-ports
-/// ablation).
+/// channels the way the paper's attacker does: half at the offer port and
+/// half at the pull side, and under the wk-ports ablation the pull half is
+/// shared by the request and reply ports (§9: x/2, x/4, x/4). With one
+/// channel family disabled, everything goes to the other.
 void add_split(Plan& plan, const RoundView& v, std::uint32_t target, double x,
                std::uint32_t claimed) {
   const std::uint32_t total = whole(x);
-  if (total == 0) {
-    return;
-  }
-  std::vector<Channel> channels;
-  if (v.push_channel) {
-    channels.push_back(Channel::kOffer);
-  }
-  if (v.pull_channel) {
-    channels.push_back(Channel::kPullRequest);
-    if (v.reply_port_attackable) {
-      channels.push_back(Channel::kPullReply);
-    }
-  }
-  if (channels.empty()) {
-    return;
-  }
-  const auto share = static_cast<std::uint32_t>(total / channels.size());
-  std::uint32_t remainder =
-      total - share * static_cast<std::uint32_t>(channels.size());
-  for (Channel ch : channels) {
-    std::uint32_t count = share;
-    if (remainder > 0) {
-      ++count;
-      --remainder;
-    }
+  const std::uint32_t pull =
+      !v.pull_channel ? 0 : (v.push_channel ? total / 2 : total);
+  const std::uint32_t push = v.push_channel ? total - pull : 0;
+  const std::uint32_t reply = v.reply_port_attackable ? pull / 2 : 0;
+  auto add = [&](Channel ch, std::uint32_t count) {
     if (count > 0) {
       plan.floods.push_back(Flood{target, ch, count, claimed});
     }
-  }
+  };
+  add(Channel::kOffer, push);
+  add(Channel::kPullRequest, pull - reply);
+  add(Channel::kPullReply, reply);
 }
 
 /// The paper's baseline (§7): x fabricated messages per victim per round,

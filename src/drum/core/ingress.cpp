@@ -24,13 +24,11 @@ bool IngressBatch::empty() const {
 void IngressBatch::clear() { sections_.clear(); }
 
 void IngressBatch::verify() {
-  // Gather every pending signature and every sealed port across ALL
-  // sections — the whole point of accumulating across co-scheduled nodes is
-  // that one worker sweep becomes one wide crypto pass.
+  // Gather every pending signature across ALL sections — the whole point of
+  // accumulating across co-scheduled nodes is that one worker sweep becomes
+  // one wide verify. Port boxes open one at a time as they are met.
   std::vector<crypto::VerifyJob> sig_jobs;
   std::vector<DataCandidate*> sig_targets;
-  std::vector<crypto::PortBoxOpenJob> box_jobs;
-  std::vector<VerifiedFrame*> box_targets;
   for (auto& sec : sections_) {
     for (auto& f : sec.frames) {
       if (f.channel == Channel::kPullData || f.channel == Channel::kPushData) {
@@ -42,9 +40,8 @@ void IngressBatch::verify() {
           sig_targets.push_back(&cand);
         }
       } else {
-        box_jobs.push_back(crypto::PortBoxOpenJob{util::ByteSpan(f.box_key),
-                                                  util::ByteSpan(f.boxed_port)});
-        box_targets.push_back(&f);
+        f.port = crypto::portbox_open_port(util::ByteSpan(f.box_key),
+                                           util::ByteSpan(f.boxed_port));
       }
     }
   }
@@ -53,13 +50,6 @@ void IngressBatch::verify() {
         std::span<const crypto::VerifyJob>(sig_jobs));
     for (std::size_t i = 0; i < sig_targets.size(); ++i) {
       sig_targets[i]->verified = verdicts[i];
-    }
-  }
-  if (!box_jobs.empty()) {
-    auto ports = crypto::portbox_open_port_batch(
-        std::span<const crypto::PortBoxOpenJob>(box_jobs));
-    for (std::size_t i = 0; i < box_targets.size(); ++i) {
-      box_targets[i]->port = ports[i];
     }
   }
 }

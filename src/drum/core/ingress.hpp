@@ -2,14 +2,15 @@
 // signature-checked frames out.
 //
 // The paper's flood attack wins by charging the victim per datagram — a
-// syscall, a parse, an HMAC, an Ed25519 check, each paid one at a time. The
-// ingress pipeline amortizes all four:
+// syscall, a parse, an HMAC, an Ed25519 check. The ingress pipeline batches
+// the syscall and the signature check, and the reception budgets bound how
+// many port boxes reach the HMAC at all:
 //
 //   socket ready ──► Node::drain_ingress(batch)   stage A, node serialized
 //                      recv_batch + budgets + greylist peek + decode
 //                 ──► IngressBatch::verify()       lock-free, no node held
 //                      one ed25519_verify_batch over every data signature,
-//                      one hmac_sha256_batch pass over every port box
+//                      one portbox_open_port per control frame
 //                 ──► Node::ingest(frames)         stage B, node serialized
 //                      scoring, greylist, serve/ack, dedupe, delivery
 //
@@ -111,9 +112,11 @@ class IngressBatch {
 
   /// Runs the accumulated crypto: every DataCandidate with needs_verify
   /// through one ed25519_verify_batch (per-signature fallback inside keeps
-  /// blame exact), every boxed port through one hmac_sha256_batch-backed
-  /// portbox pass. Touches no Node state — callers must NOT hold any node
-  /// while in here; that is the point.
+  /// blame exact), and each control frame's boxed port through
+  /// portbox_open_port. The budgets admit only a few boxes per pass, too few
+  /// to fill a multi-buffer hash, so boxes open one at a time. Touches no
+  /// Node state — callers must NOT hold any node while in here; that is the
+  /// point.
   void verify();
 
   /// Convenience for single-threaded drivers (Cluster, tests, examples):

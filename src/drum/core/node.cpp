@@ -814,7 +814,7 @@ void Node::send_gossip() {
 void Node::on_round() {
   EntryGuard entry(entry_owner_);
   DRUM_REQUIRE(!in_round_, "on_round() re-entered");
-  DRUM_REQUIRE(!in_poll_, "on_round() called from inside poll()");
+  DRUM_REQUIRE(!in_poll_, "on_round() called from inside an ingress stage");
   ReentryGuard guard(in_round_);
 
   // Final processing pass for the ending round: anything that arrived since

@@ -5,14 +5,15 @@
 //                 crypto::chacha20_xor(...), crypto::ed25519_verify(...)
 //   * incremental — the Sha256 / Sha512 classes
 //                 (construct = init, update, final)
-//   * batch     — crypto::sha256_batch(msgs),
-//                 crypto::ed25519_verify_batch(jobs)
+//   * batch     — crypto::ed25519_verify_batch(jobs), the one batched
+//                 primitive: it shares work across signatures, where a
+//                 batched hash would only interleave independent streams
 //
 // The SHA-256 forms route through the active crypto::Backend (backend.hpp):
-// scalar reference, or ISA-accelerated paths picked at startup from CPUID
-// and overridable with DRUM_CRYPTO_BACKEND=scalar|native. Results are
-// bit-identical across backends. ChaCha20 (chacha20.hpp, included here) has
-// one portable implementation and no backend slot.
+// scalar reference, or SHA-NI picked at startup from CPUID and overridable
+// with DRUM_CRYPTO_BACKEND=scalar|native. Results are bit-identical across
+// backends. ChaCha20 (chacha20.hpp, included here) has one portable
+// implementation and no backend slot.
 #pragma once
 
 #include <span>
@@ -31,13 +32,6 @@ Sha256::Digest sha256(util::ByteSpan data);
 
 /// One-shot SHA-512.
 Sha512::Digest sha512(util::ByteSpan data);
-
-/// SHA-256 over many independent messages at once. Groups of eight run in
-/// lockstep through the multi-buffer backend (8-lane AVX2 when available),
-/// so throughput is highest when messages have similar lengths. Digest i is
-/// exactly sha256(messages[i]).
-std::vector<Sha256::Digest> sha256_batch(
-    std::span<const util::ByteSpan> messages);
 
 /// One unit of batch signature verification. `message` is a non-owning view;
 /// the caller keeps the bytes alive until ed25519_verify_batch returns.

@@ -1,24 +1,28 @@
-// crypto::Backend — runtime dispatch of the SHA-256 block functions between
-// the portable scalar reference implementation and ISA-specific (SHA-NI /
-// AVX2) ones.
+// crypto::Backend — runtime dispatch of the SHA-256 block function between
+// the portable scalar reference implementation and the SHA-NI one.
 //
 // Why it exists: the paper's cost model (§6, App. A–C) bounds a victim's
 // survivability by how cheaply it processes an adversarial flood — every
-// fabricated port box costs an HMAC-SHA256 check before it can be
-// discarded, and hmac_sha256_batch runs a flood's boxes eight at a time
-// through the multi-buffer path. Vectorized compression shrinks that
-// per-message cost, directly widening the flood a node can absorb per round.
+// fabricated port box a channel's read budget admits costs an HMAC-SHA256
+// check before it can be discarded. Hardware compression shrinks that
+// per-message cost.
 //
 // Design: SHA-256 keeps its scalar implementation as the portable reference
-// backend; ISA-specific translation units (compiled with their own -m flags,
-// so the rest of the tree stays portable) export alternative entry points
-// for the block-level hot loops only. A Backend is a plain table of function
-// pointers; the active one is chosen once at startup from CPUID and can be
+// backend; the SHA-NI translation unit (compiled with its own -m flags, so
+// the rest of the tree stays portable) exports an alternative entry point
+// for the block-level hot loop only. A Backend is a name and a function
+// pointer; the active one is chosen once at startup from CPUID and can be
 // forced with DRUM_CRYPTO_BACKEND=scalar|native (or from tests/benches via
 // set_active_backend()). All backends are bit-identical: they implement the
-// same FIPS 180-4 compression, differing only in how many blocks they
-// process per instruction. ChaCha20 has no slot: the port box encrypts less
-// than one keystream block, so a block-parallel kernel would never run.
+// same FIPS 180-4 compression.
+//
+// One slot, one stream. The per-round read budgets (paper §4) cap how many
+// port boxes reach the MAC, so an ingress pass rarely holds eight of them:
+// in the flood, steady and scale benchmark workloads 86–94% of the passes
+// that opened any box opened 1–3, and under 3% opened eight or more. Boxes
+// are therefore opened one at a time, and there is no multi-buffer slot.
+// ChaCha20 has no slot either: the port box encrypts less than one keystream
+// block, so a block-parallel kernel would never run.
 //
 // Callers never include this header to do crypto — they use
 // drum/crypto/api.hpp, which routes through the active backend internally.
@@ -32,8 +36,8 @@
 
 namespace drum::crypto {
 
-/// Block-level entry points one backend provides. Pointers are never null:
-/// a backend missing an ISA path carries the scalar function there.
+/// The block-level entry point one backend provides. Never null: a backend
+/// missing an ISA path carries the scalar function.
 struct Backend {
   const char* name;
 
@@ -41,24 +45,17 @@ struct Backend {
   /// (FIPS 180-4 §6.2.2). `state` is the 8-word working hash, host order.
   void (*sha256_compress)(std::uint32_t state[8], const std::uint8_t* blocks,
                           std::size_t nblocks);
-
-  /// Eight independent SHA-256 streams in lockstep: for each lane l,
-  /// compress `nblocks` consecutive blocks starting at `blocks[l]` into
-  /// `states[l]`. The multi-buffer form behind sha256_batch().
-  void (*sha256_compress_x8)(std::uint32_t states[8][8],
-                             const std::uint8_t* const blocks[8],
-                             std::size_t nblocks);
 };
 
 /// The portable reference backend (always available, any architecture).
 const Backend& scalar_backend();
 
 /// The best backend this build and this CPU support. Falls back to the
-/// scalar function per slot when an ISA path is missing, and equals
+/// scalar function when the ISA path is missing, and equals
 /// scalar_backend()'s table entirely on non-x86 builds.
 const Backend& native_backend();
 
-/// True when native_backend() accelerates at least one slot.
+/// True when native_backend() runs SHA-NI.
 bool native_backend_accelerated();
 
 /// The backend the SHA-256 entry points route through. Resolved once on
@@ -81,7 +78,6 @@ std::vector<const Backend*> all_backends();
 struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
-  bool avx2 = false;    ///< includes the OS-saves-YMM (XGETBV) check
   bool sha_ni = false;
 };
 const CpuFeatures& cpu_features();

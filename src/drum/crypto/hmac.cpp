@@ -1,6 +1,6 @@
 #include "drum/crypto/hmac.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
 #include "drum/crypto/api.hpp"
@@ -28,58 +28,6 @@ Sha256::Digest hmac_sha256(util::ByteSpan key, util::ByteSpan data) {
   outer.update(util::ByteSpan(opad.data(), opad.size()));
   outer.update(util::ByteSpan(inner_digest.data(), inner_digest.size()));
   return outer.final();
-}
-
-std::vector<Sha256::Digest> hmac_sha256_batch(
-    std::span<const util::ByteSpan> keys,
-    std::span<const util::ByteSpan> datas) {
-  if (keys.size() != datas.size()) {
-    throw std::invalid_argument("hmac_sha256_batch: key/data count mismatch");
-  }
-  const std::size_t n = keys.size();
-  if (n == 0) return {};
-
-  // Inner pass: sha256((key ^ ipad) || data) for every pair, materialized as
-  // contiguous buffers so the multi-buffer backend can run them in lockstep.
-  std::vector<util::Bytes> inner_bufs(n);
-  std::vector<util::ByteSpan> spans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::array<std::uint8_t, Sha256::kBlockSize> k{};
-    if (keys[i].size() > Sha256::kBlockSize) {
-      auto d = sha256(keys[i]);
-      std::copy(d.begin(), d.end(), k.begin());
-    } else {
-      std::copy(keys[i].begin(), keys[i].end(), k.begin());
-    }
-    util::Bytes& buf = inner_bufs[i];
-    buf.resize(Sha256::kBlockSize + datas[i].size());
-    for (std::size_t j = 0; j < Sha256::kBlockSize; ++j) {
-      buf[j] = static_cast<std::uint8_t>(k[j] ^ 0x36);
-    }
-    if (!datas[i].empty()) {
-      std::memcpy(buf.data() + Sha256::kBlockSize, datas[i].data(),
-                  datas[i].size());
-    }
-    // Stash the opad block for the outer pass in place of the data tail
-    // later; for now just record the span to hash.
-    spans[i] = util::ByteSpan(buf.data(), buf.size());
-  }
-  auto inner = sha256_batch(std::span<const util::ByteSpan>(spans));
-
-  // Outer pass: sha256((key ^ opad) || inner_digest). The key block is
-  // recovered from the ipad buffer (x ^ 0x36 ^ 0x5c == x ^ opad's pad).
-  std::vector<util::Bytes> outer_bufs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    util::Bytes& buf = outer_bufs[i];
-    buf.resize(Sha256::kBlockSize + Sha256::kDigestSize);
-    for (std::size_t j = 0; j < Sha256::kBlockSize; ++j) {
-      buf[j] = static_cast<std::uint8_t>(inner_bufs[i][j] ^ 0x36 ^ 0x5c);
-    }
-    std::memcpy(buf.data() + Sha256::kBlockSize, inner[i].data(),
-                Sha256::kDigestSize);
-    spans[i] = util::ByteSpan(buf.data(), buf.size());
-  }
-  return sha256_batch(std::span<const util::ByteSpan>(spans));
 }
 
 util::Bytes hkdf_sha256(util::ByteSpan ikm, util::ByteSpan salt,

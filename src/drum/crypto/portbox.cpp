@@ -95,51 +95,4 @@ std::optional<std::uint16_t> portbox_open_port(util::ByteSpan key,
   return static_cast<std::uint16_t>((*pt)[0] | (*pt)[1] << 8);
 }
 
-std::vector<std::optional<std::uint16_t>> portbox_open_port_batch(
-    std::span<const PortBoxOpenJob> jobs) {
-  std::vector<std::optional<std::uint16_t>> out(jobs.size());
-  if (jobs.empty()) return out;
-
-  // Malformed boxes are settled without hashing; everything else feeds one
-  // batched HMAC pass over nonce || ciphertext.
-  std::vector<std::size_t> live;
-  live.reserve(jobs.size());
-  std::vector<util::Bytes> mac_inputs;
-  mac_inputs.reserve(jobs.size());
-  std::vector<util::ByteSpan> keys, datas;
-  keys.reserve(jobs.size());
-  datas.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& j = jobs[i];
-    if (j.key.size() != kPortBoxKeySize) {
-      throw std::invalid_argument("portbox key size");
-    }
-    if (j.box.size() < kPortBoxOverhead) continue;
-    util::Bytes mac_input(j.box.size() - kPortBoxTagSize);
-    std::memcpy(mac_input.data(), j.box.data(), mac_input.size());
-    mac_inputs.push_back(std::move(mac_input));
-    keys.push_back(j.key);
-    live.push_back(i);
-  }
-  for (const auto& buf : mac_inputs) {
-    datas.emplace_back(buf.data(), buf.size());
-  }
-  auto macs = hmac_sha256_batch(std::span<const util::ByteSpan>(keys),
-                                std::span<const util::ByteSpan>(datas));
-
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    const auto& j = jobs[live[k]];
-    auto tag = j.box.subspan(j.box.size() - kPortBoxTagSize);
-    if (!util::ct_equal(util::ByteSpan(macs[k].data(), kPortBoxTagSize), tag)) {
-      continue;
-    }
-    auto nonce = j.box.subspan(0, kPortBoxNonceSize);
-    auto ct = j.box.subspan(kPortBoxNonceSize, j.box.size() - kPortBoxOverhead);
-    util::Bytes pt = chacha20_xor_copy(j.key, nonce, 1, ct);
-    if (pt.size() != 2) continue;
-    out[live[k]] = static_cast<std::uint16_t>(pt[0] | pt[1] << 8);
-  }
-  return out;
-}
-
 }  // namespace drum::crypto

@@ -11,8 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "drum/util/bytes.hpp"
 #include "drum/util/rng.hpp"
@@ -40,22 +38,10 @@ std::optional<util::Bytes> portbox_open(util::ByteSpan key,
 /// Convenience for the common case of boxing a single u16 port.
 util::Bytes portbox_seal_port(util::ByteSpan key, std::uint16_t port,
                               util::Rng& rng);
+/// Opens one boxed port: nullopt on a bad tag, a malformed box, or a
+/// plaintext that is not 2 bytes. Ingress opens each control frame's box
+/// with this, one at a time (see IngressBatch::verify()).
 std::optional<std::uint16_t> portbox_open_port(util::ByteSpan key,
                                                util::ByteSpan box);
-
-/// One box to open under one pairwise key. Both spans are views; the caller
-/// keeps the backing storage alive across the batch call.
-struct PortBoxOpenJob {
-  util::ByteSpan key;
-  util::ByteSpan box;
-};
-
-/// Opens many port boxes at once. The HMAC tags are recomputed via
-/// hmac_sha256_batch (multi-buffer SHA-256), so a batch of boxed control
-/// frames costs two wide hash passes instead of 2·n scalar ones. Result i is
-/// exactly portbox_open_port(jobs[i].key, jobs[i].box): nullopt on a bad tag,
-/// malformed box, or non-port plaintext size.
-std::vector<std::optional<std::uint16_t>> portbox_open_port_batch(
-    std::span<const PortBoxOpenJob> jobs);
 
 }  // namespace drum::crypto

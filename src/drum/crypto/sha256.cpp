@@ -29,7 +29,7 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 namespace detail {
 
 // Portable reference compression (the scalar backend). Multi-block so the
-// ISA backends can be swapped in at the same call site.
+// SHA-NI backend can be swapped in at the same call site.
 void sha256_compress_scalar(std::uint32_t state[8], const std::uint8_t* blocks,
                             std::size_t nblocks) {
   for (std::size_t blk = 0; blk < nblocks; ++blk) {
@@ -62,16 +62,6 @@ void sha256_compress_scalar(std::uint32_t state[8], const std::uint8_t* blocks,
     }
     state[0] += a; state[1] += b; state[2] += c; state[3] += d;
     state[4] += e; state[5] += f; state[6] += g; state[7] += h;
-  }
-}
-
-// Scalar fallback for the multi-buffer form: the eight lanes just run one
-// after another.
-void sha256_compress_x8_scalar(std::uint32_t states[8][8],
-                               const std::uint8_t* const blocks[8],
-                               std::size_t nblocks) {
-  for (int lane = 0; lane < 8; ++lane) {
-    sha256_compress_scalar(states[lane], blocks[lane], nblocks);
   }
 }
 

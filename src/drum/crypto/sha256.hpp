@@ -1,8 +1,8 @@
 // SHA-256 (FIPS 180-4). The incremental (init/update/final) form of the
-// primitive; one-shot and batch forms live in drum/crypto/api.hpp. The
-// block compression routes through the active crypto::Backend (scalar
-// reference, SHA-NI, or AVX2 multi-buffer — see backend.hpp), all of which
-// are bit-identical and verified against the NIST example vectors in
+// primitive; the one-shot form lives in drum/crypto/api.hpp. The block
+// compression routes through the active crypto::Backend (scalar reference
+// or SHA-NI — see backend.hpp), both of which are bit-identical and
+// verified against the NIST example vectors in
 // tests/crypto_test.cpp and per-backend in tests/crypto_backend_test.cpp.
 //
 // Used for: message digests in gossip digests, message ids, HMAC-SHA256,

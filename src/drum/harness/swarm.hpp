@@ -98,7 +98,9 @@ struct SwarmReport {
   double cpu_user_s = 0.0;  ///< getrusage(RUSAGE_SELF) delta over the window
   double cpu_sys_s = 0.0;
   std::uint64_t rounds = 0;     ///< sum of node round ticks
-  std::uint64_t polls = 0;      ///< sum of poll() invocations
+  /// Drain-and-ingest passes over a node (the runtime's `runner.polls`
+  /// counter), summed over nodes.
+  std::uint64_t polls = 0;
   std::uint64_t delivered = 0;  ///< application deliveries (all nodes)
   std::uint64_t attack_datagrams = 0;
   /// Datagrams the ingress path disposed of: budgeted reads + round-end

@@ -258,8 +258,8 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
 
   if (scratch.empty()) return;
 
-  // Phase 2 — the wide crypto pass: every signature and every port box the
-  // drain produced, across ALL nodes, in one batch. No node lock is held
+  // Phase 2 — the crypto pass: every signature the drain produced, across
+  // ALL nodes, in one batch, and every port box opened. No node lock is held
   // here, so multicast()/with_node() callers never wait behind the crypto.
   batch.verify();
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "drum/adversary/adversary.hpp"
@@ -80,6 +81,32 @@ TEST(AdversaryTest, PlansAreDeterministic) {
       }
     }
   }
+}
+
+// Paper §9: x/2 at the offer port and x/2 at the pull side, and under the
+// wk-ports ablation the pull half is shared by the request and reply ports.
+TEST(AdversaryTest, FloodSplitsLikeThePaper) {
+  using Split = std::vector<std::pair<std::string, std::uint32_t>>;
+  const std::vector<std::uint32_t> attacked{5};
+  adversary::Params params;
+  params.x = 64;
+  auto a = adversary::make("flood", params);
+  auto split = [&](bool reply_port_attackable) {
+    auto view = test_view(attacked, {}, {});
+    view.reply_port_attackable = reply_port_attackable;
+    adversary::Plan plan;
+    util::Rng rng(1);
+    a->plan_round(view, rng, plan);
+    Split out;
+    for (const auto& f : plan.floods) {
+      EXPECT_EQ(f.target, 5U);
+      out.emplace_back(adversary::channel_name(f.channel), f.count);
+    }
+    return out;
+  };
+  EXPECT_EQ(split(false), (Split{{"offer", 32}, {"pull-request", 32}}));
+  EXPECT_EQ(split(true),
+            (Split{{"offer", 32}, {"pull-request", 16}, {"pull-reply", 16}}));
 }
 
 TEST(AdversaryTest, InsiderStrategiesEmitAttributableFloods) {

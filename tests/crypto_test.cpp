@@ -885,76 +885,6 @@ TEST(PortBox, NoncesDiffer) {
   EXPECT_NE(b1, b2);  // fresh nonce each seal
 }
 
-TEST(Hmac, BatchMatchesScalar) {
-  // Mixed key lengths (including > block size, which must be pre-hashed) and
-  // mixed data lengths, incl. empty data. Every lane must equal the scalar
-  // one-shot HMAC.
-  std::vector<Bytes> keys = {
-      Bytes(20, 0x0b), Bytes(0), Bytes(64, 0xaa), Bytes(131, 0xaa),
-      Bytes(32, 0x42), Bytes(1, 0x7f), Bytes(200, 0x55), Bytes(63, 0x01),
-      Bytes(65, 0x02),  // nine lanes: exercises a ragged final SIMD group
-  };
-  std::vector<Bytes> datas;
-  util::Rng rng(77);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    Bytes d(i * 37 % 150, 0);
-    for (auto& b : d) b = static_cast<std::uint8_t>(rng.below(256));
-    datas.push_back(std::move(d));
-  }
-  std::vector<ByteSpan> key_spans, data_spans;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    key_spans.emplace_back(keys[i].data(), keys[i].size());
-    data_spans.emplace_back(datas[i].data(), datas[i].size());
-  }
-  auto batch = hmac_sha256_batch(key_spans, data_spans);
-  ASSERT_EQ(batch.size(), keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto scalar = hmac_sha256(key_spans[i], data_spans[i]);
-    EXPECT_EQ(to_hex(ByteSpan(batch[i])), to_hex(ByteSpan(scalar)))
-        << "lane " << i;
-  }
-  EXPECT_TRUE(hmac_sha256_batch({}, {}).empty());
-  EXPECT_THROW(hmac_sha256_batch(key_spans,
-                                 std::span<const ByteSpan>(
-                                     data_spans.data(), data_spans.size() - 1)),
-               std::invalid_argument);
-}
-
-TEST(PortBox, OpenPortBatchMatchesSingle) {
-  util::Rng rng(21);
-  std::vector<Bytes> keys;
-  std::vector<Bytes> boxes;
-  for (int i = 0; i < 10; ++i) {
-    keys.push_back(Bytes(32, static_cast<std::uint8_t>(i + 1)));
-    boxes.push_back(portbox_seal_port(ByteSpan(keys.back()),
-                                      static_cast<std::uint16_t>(40000 + i),
-                                      rng));
-  }
-  // Corrupt lanes at several batch positions, one truncated lane, and one
-  // non-port plaintext lane.
-  boxes[0][kPortBoxNonceSize] ^= 0x80;               // ciphertext flip, first
-  boxes[4].back() ^= 0x01;                           // tag flip, middle
-  boxes[9][2] ^= 0xff;                               // nonce flip, last
-  boxes[5].resize(kPortBoxOverhead - 1);             // malformed (short)
-  boxes[7] = portbox_seal(ByteSpan(keys[7]), span_of("xyz"), rng);
-
-  std::vector<PortBoxOpenJob> jobs;
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    jobs.push_back({ByteSpan(keys[i]), ByteSpan(boxes[i])});
-  }
-  auto batch = portbox_open_port_batch(jobs);
-  ASSERT_EQ(batch.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(batch[i], portbox_open_port(jobs[i].key, jobs[i].box))
-        << "lane " << i;
-  }
-  // Sanity: the untouched lanes did open to their sealed ports.
-  EXPECT_EQ(batch[1], std::uint16_t{40001});
-  EXPECT_EQ(batch[8], std::uint16_t{40008});
-  EXPECT_EQ(batch[5], std::nullopt);
-  EXPECT_TRUE(portbox_open_port_batch({}).empty());
-}
-
 // ---------------------------------------------------------------- keys
 
 TEST(Identity, PairKeySymmetry) {
