@@ -1,4 +1,5 @@
-// Shared machinery for the drum fuzz harnesses (fuzz_decode, fuzz_portbox).
+// Shared machinery for the drum fuzz harnesses (fuzz_decode, fuzz_portbox,
+// fuzz_verify).
 //
 // Each harness is one translation unit with two entry points:
 //   * LLVMFuzzerTestOneInput — the libFuzzer hook, always compiled, used

@@ -1,5 +1,9 @@
 #include "drum/core/ingress.hpp"
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
+
 #include "drum/core/node.hpp"
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/portbox.hpp"
@@ -23,35 +27,48 @@ bool IngressBatch::empty() const {
 
 void IngressBatch::clear() { sections_.clear(); }
 
-void IngressBatch::verify() {
+std::size_t IngressBatch::verify() {
   // Gather every pending signature across ALL sections — the whole point of
   // accumulating across co-scheduled nodes is that one worker sweep becomes
   // one wide verify. Port boxes open one at a time as they are met.
   std::vector<crypto::VerifyJob> sig_jobs;
-  std::vector<DataCandidate*> sig_targets;
+  // Each candidate and the index of the job that decides it.
+  std::vector<std::pair<DataCandidate*, std::size_t>> sig_targets;
+  std::vector<DataCandidate*> section;
+  // Ordered by (signature, key, signed bytes), so copies end up adjacent.
+  auto before = [](const DataCandidate* a, const DataCandidate* b) {
+    return std::tie(a->msg.signature, a->pub, a->signed_bytes) <
+           std::tie(b->msg.signature, b->pub, b->signed_bytes);
+  };
   for (auto& sec : sections_) {
+    section.clear();
     for (auto& f : sec.frames) {
       if (f.channel == Channel::kPullData || f.channel == Channel::kPushData) {
         for (auto& cand : f.candidates) {
-          if (!cand.needs_verify) continue;
-          sig_jobs.push_back(crypto::VerifyJob{cand.pub,
-                                               util::ByteSpan(cand.signed_bytes),
-                                               cand.msg.signature});
-          sig_targets.push_back(&cand);
+          if (cand.needs_verify) section.push_back(&cand);
         }
       } else {
         f.port = crypto::portbox_open_port(util::ByteSpan(f.box_key),
                                            util::ByteSpan(f.boxed_port));
       }
     }
+    std::sort(section.begin(), section.end(), before);
+    for (std::size_t i = 0; i < section.size(); ++i) {
+      DataCandidate& cand = *section[i];
+      if (i == 0 || before(section[i - 1], section[i])) {
+        sig_jobs.push_back(crypto::VerifyJob{cand.pub,
+                                             util::ByteSpan(cand.signed_bytes),
+                                             cand.msg.signature});
+      }
+      sig_targets.emplace_back(&cand, sig_jobs.size() - 1);
+    }
   }
   if (!sig_jobs.empty()) {
     const std::vector<bool> verdicts = crypto::ed25519_verify_batch(
         std::span<const crypto::VerifyJob>(sig_jobs));
-    for (std::size_t i = 0; i < sig_targets.size(); ++i) {
-      sig_targets[i]->verified = verdicts[i];
-    }
+    for (const auto& [cand, job] : sig_targets) cand->verified = verdicts[job];
   }
+  return sig_jobs.size();
 }
 
 void IngressBatch::dispatch() {

@@ -236,15 +236,16 @@ void Node::prewarm_pair_keys() {
   }
 }
 
-util::ByteSpan Node::pair_key(std::uint32_t peer_id) {
+const crypto::PortBoxKey& Node::pair_key(std::uint32_t peer_id) {
   auto it = pair_keys_.find(peer_id);
   if (it == pair_keys_.end()) {
-    it = pair_keys_
-             .emplace(peer_id,
-                      identity_.derive_pair_key(dir()[peer_id].dh_pub))
-             .first;
+    const util::Bytes derived =
+        identity_.derive_pair_key(dir()[peer_id].dh_pub);
+    crypto::PortBoxKey key;
+    std::copy_n(derived.begin(), key.size(), key.begin());
+    it = pair_keys_.emplace(peer_id, key).first;
   }
-  return util::ByteSpan(it->second);
+  return it->second;
 }
 
 std::size_t Node::channel_budget(Channel c) const {
@@ -523,10 +524,9 @@ void Node::parse_into(Channel channel, const net::Datagram& dgram,
     }
   }
   if (f.channel != Channel::kPullData && f.channel != Channel::kPushData) {
-    // 32-byte copy: pair_key() hands out a span into a cache another
-    // stage-A cert admission could invalidate before verify() runs.
-    auto key = pair_key(f.sender);
-    f.box_key.assign(key.begin(), key.end());
+    // 32-byte copy: update_peers() may drop the cached key before verify()
+    // runs.
+    f.box_key = pair_key(f.sender);
   }
   out.push_back(std::move(f));
 }

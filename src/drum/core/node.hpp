@@ -259,7 +259,7 @@ class Node {
 
   const Peer* find_peer(std::uint32_t id) const;
   const Peer* resolve_sender(std::uint32_t id, const util::Bytes& cert);
-  util::ByteSpan pair_key(std::uint32_t peer_id);
+  const crypto::PortBoxKey& pair_key(std::uint32_t peer_id);
   void rotate_random_ports();
   /// Records whether the runtime should watch `bs` and tells the socket
   /// hook when that changes.
@@ -322,7 +322,7 @@ class Node {
   std::unordered_map<int, std::size_t> used_;
   std::size_t shared_control_used_ = 0;
 
-  std::unordered_map<std::uint32_t, util::Bytes> pair_keys_;
+  std::unordered_map<std::uint32_t, crypto::PortBoxKey> pair_keys_;
   util::Bytes own_cert_;
 
   /// Egress staging buffer (queue_send/flush_egress). Member, not a local,

@@ -9,6 +9,7 @@
 // keys.hpp). A fresh random 12-byte nonce is carried alongside each box.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -20,6 +21,8 @@ namespace drum::crypto {
 inline constexpr std::size_t kPortBoxNonceSize = 12;
 inline constexpr std::size_t kPortBoxTagSize = 16;
 inline constexpr std::size_t kPortBoxKeySize = 32;
+/// A pairwise port-box key held by value, without a heap buffer.
+using PortBoxKey = std::array<std::uint8_t, kPortBoxKeySize>;
 
 /// Wire overhead added by seal() on top of the plaintext size.
 inline constexpr std::size_t kPortBoxOverhead =

@@ -17,22 +17,19 @@ constexpr std::uint16_t kEphemeralCount = 16384;
 
 class MemSocket final : public Socket {
  public:
-  MemSocket(MemNetwork& net, Address local) : net_(net), local_(local) {}
+  MemSocket(MemNetwork& net, Address local, MemNetwork::Queue& queue)
+      : net_(net), local_(local), queue_(queue) {}
   ~MemSocket() override { net_.unbind_queue(local_); }
 
   std::optional<Datagram> recv() override {
-    check::SharedLock map(net_.map_mu_);
-    auto it = net_.queues_.find(local_);
-    if (it == net_.queues_.end()) return std::nullopt;
-    MemNetwork::Queue& dst = it->second;
-    check::MutexLock lock(dst.mu);
-    if (dst.q.empty()) return std::nullopt;
-    auto first = dst.q.begin();
+    check::MutexLock lock(queue_.mu);
+    if (queue_.q.empty()) return std::nullopt;
+    auto first = queue_.q.begin();
     if (first->first > net_.now_us_.load(std::memory_order_relaxed)) {
       return std::nullopt;  // still in flight
     }
     Datagram d = std::move(first->second);
-    dst.q.erase(first);
+    queue_.q.erase(first);
     return d;
   }
 
@@ -41,12 +38,8 @@ class MemSocket final : public Socket {
   // must already be deliverable (ready_at <= now), exactly as if recv() had
   // been called `max` times; in-flight datagrams stay queued.
   std::size_t recv_batch(Datagram* out, std::size_t max) override {
-    check::SharedLock map(net_.map_mu_);
-    auto it = net_.queues_.find(local_);
-    if (it == net_.queues_.end()) return 0;
-    MemNetwork::Queue& dst = it->second;
-    check::MutexLock lock(dst.mu);
-    auto& q = dst.q;
+    check::MutexLock lock(queue_.mu);
+    auto& q = queue_.q;
     const std::int64_t now = net_.now_us_.load(std::memory_order_relaxed);
     std::size_t n = 0;
     while (n < max && !q.empty()) {
@@ -70,12 +63,8 @@ class MemSocket final : public Socket {
 
   // Erases the deliverable prefix in one lock; in-flight datagrams stay.
   std::size_t discard() override {
-    check::SharedLock map(net_.map_mu_);
-    auto it = net_.queues_.find(local_);
-    if (it == net_.queues_.end()) return 0;
-    MemNetwork::Queue& dst = it->second;
-    check::MutexLock lock(dst.mu);
-    auto& q = dst.q;
+    check::MutexLock lock(queue_.mu);
+    auto& q = queue_.q;
     const auto due =
         q.upper_bound(net_.now_us_.load(std::memory_order_relaxed));
     const auto n = static_cast<std::size_t>(std::distance(q.begin(), due));
@@ -94,12 +83,14 @@ class MemSocket final : public Socket {
   [[nodiscard]] Address local() const override { return local_; }
 
   void set_ready_callback(std::function<void()> cb) override {
-    net_.set_queue_ready_callback(local_, std::move(cb));
+    check::MutexLock lock(queue_.mu);
+    queue_.on_ready = std::move(cb);
   }
 
  private:
   MemNetwork& net_;
   Address local_;
+  MemNetwork::Queue& queue_;  // lives until ~MemSocket unbinds it
 };
 
 class MemTransport final : public Transport {
@@ -107,14 +98,16 @@ class MemTransport final : public Transport {
   MemTransport(MemNetwork& net, std::uint32_t host) : net_(net), host_(host) {}
 
   BindResult bind(std::uint16_t port) override {
-    Address addr{host_, port};
     if (port == 0) {
-      addr.port = net_.pick_ephemeral(host_);
-      if (addr.port == 0) return BindError::kPortsExhausted;
-      return std::make_unique<MemSocket>(net_, addr);
+      const auto [ephemeral, queue] = net_.bind_ephemeral(host_);
+      if (!queue) return BindError::kPortsExhausted;
+      return std::make_unique<MemSocket>(net_, Address{host_, ephemeral},
+                                         *queue);
     }
-    if (!net_.bind_queue(addr)) return BindError::kPortTaken;
-    return std::make_unique<MemSocket>(net_, addr);
+    const Address addr{host_, port};
+    MemNetwork::Queue* queue = net_.bind_queue(addr);
+    if (!queue) return BindError::kPortTaken;
+    return std::make_unique<MemSocket>(net_, addr, *queue);
   }
 
   [[nodiscard]] std::uint32_t host() const override { return host_; }
@@ -282,11 +275,12 @@ void MemNetwork::advance_to(std::int64_t now_us) {
   }
 }
 
-bool MemNetwork::bind_queue(const Address& at) {
+MemNetwork::Queue* MemNetwork::bind_queue(const Address& at) {
   check::SharedMutexLock lock(map_mu_);
   auto [it, inserted] = queues_.try_emplace(at);
-  if (inserted) seed_queue(it->second, opts_.seed, at);
-  return inserted;
+  if (!inserted) return nullptr;
+  seed_queue(it->second, opts_.seed, at);
+  return &it->second;
 }
 
 void MemNetwork::unbind_queue(const Address& at) {
@@ -294,16 +288,8 @@ void MemNetwork::unbind_queue(const Address& at) {
   queues_.erase(at);
 }
 
-void MemNetwork::set_queue_ready_callback(const Address& at,
-                                          std::function<void()> cb) {
-  check::SharedLock map(map_mu_);
-  auto it = queues_.find(at);
-  if (it == queues_.end()) return;
-  check::MutexLock lock(it->second.mu);
-  it->second.on_ready = std::move(cb);
-}
-
-std::uint16_t MemNetwork::pick_ephemeral(std::uint32_t host) {
+std::pair<std::uint16_t, MemNetwork::Queue*> MemNetwork::bind_ephemeral(
+    std::uint32_t host) {
   check::SharedMutexLock lock(map_mu_);
   for (int attempt = 0; attempt < 64; ++attempt) {
     auto port = static_cast<std::uint16_t>(kEphemeralBase +
@@ -312,10 +298,10 @@ std::uint16_t MemNetwork::pick_ephemeral(std::uint32_t host) {
     auto [it, inserted] = queues_.try_emplace(addr);
     if (inserted) {
       seed_queue(it->second, opts_.seed, addr);
-      return port;
+      return {port, &it->second};
     }
   }
-  return 0;
+  return {0, nullptr};
 }
 
 }  // namespace drum::net

@@ -11,10 +11,13 @@
 //
 // Locking is striped so concurrent shards do not serialize on one network
 // mutex: a SharedMutex guards the queue *map* (binds and unbinds take it
-// exclusive; every send/recv takes it shared), and each Queue carries its own
-// mutex for the actual enqueue/pop. Two nodes on different shards exchanging
-// datagrams therefore contend only when they touch the same destination
-// queue — the same contention the real kernel has on a socket buffer. Loss
+// exclusive; every send takes it shared to find its destination), and each
+// Queue carries its own mutex for the actual enqueue/pop. A socket keeps a
+// reference to its own Queue — std::map nodes are stable, and the socket's
+// destructor is the only unbind — so receiving takes only the queue's
+// mutex. Two nodes on different shards exchanging datagrams therefore
+// contend only when they touch the same destination queue — the same
+// contention the real kernel has on a socket buffer. Loss
 // and latency-jitter draws come from a per-queue RNG seeded from
 // (opts.seed, destination address), so a run's drop pattern per destination
 // is deterministic regardless of how sender threads interleave. Virtual time
@@ -30,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "drum/check/annotations.hpp"
 #include "drum/net/transport.hpp"
@@ -123,14 +127,17 @@ class MemNetwork {
   void drop_no_listener();
   /// Seeds a freshly inserted queue's RNG from the network seed + address.
   static void seed_queue(Queue& dst, std::uint64_t seed, const Address& at);
-  bool bind_queue(const Address& at);
+  /// Creates the queue for `at`; null when the address is taken.
+  Queue* bind_queue(const Address& at);
+  /// Creates the queue of a free ephemeral port on `host`: the port and its
+  /// queue, or {0, nullptr} when none was found.
+  std::pair<std::uint16_t, Queue*> bind_ephemeral(std::uint32_t host);
   void unbind_queue(const Address& at);
-  void set_queue_ready_callback(const Address& at, std::function<void()> cb);
-  std::uint16_t pick_ephemeral(std::uint32_t host);
 
   /// Map structure lock: exclusive for bind/unbind/ephemeral picks, shared
-  /// for every datagram path. std::map nodes are stable, so holding it
-  /// shared pins a Queue in place while its own mutex does the real work.
+  /// for every send. std::map nodes are stable, so holding it shared pins a
+  /// Queue in place while its own mutex does the real work; a socket's own
+  /// queue stays pinned until the socket unbinds it.
   mutable check::SharedMutex map_mu_;
   Options opts_;  ///< immutable after construction
   util::Rng bind_rng_ DRUM_GUARDED_BY(map_mu_);  ///< ephemeral-port picks

@@ -3,6 +3,10 @@
 // missing-selection), and node configuration invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "drum/core/buffer.hpp"
 #include "drum/core/config.hpp"
 #include "drum/core/message.hpp"
@@ -239,6 +243,88 @@ TEST(Buffer, SelectMissingRespectsCapAndIsRandom) {
   };
   // With 50-choose-5 possibilities, two identical picks mean broken RNG.
   EXPECT_NE(key(a), key(b));
+}
+
+// Inserts at rounds 0, 2 and 5 expire exactly buffer_rounds and seen_rounds
+// after their own insertion, whatever else is buffered.
+TEST(Buffer, EntriesExpireExactlyAtTheirOwnDeadlines) {
+  constexpr std::uint64_t kBuffer = 3, kSeen = 7;
+  MessageBuffer buf(kBuffer, kSeen);
+  const std::uint64_t inserted_at[] = {0, 2, 5};
+  std::uint64_t round = 0;
+  for (std::uint64_t r = 0; r <= 13; ++r) {
+    if (r > 0) buf.on_round(r);
+    round = r;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      if (inserted_at[i] == r) {
+        ASSERT_TRUE(buf.insert(make_msg(1, i), r));
+        ASSERT_TRUE(buf.insert(make_msg(2, i), r));
+      }
+    }
+    std::size_t want_buffered = 0;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const std::uint64_t at = inserted_at[i];
+      const bool buffered = at <= round && round < at + kBuffer;
+      const bool seen = at <= round && round < at + kSeen;
+      want_buffered += buffered ? 2 : 0;
+      EXPECT_EQ(buf.seen({1, i}), seen) << "round " << r << " id " << i;
+      EXPECT_EQ(buf.seen({2, i}), seen) << "round " << r << " id " << i;
+    }
+    EXPECT_EQ(buf.size(), want_buffered) << "round " << r;
+    EXPECT_EQ(buf.digest().size(), want_buffered) << "round " << r;
+    buf.check_invariants(round);
+  }
+}
+
+TEST(Buffer, RoundCounterCountsTicksSinceInsertion) {
+  MessageBuffer buf(10, 20);
+  auto early = make_msg(1, 1);
+  early.round_counter = 4;
+  buf.insert(std::move(early), 0);
+  buf.on_round(1);
+  buf.on_round(2);
+  buf.insert(make_msg(1, 2), 2);  // round_counter 1
+  util::Rng rng(5);
+  auto counters = [&] {
+    std::map<std::uint64_t, std::uint32_t> out;
+    for (const auto* m : buf.select_missing({}, 10, rng)) {
+      out[m->id.seqno] = m->round_counter;
+    }
+    return out;
+  };
+  EXPECT_EQ(counters(), (std::map<std::uint64_t, std::uint32_t>{{1, 6}, {2, 1}}));
+  // Selecting again without a tick does not age anything twice.
+  EXPECT_EQ(counters(), (std::map<std::uint64_t, std::uint32_t>{{1, 6}, {2, 1}}));
+  for (std::uint64_t r = 3; r <= 5; ++r) buf.on_round(r);
+  EXPECT_EQ(counters(), (std::map<std::uint64_t, std::uint32_t>{{1, 9}, {2, 4}}));
+}
+
+// With a cap above the buffer size, select_missing returns exactly the
+// buffered ids minus the peer's digest — ids the peer lists that are only
+// seen, or unknown here, change nothing.
+TEST(Buffer, SelectMissingWithLargeCapIsBufferedMinusDigest) {
+  MessageBuffer buf(4, 8);
+  for (std::uint64_t r = 0; r < 6; ++r) {
+    if (r > 0) buf.on_round(r);
+    for (std::uint64_t i = 0; i < 5; ++i) buf.insert(make_msg(1, 10 * r + i), r);
+  }
+  const Digest buffered = buf.digest();
+  ASSERT_EQ(buffered.size(), 20u);  // rounds 2..5
+  // Oldest first.
+  EXPECT_TRUE(std::is_sorted(buffered.begin(), buffered.end()));
+  Digest peer = {{1, 0}, {1, 11}, {9, 9}};  // seen only, seen only, unknown
+  std::set<MessageId> want(buffered.begin(), buffered.end());
+  util::Rng rng(6);
+  for (std::size_t i = 0; i < buffered.size(); i += 3) {
+    peer.push_back(buffered[i]);
+    want.erase(buffered[i]);
+  }
+  const auto got = buf.select_missing(peer, 1000, rng);
+  std::set<MessageId> got_ids;
+  for (const auto* m : got) got_ids.insert(m->id);
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got_ids, want);
+  EXPECT_TRUE(buf.select_missing(buffered, 1000, rng).empty());
 }
 
 // ------------------------------------------------------------- config

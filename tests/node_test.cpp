@@ -458,6 +458,51 @@ TEST(Node, ForgedDataSignatureRejected) {
   EXPECT_EQ(q.node->registry().counter_value("node.delivered"), 0u);
 }
 
+// Byte-identical copies of a message inside one node's ingress section
+// share one signature check and its verdict: five valid copies in one frame
+// cost one check and deliver once, five forged copies cost one check and
+// still count five forgeries. Sections of different nodes never share.
+TEST(Node, IdenticalCopiesShareOneSignatureCheckPerNode) {
+  // Five copies of message (1, seqno) in one pull reply to node 0's pinned
+  // data port.
+  auto send_copies = [](Solo& w, std::uint64_t seqno, bool valid) {
+    DataMessage msg;
+    msg.id = {1, seqno};
+    msg.round_counter = 1;
+    msg.payload = {7, 7, 7};
+    if (valid) {
+      msg.signature = w.ids[1].sign(util::ByteSpan(msg.signed_bytes()));
+    }  // else: zeroed signature, invalid
+    const PullReply reply{1, std::vector<DataMessage>(5, msg)};
+    w.net.send_raw(net::Address{1, 9}, net::Address{0, 3002},
+                   util::ByteSpan(encode(reply)));
+  };
+  Solo w(Variant::kDrumWkPorts);
+  for (const bool valid : {true, false}) {
+    send_copies(w, valid ? 0 : 1, valid);
+    ingress::IngressBatch batch;
+    w.node->drain_ingress(batch);
+    EXPECT_EQ(batch.verify(), 1u) << (valid ? "valid" : "forged");
+    for (auto& sec : batch.sections()) {
+      sec.node->ingest(std::span<ingress::VerifiedFrame>(sec.frames));
+    }
+  }
+  const auto& reg = w.node->registry();
+  EXPECT_EQ(reg.counter_value("node.delivered"), 1u);
+  EXPECT_EQ(reg.counter_value("node.duplicates"), 4u);
+  EXPECT_EQ(reg.counter_value("node.sig_failures"), 5u);
+
+  // The same message drained by two nodes into one batch: one check each.
+  Solo c(Variant::kDrumWkPorts);
+  Solo d(Variant::kDrumWkPorts);
+  ingress::IngressBatch shared;
+  for (Solo* n : {&c, &d}) {
+    send_copies(*n, 0, true);
+    n->node->drain_ingress(shared);
+  }
+  EXPECT_EQ(shared.verify(), 2u);
+}
+
 // Two identical single-node worlds fed the same forged/valid data frames:
 // one drains a whole round's backlog in one ingress batch (a single poll),
 // the other polls after every datagram so each batch holds one frame. Blame
