@@ -8,10 +8,13 @@
 #           bounds, aliasing, UB. Build dir: build-asan/.
 #   tsan  — ThreadSanitizer: races on the ReactorRuntime / EventLoop /
 #           MemNetwork / contract-layer paths (tests/stress_test.cpp
-#           hammers them, including the reactor's shard threads, SPSC
-#           handoffs and foreign-thread readiness in the Stress.Reactor*
-#           tests; tests/reactor_test.cpp restarts one runtime while
-#           another delivers into it). Build dir: build-tsan/.
+#           hammers them, including the reactor's shard threads and
+#           cross-shard and foreign-thread readiness through the loop's
+#           bridge in the Stress.Reactor* tests; tests/reactor_test.cpp
+#           restarts one runtime while another delivers into it). After
+#           the full suite it reruns the wake-sensitive tests 5 times:
+#           a lost wakeup under the loop's parked rule would show there.
+#           Build dir: build-tsan/.
 #   ubsan — UBSan alone, non-recoverable (-fno-sanitize-recover=all): any
 #           finding aborts the test instead of printing and continuing.
 #           Catches what the asan leg tolerates, and clang adds the
@@ -35,6 +38,11 @@ run_mode() {
     -DDRUM_SANITIZE="$sanitize"
   cmake --build "$build_dir" -j "$JOBS"
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
+  if [[ "$sanitize" == thread ]]; then
+    ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" \
+      --repeat until-fail:5 \
+      -R '^(EventLoop\.|Stress\.ParkedLoopWakesForEveryForeignNotify$|Stress\.ReactorShardedFloodAndChurn$)'
+  fi
   echo "check.sh: all tests passed under ${mode}"
 }
 

@@ -45,9 +45,7 @@ stripping comments and string literals (line numbers are preserved):
                    Transport implementations (src/drum/net/) and the
                    low-rate membership control plane are out of scope.
   shard-affinity   No mutex acquisition — check:: wrappers included — in
-                   shard-confined hot paths: the whole of
-                   src/drum/util/spsc_ring.hpp (the SPSC ring IS the
-                   lock-free alternative), plus any region bracketed by
+                   shard-confined hot paths: any region bracketed by
                    `// drum-lint: shard-local` ... `// drum-lint:
                    shard-local end` (the sharded reactor's per-shard
                    dispatch/drain paths, DESIGN.md §13). A lock inside one
@@ -387,8 +385,6 @@ def check_single_recv(files, findings) -> None:
 
 # --- shard-affinity --------------------------------------------------------
 
-# Files that are shard-local in their entirety.
-SHARD_LOCAL_FILES = {"src/drum/util/spsc_ring.hpp"}
 SHARD_LOCAL_MARK_RE = re.compile(r"//\s*drum-lint:\s*shard-local(\s+end)?\b")
 # Anything that acquires (or is) a mutex: the drum::check capability
 # wrappers, the raw std types (redundant with raw-mutex, but this check
@@ -418,15 +414,12 @@ def shard_local_lines(raw: str) -> set[int]:
 
 def check_shard_affinity(files, findings) -> None:
     for f in files:
-        ok = f.allowed("shard-affinity")
-        whole_file = f.rel in SHARD_LOCAL_FILES
-        region = set() if whole_file else shard_local_lines(f.raw)
-        if not whole_file and not region:
+        region = shard_local_lines(f.raw)
+        if not region:
             continue
+        ok = f.allowed("shard-affinity")
         for lineno, line in enumerate(f.code.splitlines(), 1):
-            if lineno in ok:
-                continue
-            if not whole_file and lineno not in region:
+            if lineno in ok or lineno not in region:
                 continue
             if SHARD_LOCK_RE.search(line):
                 findings.append(
@@ -623,13 +616,6 @@ CHECKS = [
           "// drum-lint: allow(single-recv)\n"}, 0),
     ]),
     ("shard-affinity", check_shard_affinity, [
-        # the ring header is shard-local in its entirety
-        ({"src/drum/util/spsc_ring.hpp":
-          "void f(check::Mutex& m) { check::MutexLock l(m); }\n"}, 1),
-        ({"src/drum/util/spsc_ring.hpp":
-          "void f() { std::lock_guard<std::mutex> l(mu_); }\n"}, 1),
-        ({"src/drum/util/spsc_ring.hpp":
-          "void f(std::atomic<int>& a) { a.store(1); }\n"}, 0),
         # marked region in any file: lock inside flagged, outside clean
         ({"src/drum/runtime/r.cpp":
           "void f(check::Mutex& m) {\n"
@@ -647,9 +633,11 @@ CHECKS = [
         ({"src/drum/runtime/r.cpp":
           "void f(check::Mutex& m) { check::MutexLock l(m); }\n"}, 0),
         # suppression syntax
-        ({"src/drum/util/spsc_ring.hpp":
-          "void f(check::Mutex& m) { check::MutexLock l(m); }  "
-          "// drum-lint: allow(shard-affinity)\n"}, 0),
+        ({"src/drum/runtime/r.cpp":
+          "void f(check::Mutex& m) {\n"
+          "  // drum-lint: shard-local\n"
+          "  check::MutexLock l(m);  // drum-lint: allow(shard-affinity)\n"
+          "  // drum-lint: shard-local end\n}\n"}, 0),
     ]),
     ("sim-determinism", check_sim_determinism, [
         # ungated, unannotated draw on the main stream: finding

@@ -18,6 +18,12 @@ namespace {
 constexpr const char* kChannelNames[5] = {"offer", "pull_req", "push_reply",
                                           "pull_data", "push_data"};
 
+// The control channels, which kDrumSharedBounds budgets jointly.
+constexpr bool is_control(Channel c) {
+  return c == Channel::kOffer || c == Channel::kPullReq ||
+         c == Channel::kPushReply;
+}
+
 // Flips a re-entrancy flag for a scope; exception-safe so a throwing
 // delivery callback cannot leave the node looking permanently "in poll".
 struct ReentryGuard {
@@ -259,36 +265,22 @@ std::size_t Node::channel_budget(Channel c) const {
   return 0;
 }
 
-bool Node::budget_available(Channel c) const {
-  return budget_remaining(c) > 0;
-}
-
 std::size_t Node::budget_remaining(Channel c) const {
-  const bool control = c == Channel::kOffer || c == Channel::kPullReq ||
-                       c == Channel::kPushReply;
-  if (cfg_.variant == Variant::kDrumSharedBounds && control) {
+  if (cfg_.variant == Variant::kDrumSharedBounds && is_control(c)) {
     const std::size_t budget = cfg_.shared_control_budget();
     return shared_control_used_ < budget ? budget - shared_control_used_ : 0;
   }
-  auto it = used_.find(static_cast<int>(c));
-  const std::size_t used = it == used_.end() ? 0 : it->second;
+  const std::size_t used = used_[static_cast<std::size_t>(c)];
   const std::size_t budget = channel_budget(c);
   return used < budget ? budget - used : 0;
 }
 
 void Node::consume_budget(Channel c) {
-  const bool control = c == Channel::kOffer || c == Channel::kPullReq ||
-                       c == Channel::kPushReply;
-  if (cfg_.variant == Variant::kDrumSharedBounds && control) {
+  if (cfg_.variant == Variant::kDrumSharedBounds && is_control(c)) {
     ++shared_control_used_;
   } else {
-    ++used_[static_cast<int>(c)];
+    ++used_[static_cast<std::size_t>(c)];
   }
-}
-
-std::size_t Node::budget_used(Channel c) const {
-  auto it = used_.find(static_cast<int>(c));
-  return it == used_.end() ? 0 : it->second;
 }
 
 // Called at the end of each round, before the per-round usage counters
@@ -308,15 +300,12 @@ void Node::record_round_budgets() {
   }
   for (int i = 0; i < 5; ++i) {
     const auto c = static_cast<Channel>(i);
-    const bool control = c == Channel::kOffer || c == Channel::kPullReq ||
-                         c == Channel::kPushReply;
-    if (shared && control) continue;  // accounted jointly above
+    if (shared && is_control(c)) continue;  // accounted jointly above
     const std::size_t budget = channel_budget(c);
-    const std::size_t spent = budget_used(c);
-    DRUM_INVARIANT(spent <= budget, "channel ", kChannelNames[i],
-                   " budget over-spent: ", spent, "/", budget);
+    const std::size_t used = used_[static_cast<std::size_t>(i)];
+    DRUM_INVARIANT(used <= budget, "channel ", kChannelNames[i],
+                   " budget over-spent: ", used, "/", budget);
     if (budget == 0) continue;  // channel disabled in this variant
-    const std::size_t used = spent;
     chan_[i].budget_used->record(used);
     if (used >= budget) {
       chan_[i].budget_exhausted->inc();
@@ -390,7 +379,7 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
             continue;
           }
         }
-        const bool in_budget = budget_available(bs.channel);
+        const bool in_budget = budget_remaining(bs.channel) > 0;
         auto disposition = ingress::Disposition::kProcess;
         if (!in_budget) {
           // Budget exhausted (scored channels only — the window above is
@@ -855,7 +844,7 @@ void Node::on_round() {
       }
     }
   }
-  used_.clear();
+  used_.fill(0);
   shared_control_used_ = 0;
 
   if (cfg_.scoring.enabled) {
@@ -885,12 +874,10 @@ void Node::check_invariants() const {
   // never see traffic (no socket is bound for them).
   for (int i = 0; i < 5; ++i) {
     const auto c = static_cast<Channel>(i);
-    const bool control = c == Channel::kOffer || c == Channel::kPullReq ||
-                         c == Channel::kPushReply;
-    if (cfg_.variant == Variant::kDrumSharedBounds && control) continue;
-    DRUM_INVARIANT(budget_used(c) <= channel_budget(c), "channel ",
-                   kChannelNames[i], " over budget: ", budget_used(c), "/",
-                   channel_budget(c));
+    if (cfg_.variant == Variant::kDrumSharedBounds && is_control(c)) continue;
+    const std::size_t used = used_[static_cast<std::size_t>(i)];
+    DRUM_INVARIANT(used <= channel_budget(c), "channel ", kChannelNames[i],
+                   " over budget: ", used, "/", channel_budget(c));
   }
   DRUM_INVARIANT(shared_control_used_ <= cfg_.shared_control_budget(),
                  "joint control budget over-spent");

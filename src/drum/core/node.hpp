@@ -29,6 +29,7 @@
 // attackable one (§9).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -243,13 +244,11 @@ class Node {
   void apply_push_reply(const ingress::VerifiedFrame& f);
   void apply_data(ingress::VerifiedFrame& f);
 
-  bool budget_available(Channel c) const;
   /// How many more datagrams this channel may read this round — the
   /// admissible recv_batch window for stage A.
   std::size_t budget_remaining(Channel c) const;
   void consume_budget(Channel c);
   std::size_t channel_budget(Channel c) const;
-  std::size_t budget_used(Channel c) const;
 
   void init_metrics();
   void record_round_budgets();
@@ -318,8 +317,10 @@ class Node {
   std::uint16_t cur_push_reply_port_ = 0;
   std::uint16_t cur_push_data_port_ = 0;
 
-  // Per-round budget usage.
-  std::unordered_map<int, std::size_t> used_;
+  // Per-round budget usage, indexed by Channel; zeroed by on_round(). Under
+  // kDrumSharedBounds the control channels spend shared_control_used_
+  // instead.
+  std::array<std::size_t, 5> used_{};
   std::size_t shared_control_used_ = 0;
 
   std::unordered_map<std::uint32_t, crypto::PortBoxKey> pair_keys_;

@@ -4,8 +4,8 @@
 // same protocol nodes against the wall clock to measure the *runtime* itself:
 // how many nodes one process sustains, at what CPU cost, and with what
 // delivery latency — the ReactorRuntime's reason to exist. One
-// ReactorRuntime hosts every node on `shards` event-loop threads with SPSC
-// cross-shard handoff (DESIGN.md §8, §13).
+// ReactorRuntime hosts every node on `shards` event-loop threads; each
+// node's sockets wait on its home shard's loop (DESIGN.md §8, §13).
 //
 // An adversary thread drives one strategy from the drum::adversary registry
 // — the same registry the Monte-Carlo simulator uses — against the attacked

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "drum/check/check.hpp"
 #include "drum/util/log.hpp"
@@ -56,15 +57,13 @@ EventLoop::~EventLoop() {
 void EventLoop::set_registry(obs::MetricsRegistry* registry) {
   registry_ = registry;
   if (!registry) {
-    m_wakeups_ = m_fd_events_ = m_mem_ready_ = m_posts_ = m_timers_fired_ =
-        nullptr;
+    m_wakeups_ = m_fd_events_ = m_mem_ready_ = m_timers_fired_ = nullptr;
     m_timer_slop_us_ = nullptr;
     return;
   }
   m_wakeups_ = &registry->counter("loop.wakeups");
   m_fd_events_ = &registry->counter("loop.fd_events");
   m_mem_ready_ = &registry->counter("loop.mem_ready");
-  m_posts_ = &registry->counter("loop.posts");
   m_timers_fired_ = &registry->counter("loop.timers_fired");
   m_timer_slop_us_ = &registry->histogram("loop.timer_slop_us");
 }
@@ -84,14 +83,14 @@ EventLoop::SourceId EventLoop::add_socket(Socket& sock, Callback on_ready) {
   DRUM_REQUIRE(on_ready != nullptr, "add_socket requires a callback");
   const bool has_fd = sock.native_handle() >= 0;
   SourceId id = 0;
+  bool wake_now = false;
   {
     check::MutexLock lock(mu_);
     id = next_id_++;
-    Source src;
+    Source& src = sources_[id];
     src.sock = &sock;
     src.fd = sock.native_handle();
     src.on_ready = std::move(on_ready);
-    sources_.emplace(id, std::move(src));
     if (has_fd) {
       epoll_event ev{};
       // Edge-triggered: each datagram arrival re-arms the event (UDP's
@@ -108,15 +107,13 @@ EventLoop::SourceId EventLoop::add_socket(Socket& sock, Callback on_ready) {
       }
       // The fd may already hold datagrams that arrived before registration;
       // ET would never report them. Queue one initial dispatch.
-      sources_[id].ready_pending = true;
-      mem_ready_.push_back(id);
+      wake_now = queue_ready(src, id);
     }
   }
-  if (has_fd) {
-    wake();
-  } else {
-    // The bridge: flag + eventfd from whatever thread delivers. Installed
-    // outside mu_ — set_ready_callback takes the transport's own lock.
+  if (wake_now) wake();
+  if (!has_fd) {
+    // The bridge: queued from whatever thread delivers. Installed outside
+    // mu_ — set_ready_callback takes the transport's own lock.
     sock.set_ready_callback([this, id] { notify_source(id); });
     // Same catch-up for datagrams delivered before the bridge attached.
     notify_source(id);
@@ -142,14 +139,23 @@ void EventLoop::remove_socket(SourceId id) {
 }
 
 void EventLoop::notify_source(SourceId id) {
+  bool wake_now = false;
   {
     check::MutexLock lock(mu_);
     auto it = sources_.find(id);
-    if (it == sources_.end() || it->second.ready_pending) return;
-    it->second.ready_pending = true;
-    mem_ready_.push_back(id);
+    if (it == sources_.end()) return;
+    wake_now = queue_ready(it->second, id);
   }
-  wake();
+  if (wake_now) wake();
+}
+
+bool EventLoop::queue_ready(Source& src, SourceId id) {
+  if (src.ready_pending) return false;
+  src.ready_pending = true;
+  mem_ready_.push_back(id);
+  // A running loop polls while mem_ready_ is non-empty; only a parked one
+  // needs the eventfd, and only the first notifier writes it.
+  return std::exchange(parked_, false);
 }
 
 void EventLoop::arm_timerfd() {
@@ -189,15 +195,6 @@ void EventLoop::cancel_timer(TimerId id) {
   arm_timerfd();
 }
 
-void EventLoop::post(Callback fn) {
-  DRUM_REQUIRE(fn != nullptr, "post requires a callback");
-  {
-    check::MutexLock lock(mu_);
-    posts_.push_back(std::move(fn));
-  }
-  wake();
-}
-
 void EventLoop::stop() {
   stop_requested_.store(true);
   wake();
@@ -213,11 +210,19 @@ void EventLoop::run() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   std::vector<Callback> ready_cbs;   // drained per iteration, reused
-  std::vector<Callback> post_cbs;
   std::vector<Timer> due_timers;
 
   while (!stop_requested_.load()) {
-    int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    int timeout_ms = 0;
+    {
+      check::MutexLock lock(mu_);
+      // Block only with nothing queued. From here until the drain below, a
+      // notifier that queues a source finds parked_ set and writes the
+      // eventfd; one that came first left mem_ready_ non-empty, so we poll.
+      parked_ = mem_ready_.empty();
+      if (parked_) timeout_ms = -1;
+    }
+    int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       DRUM_DEBUG << "EventLoop: epoll_wait failed: " << std::strerror(errno);
@@ -229,6 +234,7 @@ void EventLoop::run() {
     ready_cbs.clear();
     {
       check::MutexLock lock(mu_);
+      parked_ = false;
       for (int i = 0; i < n; ++i) {
         const std::uint64_t tag = events[i].data.u64;
         if (tag == kWakeSentinel) {
@@ -257,15 +263,9 @@ void EventLoop::run() {
         if (m_mem_ready_) m_mem_ready_->inc();
       }
       mem_ready_.clear();
-      post_cbs.swap(posts_);
     }
 
     for (auto& cb : ready_cbs) cb();
-    for (auto& cb : post_cbs) {
-      if (m_posts_) m_posts_->inc();
-      cb();
-    }
-    post_cbs.clear();
 
     // Fire every timer whose deadline has passed — even if the timerfd did
     // not tick this iteration (a long callback above may have run us past
@@ -295,7 +295,7 @@ void EventLoop::run() {
     }
 
     // End-of-iteration hook: everything the cycle produced (ready sockets,
-    // posts, due timers) has been dispatched; the owner can now run its
+    // due timers) has been dispatched; the owner can now run its
     // batched per-cycle work (the sharded reactor's drain-verify-ingest
     // pass) exactly once per wakeup.
     if (cycle_cb_) cycle_cb_();

@@ -6,26 +6,33 @@
 //    arriving datagram re-arms the event, so backlog a node leaves unread
 //    does not spin the loop (a socket whose budget is spent for the round
 //    is removed outright until the round tick, DESIGN.md §8);
-//  * fd-less sockets (MemSocket): a wakeup bridge — the socket's
-//    set_ready_callback() flags the source and signals the loop's eventfd
-//    from the sender's thread;
+//  * fd-less sockets (MemSocket): a readiness bridge — the socket's
+//    set_ready_callback() queues the source on the loop from the sender's
+//    thread;
 //  * timers: a deadline-ordered queue backed by one timerfd armed to the
 //    earliest deadline (absolute CLOCK_MONOTONIC, so no drift accumulates).
 //
+// Wake rule: the loop blocks in epoll_wait only with nothing queued, and
+// marks itself parked under mu_ first. Whoever queues a source (the bridge,
+// or add_socket's catch-up) writes the eventfd only when it finds the loop
+// parked, and clears the mark; a loop that is running finds the queue on its
+// next iteration and polls instead of blocking. So one wakeup costs one
+// eventfd write, however many senders raced to deliver it.
+//
 // Threading contract: run() executes on exactly one thread and all event
 // callbacks are invoked there, serially. Registration (add_socket /
-// add_timer / cancel_timer / post / stop) is thread-safe and may be called
-// from callbacks. Callbacks are invoked with no loop lock held; a callback
-// may fire once after its source was removed (the event was already in
-// flight) — callers' callback targets must tolerate that or outlive the
-// loop. The locking discipline is compiler-enforced: mu_ is a
-// check::Mutex capability and every field it protects carries
-// DRUM_GUARDED_BY (see drum/check/annotations.hpp, DESIGN.md §11).
+// remove_socket / add_timer / cancel_timer / stop) is thread-safe and may be
+// called from callbacks. Callbacks are invoked with no loop lock held; a
+// callback may fire once after its source was removed (the event was already
+// in flight) — callers' callback targets must tolerate that or outlive the
+// loop. The locking discipline is compiler-enforced: mu_ is a check::Mutex
+// capability and every field it protects carries DRUM_GUARDED_BY (see
+// drum/check/annotations.hpp, DESIGN.md §11).
 //
 // Telemetry (set_registry, written by the loop thread only): "loop.wakeups",
-// "loop.fd_events", "loop.mem_ready", "loop.posts", "loop.timers_fired"
-// counters and the "loop.timer_slop_us" histogram (how late each timer
-// fired vs its deadline).
+// "loop.fd_events", "loop.mem_ready", "loop.timers_fired" counters and the
+// "loop.timer_slop_us" histogram (how late each timer fired vs its
+// deadline).
 #pragma once
 
 #include <atomic>
@@ -73,22 +80,12 @@ class EventLoop {
   /// Best-effort: a timer already being dispatched is not recalled.
   void cancel_timer(TimerId id);
 
-  /// Runs `fn` on the loop thread at the next iteration.
-  void post(Callback fn);
-
-  /// Forces the loop through one more iteration (epoll_wait returns even if
-  /// no fd is ready). Thread-safe and async-signal-cheap: one eventfd write.
-  /// The sharded reactor uses this to nudge a peer shard after pushing onto
-  /// its SPSC ring — the data travels through the ring, only the wakeup
-  /// travels through the loop.
-  void wake();
-
   /// Installs a callback the loop thread invokes at the END of every
-  /// iteration, after socket readiness, posts, and timers have all been
-  /// dispatched. Call only while the loop is not running (same rule as
-  /// set_registry); pass nullptr to detach. The sharded reactor drains its
-  /// shard-local ready list and inbound rings here, so per-cycle work is
-  /// batched across everything the iteration produced.
+  /// iteration, after socket readiness and timers have all been dispatched.
+  /// Call only while the loop is not running (same rule as set_registry);
+  /// pass nullptr to detach. The sharded reactor runs its shard's ready list
+  /// here, so per-cycle work is batched across everything the iteration
+  /// produced.
   void set_cycle_callback(Callback fn);
 
   /// Blocks, dispatching events until stop(). Call from exactly one thread.
@@ -113,23 +110,31 @@ class EventLoop {
  private:
   struct Source {
     Socket* sock = nullptr;
-    int fd = -1;                ///< -1: fd-less, uses the wakeup bridge
+    int fd = -1;                ///< -1: fd-less, uses the readiness bridge
     Callback on_ready;
-    bool ready_pending = false; ///< mem bridge: already queued this cycle
+    bool ready_pending = false; ///< already in mem_ready_
   };
 
   void notify_source(SourceId id);  // mem bridge, any thread
+  /// Queues `src` for dispatch on the next iteration. True when the loop is
+  /// parked and so owes one eventfd write, which the caller makes after
+  /// releasing mu_.
+  bool queue_ready(Source& src, SourceId id) DRUM_REQUIRES(mu_);
+  /// One eventfd write: epoll_wait returns even if no fd is ready.
+  void wake();
   void arm_timerfd() DRUM_REQUIRES(mu_);
 
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;   ///< eventfd: posts, stop, mem-socket readiness
+  int wake_fd_ = -1;   ///< eventfd: stop, and readiness queued while parked
   int timer_fd_ = -1;  ///< timerfd armed to the earliest deadline
 
   check::Mutex mu_;
   std::uint64_t next_id_ DRUM_GUARDED_BY(mu_) = 2;  // 0/1 = fd sentinels
   std::unordered_map<SourceId, Source> sources_ DRUM_GUARDED_BY(mu_);
   std::vector<SourceId> mem_ready_ DRUM_GUARDED_BY(mu_);
-  std::vector<Callback> posts_ DRUM_GUARDED_BY(mu_);
+  /// Set just before run() blocks in epoll_wait with mem_ready_ empty;
+  /// cleared by the drain after it returns and by the first queue_ready().
+  bool parked_ DRUM_GUARDED_BY(mu_) = false;
   struct Timer {
     TimerId id;
     Callback fn;
@@ -150,7 +155,6 @@ class EventLoop {
   obs::Counter* m_wakeups_ = nullptr;
   obs::Counter* m_fd_events_ = nullptr;
   obs::Counter* m_mem_ready_ = nullptr;
-  obs::Counter* m_posts_ = nullptr;
   obs::Counter* m_timers_fired_ = nullptr;
   obs::Histogram* m_timer_slop_us_ = nullptr;
 };

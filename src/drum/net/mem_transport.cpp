@@ -221,8 +221,8 @@ bool MemNetwork::admit(Queue& dst, const Address& from,
 void MemNetwork::deliver(const Address& from, const Address& to,
                          util::ByteSpan payload) {
   // The ready callback fires outside every lock: it typically reaches into
-  // a reactor shard (an SPSC ring push, or an EventLoop's own mutex +
-  // eventfd), and holding network locks across foreign code invites
+  // a reactor shard (an EventLoop's own mutex, and its eventfd when the
+  // loop is parked), and holding network locks across foreign code invites
   // lock-order cycles.
   std::function<void()> notify;
   {

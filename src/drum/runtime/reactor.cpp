@@ -1,7 +1,6 @@
 #include "drum/runtime/reactor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "drum/check/check.hpp"
@@ -18,16 +17,6 @@ namespace {
 /// batch ladder, few enough that a flood against one shard still bounds
 /// per-pass latency and batch memory.
 constexpr std::size_t kShardBatch = 64;
-
-/// Which shard's loop thread we are on, if any. dispatch() keys the
-/// same-shard fast path and the ring producer index off this; the owner
-/// check keeps two coexisting runtimes (sharing one MemNetwork) from
-/// misrouting each other's handoffs.
-struct TlsShard {
-  const void* owner = nullptr;
-  std::size_t index = 0;
-};
-thread_local TlsShard tls_shard;
 
 }  // namespace
 
@@ -47,7 +36,6 @@ ReactorRuntime::ReactorRuntime(ReactorConfig cfg) : cfg_(cfg) {
   for (std::size_t s = 0; s < cfg.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     Shard* sh = shards_.back().get();
-    sh->index = s;
     sh->loop.set_cycle_callback([this, sh] { shard_cycle(*sh); });
   }
 }
@@ -89,37 +77,17 @@ void ReactorRuntime::install_hooks(NodeState& st) {
   // or an unknown unwatch is a bookkeeping slip.
   st.node->set_socket_hook([this, stp, sh](net::Socket& sock, bool watch) {
     if (watch) {
-      if (sock.native_handle() >= 0) {
-        // Real fd: epoll on the home shard's loop — readiness fires on the
-        // home thread with no cross-thread structure at all.
-        auto id = sh->loop.add_socket(sock, [this, stp] {
-          stp->ready.store(true);
-          dispatch(*stp);
-        });
-        check::MutexLock lock(sh->sources_mu);
-        [[maybe_unused]] const bool fresh =
-            sh->sources.emplace(&sock, id).second;
-        DRUM_ASSERT(fresh, "socket watched twice");
-      } else {
-        // MemSocket: bypass the loop's mem bridge (whose notify path takes
-        // the consumer loop's mutex from the sender's thread) and route the
-        // readiness edge through dispatch() directly — same-shard sends
-        // stay thread-local, cross-shard sends ride the SPSC ring.
-        {
-          check::MutexLock lock(sh->sources_mu);
-          // 0: no loop registration to undo
-          [[maybe_unused]] const bool fresh =
-              sh->sources.emplace(&sock, 0).second;
-          DRUM_ASSERT(fresh, "socket watched twice");
-        }
-        sock.set_ready_callback([this, stp] {
-          stp->ready.store(true);
-          dispatch(*stp);
-        });
-        // Datagrams may have been delivered before the callback attached.
-        stp->ready.store(true);
+      // Epoll for an fd, the loop's bridge for a MemSocket: either way the
+      // callback runs on the home shard thread, and registration queues a
+      // catch-up dispatch for datagrams that arrived before it.
+      auto id = sh->loop.add_socket(sock, [this, stp] {
+        stp->ready = true;
         dispatch(*stp);
-      }
+      });
+      check::MutexLock lock(sh->sources_mu);
+      [[maybe_unused]] const bool fresh =
+          sh->sources.emplace(&sock, id).second;
+      DRUM_ASSERT(fresh, "socket watched twice");
     } else {
       net::EventLoop::SourceId id = 0;
       {
@@ -130,11 +98,7 @@ void ReactorRuntime::install_hooks(NodeState& st) {
         id = it->second;
         sh->sources.erase(it);
       }
-      if (id != 0) {
-        sh->loop.remove_socket(id);
-      } else {
-        sock.set_ready_callback(nullptr);
-      }
+      sh->loop.remove_socket(id);
     }
   });
 }
@@ -153,7 +117,7 @@ void ReactorRuntime::arm_first_tick(NodeState& st) {
 void ReactorRuntime::on_round_timer(NodeState& st) {
   st.fire_us =
       duration_cast<microseconds>(Clock::now().time_since_epoch()).count();
-  st.round_due.store(true);
+  st.round_due = true;
   dispatch(st);
   // Drift-free re-arm: the next deadline grows from the previous *deadline*,
   // so dispatch slop never accumulates. Only when a stall has pushed us a
@@ -171,46 +135,11 @@ void ReactorRuntime::on_round_timer(NodeState& st) {
 }
 
 void ReactorRuntime::dispatch(NodeState& st) {
-  // `scheduled` only dedups ring/list entries. A notifier that loses this
-  // race is covered: the winner clears `scheduled` before draining the
-  // flags, so any flag set after that drain finds `scheduled` false and
-  // re-enqueues.
-  if (st.scheduled.exchange(true)) return;
-  Shard& home = *shards_[st.shard];
-  if (tls_shard.owner == this) {
-    const std::size_t from = tls_shard.index;
-    if (from == st.shard) {
-      // drum-lint: shard-local
-      // Same shard: the node is drained later this cycle (or next — the
-      // cycle hook self-wakes when it leaves work behind). Pure
-      // thread-local push.
-      home.ready.push_back(&st);
-      return;
-      // drum-lint: shard-local end
-    }
-    Shard& prod = *shards_[from];
-    util::SpscRing<NodeState*>& ring = *home.inbound[from];
-    ring.assume_producer();  // shard `from`'s thread is the sole pusher
-    if (ring.try_push(&st)) {
-      prod.m_handoffs->inc();
-      // Dekker handshake with shard_cycle(): our push must be visible to
-      // the consumer's post-idle ring re-scan OR its idle=true must be
-      // visible to us — the paired seq_cst fences guarantee at least one.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (home.idle.exchange(false, std::memory_order_relaxed)) {
-        home.loop.wake();
-        prod.m_wakes->inc();
-      }
-      return;
-    }
-    prod.m_ring_full->inc();
-    // Fall through: the ring is transiently overfull — the loop's post queue
-    // is the unbounded safety valve.
-  }
-  // External threads (harness, attacker, with_node-triggered rotations,
-  // another runtime's shards) and ring-full fallbacks go through the home
-  // loop's post queue.
-  home.loop.post([this, &st] { shards_[st.shard]->ready.push_back(&st); });
+  // drum-lint: shard-local
+  if (st.scheduled) return;
+  st.scheduled = true;
+  shards_[st.shard]->ready.push_back(&st);
+  // drum-lint: shard-local end
 }
 
 void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
@@ -222,16 +151,17 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
   // (budget-charged, greylist-peeked, decoded) into the shared batch.
   for (NodeState* stp : sts) {
     NodeState& st = *stp;
-    st.scheduled.store(false);
+    st.scheduled = false;
     check::MutexLock lock(st.mu);
-    if (st.round_due.exchange(false)) {
+    if (st.round_due) {
+      st.round_due = false;
       // Round ticks stay self-contained: on_round() drains, flushes and
       // re-budgets via its own internal cycle, and batching a drain across
       // the round boundary would bill the new round's budgets for the old
       // round's backlog. Its internal cycle also consumes any pending
       // readiness, so clear the flag first — an edge arriving later finds
       // scheduled == false and re-enqueues.
-      st.ready.store(false);
+      st.ready = false;
       auto now = Clock::now();
       st.node->on_round();
       if (st.m_ticks) {
@@ -247,7 +177,8 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
       }
       continue;
     }
-    if (st.ready.exchange(false)) {
+    if (st.ready) {
+      st.ready = false;
       auto t0 = Clock::now();
       st.node->drain_ingress(batch);
       scratch.push_back(Drained{
@@ -271,9 +202,6 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
     auto& sec = batch.section_for(*d.node);
     if (!sec.frames.empty()) {
       d.node->ingest(std::span<core::ingress::VerifiedFrame>(sec.frames));
-      // A late post from before a restart can list a node twice in one
-      // pass; both drains filled this one section, which is ingested once.
-      sec.frames.clear();
     }
     if (st.m_polls) {
       auto dt = duration_cast<microseconds>(Clock::now() - t0).count();
@@ -284,86 +212,32 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
   batch.clear();
 }
 
-void ReactorRuntime::drain_rings(Shard& sh) {
-  // drum-lint: shard-local
-  for (auto& ring : sh.inbound) {
-    if (!ring) continue;
-    ring->assume_consumer();  // this shard's thread is the sole popper
-    NodeState* st = nullptr;
-    while (ring->try_pop(st)) sh.ready.push_back(st);
-  }
-  // drum-lint: shard-local end
-}
-
 void ReactorRuntime::shard_cycle(Shard& sh) {
-  // We are demonstrably awake; claim active so producers stop nudging.
-  sh.idle.store(false, std::memory_order_relaxed);
-  drain_rings(sh);
-  if (!sh.ready.empty()) {
-    // drum-lint: shard-local
-    // Swap before processing: run_batch re-enters dispatch() (a node's
-    // sends wake same-shard peers), which appends to sh.ready — never to
-    // the vector being iterated.
-    sh.proc.clear();
-    sh.proc.swap(sh.ready);
-    std::size_t i = 0;
-    while (i < sh.proc.size()) {
-      const std::size_t n = std::min(kShardBatch, sh.proc.size() - i);
-      run_batch(std::span<NodeState* const>(sh.proc.data() + i, n), sh.batch,
-                sh.drain_scratch);
-      sh.m_batches->inc();
-      i += n;
-    }
-    sh.proc.clear();
-    // drum-lint: shard-local end
+  // drum-lint: shard-local
+  // Nothing inside the pass calls dispatch(). A node's sends, port
+  // rotations and re-watches queue readiness on the loop itself, which
+  // keeps it from parking; their callbacks run on the next iteration.
+  const std::size_t n = sh.ready.size();
+  for (std::size_t i = 0; i < n; i += kShardBatch) {
+    run_batch(std::span<NodeState* const>(sh.ready.data() + i,
+                                          std::min(kShardBatch, n - i)),
+              sh.batch, sh.drain_scratch);
+    sh.m_batches->inc();
   }
-  if (!sh.ready.empty()) {
-    // Processing produced more same-shard work. Return through epoll (so fd
-    // readiness and timers are not starved) but make it come straight back.
-    sh.loop.wake();
-    return;
-  }
-  // Nothing local. Declare idle, then re-scan the rings: a producer whose
-  // push raced our drain either sees idle == true (and nudges us) or its
-  // push is visible to this scan — the fence pairs with dispatch()'s.
-  sh.idle.store(true, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (auto& ring : sh.inbound) {
-    if (ring && !ring->empty()) {
-      sh.idle.store(false, std::memory_order_relaxed);
-      sh.loop.wake();
-      return;
-    }
-  }
-  // Truly idle: block in epoll until a producer's nudge, fd readiness, or
-  // the next round timer. (A lost wake cannot stall the shard forever —
-  // every node re-arms a round timer on this loop.)
+  DRUM_ASSERT(sh.ready.size() == n, "dispatch() ran inside a shard pass");
+  sh.ready.clear();
+  // drum-lint: shard-local end
 }
 
 void ReactorRuntime::reset_shard(Shard& sh, std::size_t per_shard) {
   // stop() already merged the previous run's telemetry into loop_registry_.
   sh.registry = obs::MetricsRegistry{};
   sh.loop.set_registry(&sh.registry);
-  sh.m_handoffs = &sh.registry.counter("reactor.shard.ring_handoffs");
-  sh.m_wakes = &sh.registry.counter("reactor.shard.wakeups");
-  sh.m_ring_full = &sh.registry.counter("reactor.shard.ring_full_fallbacks");
   sh.m_batches = &sh.registry.counter("reactor.shard.batches");
   sh.m_resyncs = &sh.registry.counter("reactor.timer_resyncs");
-  // Entries left over from the previous run are stale: stop() cleared every
-  // node's scheduling flags.
-  sh.ready.clear();
-  sh.ready.reserve(per_shard + kShardBatch);
-  sh.proc.reserve(per_shard + kShardBatch);
+  // Each node sits in the ready list at most once.
+  sh.ready.reserve(per_shard);
   sh.drain_scratch.reserve(kShardBatch);
-  sh.idle.store(true, std::memory_order_relaxed);
-  // Sized for the nodes registered now (add_node() may have run since).
-  sh.inbound.clear();
-  sh.inbound.resize(cfg_.shards);
-  for (std::size_t p = 0; p < cfg_.shards; ++p) {
-    if (p == sh.index) continue;
-    sh.inbound[p] = std::make_unique<util::SpscRing<NodeState*>>(
-        std::max<std::size_t>(64, per_shard + 1));
-  }
 }
 
 void ReactorRuntime::start() {
@@ -383,11 +257,7 @@ void ReactorRuntime::start() {
     // Clear the previous run's stop request; lifecycle_mu_ guarantees no
     // stop() can race this before the thread is launched.
     sh->loop.reset();
-    sh->thread = std::thread([this, sh] {
-      tls_shard = TlsShard{this, sh->index};
-      sh->loop.run();
-      tls_shard = TlsShard{};
-    });
+    sh->thread = std::thread([sh] { sh->loop.run(); });
   }
 }
 
@@ -398,10 +268,9 @@ void ReactorRuntime::stop() {
   for (auto& sh : shards_) {
     if (sh->thread.joinable()) sh->thread.join();
   }
-  // All shard threads quiesced. Cancel timers (else a restart would
-  // burst-fire the stale backlog), detach hooks, clear the scheduling flags
-  // (ready lists, rings and post queues may keep stale entries; start()
-  // drops the first two, run_batch() tolerates the third), and unregister
+  // All shard threads quiesced, each after a full cycle, so every ready
+  // list is empty. Cancel timers (else a restart would burst-fire the stale
+  // backlog), detach hooks, clear the scheduling flags, and unregister
   // sockets.
   for (auto& st : nodes_) {
     shards_[st.shard]->loop.cancel_timer(st.timer_id);
@@ -409,22 +278,16 @@ void ReactorRuntime::stop() {
       check::MutexLock node_lock(st.mu);
       st.node->set_socket_hook(nullptr);
     }
-    st.scheduled.store(false);
-    st.ready.store(false);
-    st.round_due.store(false);
+    st.scheduled = false;
+    st.ready = false;
+    st.round_due = false;
   }
   for (auto& sh : shards_) {
     check::MutexLock lock(sh->sources_mu);
-    for (auto& [sock, id] : sh->sources) {
-      if (id != 0) {
-        sh->loop.remove_socket(id);
-      } else {
-        sock->set_ready_callback(nullptr);
-      }
-    }
+    for (const auto& entry : sh->sources) sh->loop.remove_socket(entry.second);
     sh->sources.clear();
   }
-  // Fold this run's loop + reactor.shard.* telemetry into the runtime
+  // Fold this run's loop + reactor.* telemetry into the runtime
   // registry; the shards themselves live on until the destructor.
   for (auto& sh : shards_) loop_registry_.merge(sh->registry);
   loop_registry_.gauge("reactor.shards")

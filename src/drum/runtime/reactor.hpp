@@ -4,29 +4,28 @@
 // A thread per node caps a single-process experiment at a few dozen nodes:
 // each node costs a thread that wakes on a cadence whether or not datagrams
 // arrived. ReactorRuntime inverts that: net::EventLoops own readiness (epoll
-// for UDP sockets, a timerfd-backed deadline queue for round ticks; MemSocket
-// readiness callbacks feed the same dispatch path), and node callbacks run
+// for UDP sockets, the loop's readiness bridge for MemSockets, a
+// timerfd-backed deadline queue for round ticks), and node callbacks run
 // only when there is work. 512 nodes plus a flooding adversary fit in one
 // Release process (examples/swarm.cpp).
 //
 // The shard is the only execution unit. ReactorConfig::shards = K >= 1 event
 // loops, one thread each; shard s owns the nodes with id % K == s, its own
 // ingress batch, drain scratch and telemetry registry, so the steady-state
-// hot path allocates nothing and contends on no cross-thread mutex. K = 1 is
-// one loop on one thread with no rings. With K >= 2, a dispatch targeting a
-// node homed on another shard crosses over a bounded util::SpscRing (one per
-// ordered shard pair) plus an eventfd nudge when the consumer had gone idle;
-// everything else stays on the node's home thread. Each loop iteration ends
-// in one drain -> batch-verify -> ingest pass over every node that became
-// runnable (DESIGN.md §12).
+// hot path allocates nothing. Every socket a node watches is registered on
+// its home shard's loop, so readiness and round ticks both arrive on the
+// home thread, whichever thread sent the datagram: a sender on another
+// shard (or any other thread) queues the socket on that loop under the
+// loop's mutex and writes its eventfd only if the loop is parked. Each loop
+// iteration ends in one drain -> batch-verify -> ingest pass over every node
+// that became runnable (DESIGN.md §12).
 //
 // Lifetime: the K shards (loops, registries) are built once by the
 // constructor and destroyed only by the destructor. stop() stops and joins
 // the shard threads and resets per-run state, so a MemSocket ready callback
 // still running on a foreign thread (another runtime's shard sharing the
-// MemNetwork) always reaches a live loop. Such late calls only ever post()
-// to the home loop; the rings are rebuilt by start() because no foreign
-// thread touches them.
+// MemNetwork) always reaches a live loop, which drops the call because the
+// socket is no longer registered.
 //
 // Serialization contract: a core::Node stays single-threaded. Every entry
 // into a node — drain_ingress(), ingest(), on_round(), multicast(),
@@ -47,9 +46,10 @@
 //
 // Telemetry: each node's registry gains "runner.*" metrics (ticks, polls,
 // poll_us, tick_interval_us) plus "reactor.dispatch_us". Every shard's
-// "loop.*" metrics (net::EventLoop) and "reactor.shard.*" counters
-// (ring_handoffs, wakeups, ring_full_fallbacks, batches) merge into the
-// runtime's loop_registry() at stop(), plus the "reactor.shards" gauge.
+// "loop.*" metrics (net::EventLoop; "loop.mem_ready" counts MemSocket
+// readiness edges, cross-shard ones included) and "reactor.shard.batches"
+// counter merge into the runtime's loop_registry() at stop(), plus the
+// "reactor.shards" gauge.
 #pragma once
 
 #include <atomic>
@@ -67,7 +67,6 @@
 #include "drum/core/node.hpp"
 #include "drum/net/event_loop.hpp"
 #include "drum/util/rng.hpp"
-#include "drum/util/spsc_ring.hpp"
 
 namespace drum::runtime {
 
@@ -146,12 +145,14 @@ class ReactorRuntime {
     /// Which shard owns this node (id % shards); fixed by add_node().
     std::size_t shard = 0;
 
-    /// True while the node sits in a ring, a post queue, or a shard-local
-    /// ready list, or is being drained — prevents duplicate entries, not
-    /// duplicate work (mu does that).
-    std::atomic<bool> scheduled{false};
-    std::atomic<bool> ready{false};      ///< sockets may have datagrams
-    std::atomic<bool> round_due{false};  ///< the round timer fired
+    // Scheduling flags: while the runtime runs, only the home loop thread
+    // touches them (socket callbacks, round timers and the shard's pass all
+    // run there); stop() resets them after the join.
+    /// True while the node sits in its shard's ready list — prevents
+    /// duplicate entries, not duplicate work (mu does that).
+    bool scheduled = false;
+    bool ready = false;      ///< sockets may have datagrams
+    bool round_due = false;  ///< the round timer fired
 
     // Round-tick bookkeeping; home loop thread only.
     net::EventLoop::Clock::time_point next_deadline{};
@@ -179,34 +180,20 @@ class ReactorRuntime {
     std::int64_t drain_us = 0;
   };
 
-  /// Everything one shard thread owns (DESIGN.md §13). Only `loop`,
-  /// `inbound`, `idle`, and `sources` are ever touched by another thread;
-  /// the rest is loop-thread confined while running.
+  /// Everything one shard thread owns (DESIGN.md §13). Only `loop` and
+  /// `sources` are ever touched by another thread; the rest is loop-thread
+  /// confined while running.
   struct Shard {
-    std::size_t index = 0;
     net::EventLoop loop;
     obs::MetricsRegistry registry;  ///< per run; merged at stop()
 
     // drum-lint: shard-local
-    /// Nodes to drain this cycle; fed by same-shard dispatches, by
-    /// drain_rings() and by posts from foreign threads. Swapped into `proc`
-    /// before processing so run_batch's own dispatches (a node's sends
-    /// waking a same-shard peer) append to a stable vector.
+    /// Nodes to drain this cycle, fed by dispatch() from socket callbacks
+    /// and round timers on this loop.
     std::vector<NodeState*> ready;
-    std::vector<NodeState*> proc;
     std::vector<Drained> drain_scratch;
     core::ingress::IngressBatch batch;
     // drum-lint: shard-local end
-
-    /// inbound[p] carries handoffs produced by shard p (null when
-    /// p == index). Capacity covers every node homed here, so a push only
-    /// fails if a stale duplicate race transiently overfills — the producer
-    /// then falls back to loop.post().
-    std::vector<std::unique_ptr<util::SpscRing<NodeState*>>> inbound;
-    /// True while the loop thread is (about to be) blocked in epoll_wait
-    /// with all rings drained. A producer that flips true -> false owes the
-    /// shard one eventfd nudge; see dispatch() for the fence protocol.
-    std::atomic<bool> idle{true};
 
     /// Socket registrations for this shard's nodes: the sockets they want
     /// watched. Hook callbacks usually fire on the home loop thread (port
@@ -218,11 +205,7 @@ class ReactorRuntime {
 
     std::thread thread;
 
-    // Telemetry; shard thread only (producer-side counters live in the
-    // *producing* shard's registry — registries are single-thread confined).
-    obs::Counter* m_handoffs = nullptr;   ///< pushes onto peer rings
-    obs::Counter* m_wakes = nullptr;      ///< eventfd nudges sent to peers
-    obs::Counter* m_ring_full = nullptr;  ///< full-ring fallbacks to post()
+    // Telemetry; shard thread only.
     obs::Counter* m_batches = nullptr;    ///< drain/verify/ingest passes
     obs::Counter* m_resyncs = nullptr;    ///< reactor.timer_resyncs
   };
@@ -230,9 +213,7 @@ class ReactorRuntime {
   net::EventLoop::Clock::duration jittered_round(NodeState& st);
   void arm_first_tick(NodeState& st);
   void on_round_timer(NodeState& st);  // home loop thread
-  /// Routes `st` to its home shard: the shard-local ready list when called
-  /// on that shard's thread, the inbound ring from another shard of this
-  /// runtime, the home loop's post queue from any other thread.
+  /// Puts `st` on its shard's ready list, once. Home loop thread only.
   void dispatch(NodeState& st);
   /// The ingress pipeline (DESIGN.md §12): drain every node under its own
   /// lock into `batch`, run the accumulated crypto once with NO node lock
@@ -242,17 +223,14 @@ class ReactorRuntime {
                  core::ingress::IngressBatch& batch,
                  std::vector<Drained>& scratch);
   void install_hooks(NodeState& st);
-  /// Fresh registry, empty ready lists and a rebuilt handoff mesh for the
-  /// next run; called by start() while the shard thread is down.
+  /// Fresh registry and scratch capacity for the next run; called by
+  /// start() while the shard thread is down.
   void reset_shard(Shard& sh, std::size_t per_shard)
       DRUM_REQUIRES(lifecycle_mu_);
 
-  /// End-of-cycle hook on shard `sh`'s loop thread: drain inbound rings,
-  /// run the batch pipeline over everything accumulated, and only declare
-  /// the shard idle once a post-drain re-scan of the rings comes up empty.
+  /// End-of-cycle hook on shard `sh`'s loop thread: runs the batch pipeline
+  /// over the ready list and clears it.
   void shard_cycle(Shard& sh);
-  /// Pops every inbound ring into sh.ready.
-  void drain_rings(Shard& sh);
 
   ReactorConfig cfg_;
   obs::MetricsRegistry loop_registry_;
@@ -264,7 +242,7 @@ class ReactorRuntime {
   check::Mutex lifecycle_mu_;
 
   /// Built by the constructor, destroyed by the destructor: a late
-  /// readiness callback from a foreign thread may post to a loop at any
+  /// readiness callback from a foreign thread may reach a loop at any
   /// time. unique_ptr: EventLoop is neither movable nor copyable.
   std::vector<std::unique_ptr<Shard>> shards_;
 

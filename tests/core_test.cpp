@@ -480,93 +480,3 @@ TEST(IdentitySecrets, SerializeDeserializeRoundTrip) {
 
 }  // namespace
 }  // namespace drum::core
-
-#include "drum/core/ordered.hpp"
-
-namespace drum::core {
-namespace {
-
-struct OrdererFixture {
-  std::vector<std::uint64_t> delivered;  // seqnos, in delivery order
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps;
-  FifoOrderer orderer{
-      [this](const DataMessage& m) { delivered.push_back(m.id.seqno); },
-      [this](std::uint32_t, std::uint64_t first, std::uint64_t count) {
-        gaps.emplace_back(first, count);
-      },
-      /*gap_timeout_rounds=*/5};
-
-  void feed(std::uint64_t seq, std::uint64_t round = 0) {
-    orderer.on_delivery(make_msg(1, seq), round);
-  }
-};
-
-TEST(FifoOrderer, InOrderPassesThrough) {
-  OrdererFixture f;
-  for (std::uint64_t s : {0u, 1u, 2u, 3u}) f.feed(s);
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0, 1, 2, 3}));
-  EXPECT_EQ(f.orderer.held(), 0u);
-}
-
-TEST(FifoOrderer, ReordersOutOfOrderArrivals) {
-  OrdererFixture f;
-  f.feed(2);
-  f.feed(0);
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0}));
-  EXPECT_EQ(f.orderer.held(), 1u);
-  f.feed(1);
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_EQ(f.orderer.held(), 0u);
-}
-
-TEST(FifoOrderer, SkipsExpiredGapAndReports) {
-  OrdererFixture f;
-  f.feed(0, 0);
-  f.feed(3, 1);  // 1 and 2 missing
-  f.feed(4, 1);
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0}));
-  f.orderer.on_round(3);  // not yet expired
-  EXPECT_EQ(f.delivered.size(), 1u);
-  f.orderer.on_round(7);  // blocked since round 1, timeout 5 -> skip
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0, 3, 4}));
-  ASSERT_EQ(f.gaps.size(), 1u);
-  EXPECT_EQ(f.gaps[0], (std::pair<std::uint64_t, std::uint64_t>{1, 2}));
-}
-
-TEST(FifoOrderer, StaleArrivalAfterSkipIsDropped) {
-  OrdererFixture f;
-  f.feed(0, 0);
-  f.feed(2, 1);
-  f.orderer.on_round(10);  // skip seq 1
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0, 2}));
-  f.feed(1, 11);  // arrives too late
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{0, 2}));
-}
-
-TEST(FifoOrderer, IndependentPerSource) {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-  FifoOrderer orderer(
-      [&](const DataMessage& m) { out.emplace_back(m.id.source, m.id.seqno); });
-  orderer.on_delivery(make_msg(1, 0), 0);
-  orderer.on_delivery(make_msg(2, 1), 0);  // source 2 blocked on seq 0
-  orderer.on_delivery(make_msg(1, 1), 0);
-  orderer.on_delivery(make_msg(2, 0), 0);
-  EXPECT_EQ(out, (std::vector<std::pair<std::uint32_t, std::uint64_t>>{
-                     {1, 0}, {1, 1}, {2, 0}, {2, 1}}));
-}
-
-TEST(FifoOrderer, ConsecutiveGapsEachGetTheirTimeout) {
-  OrdererFixture f;
-  f.feed(1, 0);  // gap at 0
-  f.feed(3, 0);  // gap at 2 behind it
-  f.orderer.on_round(5);  // skips gap 0 -> delivers 1; now blocked on 2
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{1}));
-  f.orderer.on_round(7);  // second gap only blocked since round 5
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{1}));
-  f.orderer.on_round(10);
-  EXPECT_EQ(f.delivered, (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_EQ(f.gaps.size(), 2u);
-}
-
-}  // namespace
-}  // namespace drum::core

@@ -95,18 +95,6 @@ TEST(EventLoop, CancelledTimerDoesNotFire) {
   EXPECT_EQ(fired.load(), 0);
 }
 
-TEST(EventLoop, PostRunsOnLoopThread) {
-  LoopFixture f;
-  std::atomic<bool> ran{false};
-  std::thread::id loop_tid;
-  f.loop.post([&] {
-    loop_tid = std::this_thread::get_id();
-    ran.store(true);
-  });
-  EXPECT_TRUE(eventually([&] { return ran.load(); }, 2000ms));
-  EXPECT_EQ(loop_tid, f.thread.get_id());
-}
-
 TEST(EventLoop, MemSocketReadinessWakesLoop) {
   net::MemNetwork mem;
   auto tr = mem.transport(1);
@@ -331,10 +319,10 @@ TEST(Reactor, ShardCountResolution) {
 
 // ---- every fleet test at one shard and at four ---------------------------
 
-/// One shard is one loop thread with no rings; four shards send most gossip
-/// across the SPSC rings. ctest runs the two instances concurrently, so each
-/// binds its own UDP port blocks: udp_port() and, for the flood case,
-/// udp_port() + 50.
+/// One shard is one loop thread; with four shards most gossip readies a
+/// socket on another shard's loop. ctest runs the two instances
+/// concurrently, so each binds its own UDP port blocks: udp_port() and, for
+/// the flood case, udp_port() + 50.
 class ReactorFleet : public ::testing::TestWithParam<std::size_t> {
  protected:
   [[nodiscard]] ReactorConfig config() const {
@@ -415,7 +403,7 @@ TEST_P(ReactorFleet, StopDetachesAndRestartWorks) {
   f.reactor->stop();
   f.reactor->stop();  // idempotent
   EXPECT_FALSE(f.reactor->running());
-  f.reactor->start();  // same shards, rebuilt handoff mesh
+  f.reactor->start();  // same shards, fresh per-run state
   f.reactor->multicast(0, text("x"));
   EXPECT_TRUE(eventually([&] { return f.delivered.load() >= 3; }, 5000ms));
   f.reactor->stop();
@@ -468,21 +456,17 @@ TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
   f.reactor->stop();
 
   // stop() folds each shard's registry into loop_registry(): the loop
-  // counters, the timer-slop histogram and the handoff telemetry. With
-  // several shards, node 0's message cannot reach the other shards' nodes
-  // without ring handoffs; one shard has no rings at all.
+  // counters, the timer-slop histogram and the batch count. The fleet runs
+  // on MemNetwork, so every socket readiness edge, same-shard or
+  // cross-shard, reaches its loop through the bridge.
   const auto& reg = f.reactor->loop_registry();
   EXPECT_EQ(reg.gauge_value("reactor.shards"),
             static_cast<double>(GetParam()));
   EXPECT_GT(reg.counter_value("loop.wakeups"), 0u);
+  EXPECT_GT(reg.counter_value("loop.mem_ready"), 0u);
   EXPECT_GT(reg.counter_value("loop.timers_fired"), 0u);
   EXPECT_GT(reg.histogram_count("loop.timer_slop_us"), 0u);
   EXPECT_GT(reg.counter_value("reactor.shard.batches"), 0u);
-  if (GetParam() == 1) {
-    EXPECT_EQ(reg.counter_value("reactor.shard.ring_handoffs"), 0u);
-  } else {
-    EXPECT_GT(reg.counter_value("reactor.shard.ring_handoffs"), 0u);
-  }
 }
 
 TEST_P(ReactorFleet, WithNodeGivesExclusiveAccess) {
@@ -505,11 +489,11 @@ TEST_P(ReactorFleet, WithNodeGivesExclusiveAccess) {
 }
 
 // Two runtimes over one MemNetwork. A's shard threads deliver into B's
-// sockets, so they run B's MemSocket ready callbacks, which post to B's
-// loops — while B stops and restarts over and over. A callback that was
-// already running when stop() detached it may still post afterwards, so B's
-// loops must outlive every stop(); under TSan this fails if stop() tears a
-// shard down.
+// sockets, so they run B's MemSocket ready callbacks, which queue the
+// sockets on B's loops — while B stops and restarts over and over. A
+// callback that was already running when stop() detached it may still reach
+// the loop afterwards, so B's loops must outlive every stop(); under TSan
+// this fails if stop() tears a shard down.
 TEST_P(ReactorFleet, RestartsWhileAnotherRuntimeDeliversIntoIt) {
   Fleet f(8, false, 9900, config(), /*split=*/4);
   ReactorRuntime& a = *f.reactor;  // nodes 0-3

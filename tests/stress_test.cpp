@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "drum/check/check.hpp"
+#include "drum/net/event_loop.hpp"
 #include "drum/net/mem_transport.hpp"
 #include "drum/runtime/reactor.hpp"
-#include "drum/util/spsc_ring.hpp"
 
 // Sanitizer instrumentation slows the hot path ~10x; throughput-sensitive
 // tests scale their flood pacing and deadlines by this factor so the TSan
@@ -385,127 +385,69 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   EXPECT_EQ(delivered.load(), expect);
 }
 
-// Two-thread SpscRing hammer: one producer pushing a strictly increasing
-// sequence, one consumer asserting it pops exactly that sequence — no loss,
-// no duplication, no reordering. A small capacity forces constant
-// full/empty transitions, which is where the cached-index fast path hands
-// over to the acquire reload; TSan checks the release/acquire pairing is
-// the whole story.
-TEST(Stress, SpscRingTwoThreadFifoHammer) {
-  constexpr std::uint64_t kItems = 200000 / kSanSlowdown;
-  util::SpscRing<std::uint64_t> ring(16);
-  std::thread producer([&ring] {
-    ring.assume_producer();
-    for (std::uint64_t i = 0; i < kItems;) {
-      if (ring.try_push(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  std::uint64_t expected = 0;
-  ring.assume_consumer();
-  while (expected < kItems) {
-    std::uint64_t v = 0;
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
+/// Busy-waits `d`: sleep_for cannot pause a few microseconds.
+void spin_for(std::chrono::microseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
   }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
 }
 
-// The sharded reactor's handoff mesh in miniature: S "shards", one ring per
-// ordered pair, each shard thread both produces into its S-1 outbound rings
-// and consumes from its S-1 inbound rings. The property under test is the
-// guarantee cross-shard dispatch relies on for per-sender FIFO delivery:
-// every (producer, consumer) stream arrives in push order, regardless of
-// how the mesh interleaves globally.
-TEST(Stress, SpscHandoffMeshPreservesPerProducerFifo) {
-  constexpr std::size_t kShards = 4;
-  constexpr std::uint64_t kPerStream = 20000 / kSanSlowdown;
+// EventLoop's wake rule (DESIGN.md §8): a foreign thread that queues a
+// MemSocket writes the loop's eventfd only when it finds the loop parked in
+// epoll_wait. A producer sends one datagram at a time and waits for the
+// loop's callback to drain it before sending the next, so every send needs
+// its own wakeup. Random pauses on both sides land sends while the loop is
+// parked, while it is about to park, and while it runs; a lost wakeup
+// leaves a datagram undrained and fails the wait.
+TEST(Stress, ParkedLoopWakesForEveryForeignNotify) {
+  constexpr int kSends = 20000 / kSanSlowdown;
+  net::MemNetwork mem;
+  auto tr = mem.transport(1);
+  auto sock = tr->bind(100).take();
+  ASSERT_NE(sock, nullptr);
 
-  struct Item {
-    std::uint32_t producer = 0;
-    std::uint64_t seq = 0;
-  };
-  // rings[p][c] carries p -> c traffic (diagonal unused, same-shard work
-  // never touches a ring).
-  std::vector<std::vector<std::unique_ptr<util::SpscRing<Item>>>> rings(
-      kShards);
-  for (std::size_t p = 0; p < kShards; ++p) {
-    for (std::size_t c = 0; c < kShards; ++c) {
-      rings[p].push_back(p == c ? nullptr
-                                : std::make_unique<util::SpscRing<Item>>(64));
+  net::EventLoop loop;
+  std::atomic<int> drained{0};
+  loop.add_socket(*sock, [&] {
+    while (sock->recv()) drained.fetch_add(1);
+  });
+  util::Rng loop_rng{5};  // loop thread only
+  loop.set_cycle_callback(
+      [&] { spin_for(std::chrono::microseconds(
+          static_cast<std::int64_t>(loop_rng.below(51)))); });
+  std::thread runner([&] { loop.run(); });
+
+  util::Rng rng{9};
+  const util::Bytes msg{1};
+  // Waits up to 2 s for the loop to have drained `want` datagrams.
+  auto drained_by = [&](int want) {
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (drained.load() < want) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::yield();
     }
+    return true;
+  };
+  int sent = 0;
+  bool kept_up = true;
+  while (kept_up && sent < kSends) {
+    spin_for(std::chrono::microseconds(static_cast<std::int64_t>(rng.below(51))));
+    mem.send_raw({9, 9}, {1, 100}, util::ByteSpan(msg));
+    kept_up = drained_by(++sent);
   }
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> shards;
-  for (std::size_t me = 0; me < kShards; ++me) {
-    shards.emplace_back([&, me] {
-      for (std::size_t other = 0; other < kShards; ++other) {
-        if (other == me) continue;
-        rings[me][other]->assume_producer();
-        rings[other][me]->assume_consumer();
-      }
-      std::uint64_t sent[kShards];       // per-outbound-stream seq pushed
-      std::uint64_t last_seen[kShards];  // per-inbound-stream high water
-      std::uint64_t received[kShards];   // per-inbound-stream count
-      for (std::size_t i = 0; i < kShards; ++i) {
-        sent[i] = 0;
-        last_seen[i] = 0;
-        received[i] = 0;
-      }
-      const std::uint64_t want_in = kPerStream * (kShards - 1);
-      std::uint64_t total_in = 0;
-      bool done_out = false;
-      while (!done_out || total_in < want_in) {
-        // Advance every outbound stream by one where there is room (a full
-        // ring just retries later — the reactor's real fallback is
-        // loop.post). Streams progress independently, exercising full-ring
-        // back-pressure without coupling consumers to each other.
-        done_out = true;
-        for (std::size_t other = 0; other < kShards; ++other) {
-          if (other == me || sent[other] >= kPerStream) continue;
-          Item it{static_cast<std::uint32_t>(me), sent[other] + 1};
-          if (rings[me][other]->try_push(it)) ++sent[other];
-          if (sent[other] < kPerStream) done_out = false;
-        }
-        // Drain every inbound ring, asserting per-producer monotonicity.
-        for (std::size_t other = 0; other < kShards; ++other) {
-          if (other == me) continue;
-          Item it;
-          while (rings[other][me]->try_pop(it)) {
-            if (it.producer != other || it.seq != last_seen[other] + 1) {
-              failures.fetch_add(1);
-            }
-            last_seen[other] = it.seq;
-            ++received[other];
-            ++total_in;
-          }
-        }
-        std::this_thread::yield();
-      }
-      for (std::size_t other = 0; other < kShards; ++other) {
-        if (other != me && received[other] != kPerStream) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : shards) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  loop.stop();
+  runner.join();
+  EXPECT_TRUE(kept_up) << "datagram " << sent << " of " << kSends
+                       << " waited 2 s for its wakeup";
+  EXPECT_EQ(sent, kSends);
 }
 
 // The sharded twin of ReactorConcurrentMulticastFloodAndChurn: four
 // independent event-loop shards (forced even on a 1-core host), so every
-// multicast fans out through the cross-shard SPSC rings while a spoofed
-// flood hammers the well-known ports and app threads multicast and read
-// telemetry concurrently. Ends with the same stop pile-up + restart, which
-// rebuilds the whole handoff mesh.
+// multicast readies sockets on other shards' loops while a spoofed flood
+// hammers the well-known ports from a foreign thread and app threads
+// multicast and read telemetry concurrently. Ends with the same stop
+// pile-up + restart.
 TEST(Stress, ReactorShardedFloodAndChurn) {
   constexpr std::size_t kNodes = 8;
   util::Rng rng{77};

@@ -2,13 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <map>
 #include <set>
 
 #include "drum/util/bytes.hpp"
 #include "drum/util/rng.hpp"
-#include "drum/util/spsc_ring.hpp"
 #include "drum/util/stats.hpp"
 #include "drum/util/table.hpp"
 
@@ -428,107 +426,6 @@ TEST(Table, FmtTrimsZeros) {
   EXPECT_EQ(fmt(1.5000, 4), "1.5");
   EXPECT_EQ(fmt(2.0, 3), "2");
   EXPECT_EQ(fmt(0.125, 3), "0.125");
-}
-
-// ---------------------------------------------------------------- spsc ring
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(4).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(SpscRing<int>(1000).capacity(), 1024u);
-  EXPECT_EQ(SpscRing<int>(1024).capacity(), 1024u);
-}
-
-TEST(SpscRing, PushPopFifoSingleThread) {
-  SpscRing<int> ring(8);
-  ring.assume_producer();
-  ring.assume_consumer();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.size(), 0u);
-
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.empty());
-  EXPECT_EQ(ring.size(), 5u);
-
-  int v = -1;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(SpscRing, FullRejectsUntilPopFrees) {
-  SpscRing<int> ring(4);  // capacity exactly 4
-  ring.assume_producer();
-  ring.assume_consumer();
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full: every slot used, none reserved
-  EXPECT_EQ(ring.size(), 4u);
-
-  int v = -1;
-  ASSERT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(ring.try_push(99));  // one slot freed, push succeeds again
-  EXPECT_FALSE(ring.try_push(100));
-}
-
-TEST(SpscRing, FifoSurvivesIndexWraparound) {
-  // Push/pop far more items than the capacity so the monotonic indices wrap
-  // the mask many times over; order and content must be untouched.
-  SpscRing<std::uint64_t> ring(8);
-  ring.assume_producer();
-  ring.assume_consumer();
-  std::uint64_t next_out = 0;
-  std::uint64_t next_in = 0;
-  Rng rng(42);
-  while (next_in < 10000) {
-    // Random interleave: a burst of pushes, then a burst of pops.
-    for (std::uint64_t burst = 1 + rng.below(8); burst > 0; --burst) {
-      if (!ring.try_push(next_out)) break;
-      ++next_out;
-    }
-    for (std::uint64_t burst = 1 + rng.below(8); burst > 0; --burst) {
-      std::uint64_t v = 0;
-      if (!ring.try_pop(v)) break;
-      ASSERT_EQ(v, next_in);
-      ++next_in;
-    }
-  }
-  EXPECT_EQ(ring.size(), next_out - next_in);
-}
-
-TEST(SpscRing, InterleavedMatchesReferenceModel) {
-  // Drive the ring and a std::deque with the same random operation stream;
-  // every observable (pop results, size, emptiness, rejection) must agree.
-  SpscRing<int> ring(16);
-  ring.assume_producer();
-  ring.assume_consumer();
-  std::deque<int> model;
-  Rng rng(7);
-  int counter = 0;
-  for (int step = 0; step < 20000; ++step) {
-    if (rng.below(2) == 0) {
-      const bool pushed = ring.try_push(counter);
-      EXPECT_EQ(pushed, model.size() < ring.capacity());
-      if (pushed) model.push_back(counter);
-      ++counter;
-    } else {
-      int v = -1;
-      const bool popped = ring.try_pop(v);
-      EXPECT_EQ(popped, !model.empty());
-      if (popped) {
-        EXPECT_EQ(v, model.front());
-        model.pop_front();
-      }
-    }
-    ASSERT_EQ(ring.size(), model.size());
-    ASSERT_EQ(ring.empty(), model.empty());
-  }
 }
 
 }  // namespace
