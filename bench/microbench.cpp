@@ -6,8 +6,9 @@
 // CPUID-selected native one) so the SHA-NI speedup is measured in-tree. After
 // the registered benchmarks, main() runs an instrumented-vs-uninstrumented
 // cluster comparison (tracing on vs off) and writes microbench_obs.json,
-// then times each backend's SHA-256 throughput and the single-vs-batch
-// Ed25519 verify cost and writes BENCH_crypto.json.
+// then times each backend's SHA-256 throughput, the single-vs-batch
+// Ed25519 verify cost and the X25519 and pair-key costs, and writes
+// BENCH_crypto.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -79,6 +80,24 @@ void BM_X25519(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519);
+
+// One identity deriving the pair keys of `n` peers in one batch (the
+// X25519 steps share one inversion), as Node::prewarm_pair_keys does at
+// join time; reported per key.
+void BM_X25519PairKeys(benchmark::State& state) {
+  util::Rng rng(12);
+  const auto self = crypto::Identity::generate(rng);
+  std::vector<crypto::X25519Key> peers(static_cast<std::size_t>(state.range(0)));
+  for (auto& pub : peers) pub = crypto::Identity::generate(rng).dh_public();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(self.derive_pair_keys(peers));
+  }
+  state.counters["per_key"] = benchmark::Counter(
+      static_cast<double>(peers.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_X25519PairKeys)->Arg(255);
 
 void BM_Ed25519Sign_50B(benchmark::State& state) {
   util::Rng rng(8);
@@ -395,8 +414,9 @@ void run_obs_overhead_report() {
   }
 }
 
-// Per-backend SHA-256 throughput and the single-vs-batch Ed25519 verify
-// cost (batch-64 under one key and under 64 keys), written to
+// Per-backend SHA-256 throughput, the single-vs-batch Ed25519 verify cost
+// (batch-64 under one key and under 64 keys), one X25519 and the per-key
+// cost of a 255-key pair-key batch, written to
 // BENCH_crypto.json — the CI artifact that tracks the SHA-NI
 // speedup release over release.
 void run_crypto_report() {
@@ -458,15 +478,28 @@ void run_crypto_report() {
           std::span<const crypto::VerifyJob>(b.jobs)));
     });
   };
+  util::Rng rng(44);
+  const auto self = crypto::Identity::generate(rng);
+  std::vector<crypto::X25519Key> peers(255);
+  for (auto& pub : peers) pub = crypto::Identity::generate(rng).dh_public();
+  const double x25519_s = time_per_call([&] {
+    benchmark::DoNotOptimize(crypto::x25519(self.dh_public(), peers[0]));
+  });
+  const double pair_keys_s = time_per_call([&] {
+    benchmark::DoNotOptimize(self.derive_pair_keys(peers));
+  });
   // Every cost stays a lower-is-better leaf. A derived single/batch ratio
   // would read as a regression whenever single verification gets faster.
-  char tail[256];
+  char tail[384];
   std::snprintf(tail, sizeof tail,
                 "\n  ],\n  \"ed25519\": {\"verify_us\": %.1f, "
                 "\"batch64_us_per_sig\": %.1f, "
-                "\"batch64_distinct_us_per_sig\": %.1f}\n}\n",
+                "\"batch64_distinct_us_per_sig\": %.1f},\n"
+                "  \"x25519\": {\"x25519_us\": %.1f, "
+                "\"pair_keys_us_per_key\": %.1f}\n}\n",
                 single_s * 1e6, batch_s(one) / 64.0 * 1e6,
-                batch_s(distinct) / 64.0 * 1e6);
+                batch_s(distinct) / 64.0 * 1e6, x25519_s * 1e6,
+                pair_keys_s / 255.0 * 1e6);
   out += tail;
   std::printf("\ncrypto backends (1 MiB buffers; batches of 64 signatures):\n%s",
               out.c_str());

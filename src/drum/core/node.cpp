@@ -237,8 +237,21 @@ void Node::update_peers(std::vector<Peer> peers) {
 
 void Node::prewarm_pair_keys() {
   EntryGuard entry(entry_owner_);
+  std::vector<std::uint32_t> ids;
+  std::vector<crypto::X25519Key> dh_pubs;
   for (const auto& p : dir()) {
-    if (p.present && p.id != cfg_.id) pair_key(p.id);
+    if (p.present && p.id != cfg_.id && !pair_keys_.contains(p.id)) {
+      ids.push_back(p.id);
+      dh_pubs.push_back(p.dh_pub);
+    }
+  }
+  // One batch: the X25519 steps share a single field inversion.
+  const std::vector<util::Bytes> keys = identity_.derive_pair_keys(dh_pubs);
+  pair_keys_.reserve(pair_keys_.size() + ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    crypto::PortBoxKey key;
+    std::copy_n(keys[i].begin(), key.size(), key.begin());
+    pair_keys_.emplace(ids[i], key);
   }
 }
 

@@ -131,7 +131,8 @@ class Node {
   void update_peers(std::vector<Peer> peers);
 
   /// Derives the X25519 pair key for every present peer now instead of on
-  /// first contact. Drum assumes pairwise keys are established by the
+  /// first contact, in one Identity::derive_pair_keys batch over the peers
+  /// not yet cached. Drum assumes pairwise keys are established by the
   /// membership layer at join time (paper §2); without prewarming, the lazy
   /// cache pays ~n scalar multiplications during the first rounds of
   /// traffic — under an attack benchmark that books bootstrap CPU to the

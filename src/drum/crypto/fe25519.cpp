@@ -251,4 +251,59 @@ bool fe_is_negative(const Fe& f) {
   return (s[0] & 1) != 0;
 }
 
+void fe_sub_2p(Fe& h, const Fe& f, const Fe& g) {
+  h.v[0] = f.v[0] + 0xFFFFFFFFFFFDAULL - g.v[0];
+  h.v[1] = f.v[1] + 0xFFFFFFFFFFFFEULL - g.v[1];
+  h.v[2] = f.v[2] + 0xFFFFFFFFFFFFEULL - g.v[2];
+  h.v[3] = f.v[3] + 0xFFFFFFFFFFFFEULL - g.v[3];
+  h.v[4] = f.v[4] + 0xFFFFFFFFFFFFEULL - g.v[4];
+}
+
+// flatten inlines every field operation into the step, so it runs as
+// straight-line code; the state stays in locals until the end, because a
+// store through an output reference could alias u and force reloads.
+[[gnu::flatten]] void fe_x25519_ladder(const std::array<std::uint8_t, 32>& k,
+                                       const std::array<std::uint8_t, 32>& u,
+                                       Fe& x_out, Fe& z_out) {
+  Fe x1, x2, z2, x3, z3;
+  fe_frombytes(x1, u.data());
+  fe_one(x2);
+  fe_zero(z2);
+  fe_copy(x3, x1);
+  fe_one(z3);
+
+  std::uint64_t swap = 0;
+  for (int t = 254; t >= 0; --t) {
+    std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;
+    swap ^= k_t;
+    fe_cswap(x2, x3, swap);
+    fe_cswap(z2, z3, swap);
+    swap = k_t;
+
+    Fe a, aa, b, bb, e, c, d, da, cb, tmp;
+    fe_add(a, x2, z2);
+    fe_sq(aa, a);
+    fe_sub_2p(b, x2, z2);
+    fe_sq(bb, b);
+    fe_sub_2p(e, aa, bb);
+    fe_add(c, x3, z3);
+    fe_sub_2p(d, x3, z3);
+    fe_mul(da, d, a);
+    fe_mul(cb, c, b);
+    fe_add(tmp, da, cb);
+    fe_sq(x3, tmp);
+    fe_sub_2p(tmp, da, cb);
+    fe_sq(tmp, tmp);
+    fe_mul(z3, x1, tmp);
+    fe_mul(x2, aa, bb);
+    fe_mul_small(tmp, e, 121665);
+    fe_add(tmp, aa, tmp);
+    fe_mul(z2, e, tmp);
+  }
+  fe_cswap(x2, x3, swap);
+  fe_cswap(z2, z3, swap);
+  x_out = x2;
+  z_out = z2;
+}
+
 }  // namespace drum::crypto

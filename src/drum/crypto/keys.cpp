@@ -1,5 +1,7 @@
 #include "drum/crypto/keys.hpp"
 
+#include <algorithm>
+
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/hmac.hpp"
 
@@ -19,23 +21,42 @@ Ed25519Signature Identity::sign(util::ByteSpan message) const {
   return ed25519_sign(sign_seed_, sign_pub_, message);
 }
 
-util::Bytes Identity::derive_pair_key(const X25519Key& peer_dh_public) const {
-  X25519Key shared = x25519(dh_secret_, peer_dh_public);
-  // Salt with the sorted pair of public keys so both sides derive the same
-  // key and distinct pairs never share keys even on (improbable) shared-
-  // secret collisions.
-  util::Bytes salt;
-  const auto& a = dh_pub_;
-  const auto& b = peer_dh_public;
-  bool a_first = std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                              b.end());
-  const auto& first = a_first ? a : b;
-  const auto& second = a_first ? b : a;
-  salt.insert(salt.end(), first.begin(), first.end());
+namespace {
+
+// HKDF of one X25519 shared secret into the pair key of `own` and `peer`.
+// The salt is the sorted pair of public keys, so both sides derive the same
+// key and distinct pairs never share keys even on (improbable) shared-
+// secret collisions.
+util::Bytes pair_key_from_shared(const X25519Key& shared, const X25519Key& own,
+                                 const X25519Key& peer) {
+  const bool own_first = std::lexicographical_compare(
+      own.begin(), own.end(), peer.begin(), peer.end());
+  const auto& first = own_first ? own : peer;
+  const auto& second = own_first ? peer : own;
+  util::Bytes salt(first.begin(), first.end());
   salt.insert(salt.end(), second.begin(), second.end());
   return hkdf_sha256(util::ByteSpan(shared.data(), shared.size()),
                      util::ByteSpan(salt.data(), salt.size()),
                      "drum portbox pair key v1", 32);
+}
+
+}  // namespace
+
+util::Bytes Identity::derive_pair_key(const X25519Key& peer_dh_public) const {
+  return pair_key_from_shared(x25519(dh_secret_, peer_dh_public), dh_pub_,
+                              peer_dh_public);
+}
+
+std::vector<util::Bytes> Identity::derive_pair_keys(
+    std::span<const X25519Key> peer_dh_publics) const {
+  const std::vector<X25519Key> shared =
+      x25519_batch(dh_secret_, peer_dh_publics);
+  std::vector<util::Bytes> keys;
+  keys.reserve(shared.size());
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    keys.push_back(pair_key_from_shared(shared[i], dh_pub_, peer_dh_publics[i]));
+  }
+  return keys;
 }
 
 util::Bytes Identity::serialize_secret() const {

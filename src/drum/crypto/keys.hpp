@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "drum/crypto/ed25519.hpp"
 #include "drum/crypto/x25519.hpp"
@@ -38,6 +40,12 @@ class Identity {
   /// Symmetric: derive_pair_key(a, B_pub) == derive_pair_key(b, A_pub).
   /// (X25519 ECDH followed by HKDF with a fixed protocol label.)
   [[nodiscard]] util::Bytes derive_pair_key(const X25519Key& peer_dh_public) const;
+
+  /// derive_pair_key for each of `peer_dh_publics`, in order, with one
+  /// x25519_batch call: the X25519 steps share one field inversion. Each
+  /// key is byte-identical to derive_pair_key's.
+  [[nodiscard]] std::vector<util::Bytes> derive_pair_keys(
+      std::span<const X25519Key> peer_dh_publics) const;
 
   /// Stable short identifier (hex of the first 8 bytes of the signing key
   /// hash); used in logs.

@@ -11,53 +11,56 @@ X25519Key x25519_clamp(X25519Key scalar) {
   return scalar;
 }
 
-X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
-  X25519Key k = x25519_clamp(scalar);
+std::vector<X25519Key> x25519_batch(const X25519Key& scalar,
+                                    std::span<const X25519Key> points) {
+  const X25519Key k = x25519_clamp(scalar);
+  std::vector<X25519Key> out(points.size());
+  if (points.empty()) return out;
 
-  Fe x1, x2, z2, x3, z3;
-  fe_frombytes(x1, point.data());
-  fe_one(x2);
-  fe_zero(z2);
-  fe_copy(x3, x1);
-  fe_one(z3);
-
-  std::uint64_t swap = 0;
-  for (int t = 254; t >= 0; --t) {
-    std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1;
-    swap ^= k_t;
-    fe_cswap(x2, x3, swap);
-    fe_cswap(z2, z3, swap);
-    swap = k_t;
-
-    Fe a, aa, b, bb, e, c, d, da, cb, tmp;
-    fe_add(a, x2, z2);
-    fe_sq(aa, a);
-    fe_sub(b, x2, z2);
-    fe_sq(bb, b);
-    fe_sub(e, aa, bb);
-    fe_add(c, x3, z3);
-    fe_sub(d, x3, z3);
-    fe_mul(da, d, a);
-    fe_mul(cb, c, b);
-    fe_add(tmp, da, cb);
-    fe_sq(x3, tmp);
-    fe_sub(tmp, da, cb);
-    fe_sq(tmp, tmp);
-    fe_mul(z3, x1, tmp);
-    fe_mul(x2, aa, bb);
-    fe_mul_small(tmp, e, 121665);
-    fe_add(tmp, aa, tmp);
-    fe_mul(z2, e, tmp);
+  // Forward: ladder each point to (x_i : z_i), keep z_i and
+  // w_i = x_i * z_0 ... z_{i-1}, and carry acc = z_0 ... z_i.
+  struct Ratio {
+    Fe w, z;
+  };
+  std::vector<Ratio> ratios(points.size());
+  Fe one, zero, acc;
+  fe_one(one);
+  fe_zero(zero);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    Fe x, z;
+    fe_x25519_ladder(k, points[i], x, z);
+    // z = 0 exactly when the point has small order (the clamped scalar is
+    // a multiple of 8, below both large prime orders), so this depends on
+    // the public point alone. x * z^(p-2) is then 0; take (0 : 1), which
+    // gives the same output and keeps acc invertible.
+    const std::uint64_t z_is_zero = fe_is_zero(z) ? 1 : 0;
+    fe_cmov(x, zero, z_is_zero);
+    fe_cmov(z, one, z_is_zero);
+    if (i == 0) {
+      ratios[i].w = x;
+      acc = z;
+    } else {
+      fe_mul(ratios[i].w, x, acc);
+      fe_mul(acc, acc, z);
+    }
+    ratios[i].z = z;
   }
-  fe_cswap(x2, x3, swap);
-  fe_cswap(z2, z3, swap);
 
-  Fe zinv, out;
-  fe_invert(zinv, z2);
-  fe_mul(out, x2, zinv);
-  X25519Key result;
-  fe_tobytes(result.data(), out);
-  return result;
+  // Backward: inv = (z_0 ... z_i)^-1 gives out_i = w_i * inv, and inv * z_i
+  // is the next point's inverse.
+  Fe inv;
+  fe_invert(inv, acc);
+  for (std::size_t i = points.size(); i-- > 0;) {
+    Fe u;
+    fe_mul(u, ratios[i].w, inv);
+    fe_tobytes(out[i].data(), u);
+    if (i > 0) fe_mul(inv, inv, ratios[i].z);
+  }
+  return out;
+}
+
+X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
+  return x25519_batch(scalar, std::span(&point, 1)).front();
 }
 
 X25519Key x25519_base(const X25519Key& scalar) {

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <array>
+#include <span>
+#include <vector>
 
 #include "drum/util/bytes.hpp"
 
@@ -12,8 +14,17 @@ namespace drum::crypto {
 inline constexpr std::size_t kX25519KeySize = 32;
 using X25519Key = std::array<std::uint8_t, kX25519KeySize>;
 
-/// scalar * point (u-coordinate). RFC 7748 §5.
+/// scalar * point (u-coordinate). RFC 7748 §5. A point of small order
+/// (on the curve or its twist) gives the all-zero output.
 X25519Key x25519(const X25519Key& scalar, const X25519Key& point);
+
+/// x25519(scalar, points[i]) for every i, in order: one constant-time
+/// ladder per point, and one field inversion for the whole batch
+/// (Montgomery's simultaneous inversion, 3 extra multiplications per
+/// point). A small-order point gets the all-zero output and leaves the
+/// other outputs unchanged. x25519() is the one-point case.
+std::vector<X25519Key> x25519_batch(const X25519Key& scalar,
+                                    std::span<const X25519Key> points);
 
 /// scalar * base point (u = 9).
 X25519Key x25519_base(const X25519Key& scalar);

@@ -25,6 +25,9 @@ struct Certificate {
   std::uint64_t serial = 0;     ///< CA-unique, increases per issue
   crypto::Ed25519Signature ca_signature{};
 
+  /// Field-wise, so equal certificates have equal encodings.
+  bool operator==(const Certificate&) const = default;
+
   /// The bytes the CA signs (everything except the signature).
   [[nodiscard]] util::Bytes signed_bytes() const;
 

@@ -17,12 +17,19 @@ MembershipService::MembershipService(crypto::Ed25519PublicKey ca_pub,
   node_.set_cert_validator(
       [this](util::ByteSpan cert_bytes) -> std::optional<core::Peer> {
         try {
-          Certificate cert = Certificate::decode(cert_bytes);
-          if (table_.seed_roster({cert}, now_) == 0 &&
-              !table_.is_member(cert.member_id, now_)) {
-            return std::nullopt;  // forged, expired, revoked, or stale
+          const Certificate cert = Certificate::decode(cert_bytes);
+          // A copy of the stored certificate needs no second signature
+          // check; any other must verify to replace it (seed_roster).
+          const Certificate* known = table_.find(cert.member_id, now_);
+          if (!known || *known != cert) {
+            table_.seed_roster({cert}, now_);
+            known = table_.find(cert.member_id, now_);
           }
-          return cert.to_peer();
+          // Keys come only from the table: a forged certificate for a
+          // member admits the member's verified keys, under which the
+          // forger's port box fails.
+          if (!known) return std::nullopt;  // forged, expired or revoked
+          return known->to_peer();
         } catch (const util::DecodeError&) {
           return std::nullopt;
         }

@@ -56,8 +56,14 @@ void MembershipTable::prune_expired(std::int64_t now) {
 }
 
 bool MembershipTable::is_member(std::uint32_t id, std::int64_t now) const {
+  return find(id, now) != nullptr;
+}
+
+const Certificate* MembershipTable::find(std::uint32_t id,
+                                         std::int64_t now) const {
   auto it = certs_.find(id);
-  return it != certs_.end() && !it->second.expired(now);
+  return it != certs_.end() && !it->second.expired(now) ? &it->second
+                                                        : nullptr;
 }
 
 std::vector<core::Peer> MembershipTable::directory(

@@ -33,6 +33,10 @@ class MembershipTable {
   void prune_expired(std::int64_t now);
 
   [[nodiscard]] bool is_member(std::uint32_t id, std::int64_t now) const;
+  /// The stored (CA-verified) certificate of member `id` if it is live at
+  /// `now`, else nullptr. Valid until the table next changes.
+  [[nodiscard]] const Certificate* find(std::uint32_t id,
+                                        std::int64_t now) const;
   [[nodiscard]] std::size_t size() const { return certs_.size(); }
 
   /// Builds the id-indexed directory for drum::core::Node. `max_id_hint`

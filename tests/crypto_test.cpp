@@ -920,8 +920,8 @@ TEST(GeMsm, SignerCacheBuildsHighTableOnlyForASplitSum) {
 //
 // fe25519.hpp documents the limb bounds each function accepts and returns.
 // At the largest limbs it accepts, each function must give the same value
-// as on the canonically reduced inputs, and a function that returns reduced
-// limbs must return them below 2^52.
+// as on the canonically reduced inputs, and a function that carries must
+// return tight limbs, below 2^51 + 2^13.
 
 constexpr std::uint64_t kLimb52 = std::uint64_t{1} << 52;
 constexpr std::uint64_t kLimb53 = std::uint64_t{1} << 53;
@@ -965,8 +965,11 @@ std::vector<Fe> elements_below(std::uint64_t bound, util::Rng& rng) {
   return out;
 }
 
-void expect_reduced(const Fe& f) {
-  for (auto l : f.v) EXPECT_LT(l, kLimb52);
+// fe_sub_2p's subtrahend bound, which every carrying function meets.
+constexpr std::uint64_t kTight = (std::uint64_t{1} << 51) + (1 << 13);
+
+void expect_tight(const Fe& f) {
+  for (auto l : f.v) EXPECT_LT(l, kTight);
 }
 
 TEST(Fe, MulAndSqAtLimbsBelow2To54) {
@@ -975,12 +978,12 @@ TEST(Fe, MulAndSqAtLimbsBelow2To54) {
   for (const Fe& f : elements) {
     Fe h, want;
     fe_sq(h, f);
-    expect_reduced(h);
+    expect_tight(h);
     fe_mul(want, canonical(f), canonical(f));
     EXPECT_EQ(fe_hex(h), fe_hex(want));
     for (const Fe& g : elements) {
       fe_mul(h, f, g);
-      expect_reduced(h);
+      expect_tight(h);
       fe_mul(want, canonical(f), canonical(g));
       EXPECT_EQ(fe_hex(h), fe_hex(want));
     }
@@ -993,7 +996,7 @@ TEST(Fe, MulSmallAtLimbsBelow2To54) {
     for (std::uint64_t n : {std::uint64_t{121665}, kMulSmallBound - 1}) {
       Fe h, n_fe, want;
       fe_mul_small(h, f, n);
-      expect_reduced(h);
+      expect_tight(h);
       fe_zero(n_fe);
       n_fe.v[0] = n;
       fe_mul(want, canonical(f), n_fe);
@@ -1009,7 +1012,7 @@ TEST(Fe, AddSubAndNegAtLimbsBelow2To53) {
   for (const Fe& f : elements) {
     Fe h, want;
     fe_neg(h, f);
-    expect_reduced(h);
+    expect_tight(h);
     fe_add(want, h, canonical(f));
     EXPECT_EQ(fe_hex(want), zero);
     for (const Fe& g : elements) {
@@ -1018,7 +1021,22 @@ TEST(Fe, AddSubAndNegAtLimbsBelow2To53) {
       fe_add(want, canonical(f), canonical(g));
       EXPECT_EQ(fe_hex(h), fe_hex(want));
       fe_sub(h, f, g);
-      expect_reduced(h);
+      expect_tight(h);
+      fe_sub(want, canonical(f), canonical(g));
+      EXPECT_EQ(fe_hex(h), fe_hex(want));
+    }
+  }
+}
+
+TEST(Fe, Sub2pAtLimbsBelow2To52AndTight) {
+  util::Rng rng(33);
+  const auto minuends = elements_below(kLimb52, rng);
+  const auto subtrahends = elements_below(kTight, rng);
+  for (const Fe& f : minuends) {
+    for (const Fe& g : subtrahends) {
+      Fe h, want;
+      fe_sub_2p(h, f, g);
+      for (auto l : h.v) EXPECT_LT(l, kLimb53);
       fe_sub(want, canonical(f), canonical(g));
       EXPECT_EQ(fe_hex(h), fe_hex(want));
     }
@@ -1183,6 +1201,86 @@ TEST(X25519, Rfc7748IteratedVector1000) {
   }
   EXPECT_EQ(util::to_hex(util::ByteSpan(k)),
             "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+// u-coordinates of small order on the curve or its twist: 0, 1, p - 1 and
+// the two points of order 8; then non-canonical encodings of them: p and
+// p + 1, and each of the first five with the ignored top bit set.
+std::vector<X25519Key> small_order_points() {
+  const std::string ff(60, 'f');
+  std::vector<X25519Key> points = {
+      arr_from_hex<32>(std::string(64, '0')),
+      arr_from_hex<32>("01" + std::string(62, '0')),
+      arr_from_hex<32>("ec" + ff + "7f"),
+      arr_from_hex<32>(
+          "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+      arr_from_hex<32>(
+          "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+      arr_from_hex<32>("ed" + ff + "7f"),
+      arr_from_hex<32>("ee" + ff + "7f"),
+  };
+  for (std::size_t i = 0; i < 5; ++i) {
+    X25519Key top = points[i];
+    top[31] |= 0x80;
+    points.push_back(top);
+  }
+  return points;
+}
+
+X25519Key random_key(util::Rng& rng) {
+  X25519Key k;
+  for (auto& b : k) b = static_cast<std::uint8_t>(rng.below(256));
+  return k;
+}
+
+TEST(X25519, SmallOrderPointsGiveZeroAloneAndInABatch) {
+  util::Rng rng(16);
+  const X25519Key zero{};
+  const std::vector<X25519Key> bad = small_order_points();
+  for (int trial = 0; trial < 3; ++trial) {
+    const X25519Key scalar = random_key(rng);
+    for (const X25519Key& u : bad) {
+      EXPECT_EQ(x25519(scalar, u), zero) << to_hex(ByteSpan(u));
+    }
+    EXPECT_EQ(x25519_batch(scalar, bad), std::vector<X25519Key>(bad.size()));
+
+    // Each bad point between honest ones, whose outputs must still be the
+    // Diffie-Hellman secrets; one honest point also with its top bit set.
+    std::vector<X25519Key> points;
+    std::vector<X25519Key> want;
+    const X25519Key own_pub = x25519_base(scalar);
+    for (const X25519Key& u : bad) {
+      const X25519Key peer = random_key(rng);
+      points.push_back(x25519_base(peer));
+      want.push_back(x25519(peer, own_pub));
+      points.push_back(u);
+      want.push_back(zero);
+    }
+    points.push_back(points.front());
+    points.back()[31] |= 0x80;
+    want.push_back(want.front());
+
+    const std::vector<X25519Key> got = x25519_batch(scalar, points);
+    EXPECT_EQ(got, want);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(got[i], x25519(scalar, points[i])) << i;
+    }
+    EXPECT_TRUE(x25519_batch(scalar, {}).empty());
+  }
+}
+
+TEST(Identity, BatchedPairKeysEqualSingleDerivations) {
+  util::Rng rng(17);
+  const auto self = Identity::generate(rng);
+  std::vector<X25519Key> peers;
+  for (int i = 0; i < 40; ++i) peers.push_back(Identity::generate(rng).dh_public());
+  // A low-order key mid-batch must not disturb the keys around it.
+  peers.insert(peers.begin() + 20, small_order_points()[3]);
+  const std::vector<Bytes> keys = self.derive_pair_keys(peers);
+  ASSERT_EQ(keys.size(), peers.size());
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    EXPECT_EQ(keys[i], self.derive_pair_key(peers[i])) << i;
+  }
 }
 
 // Parameterized round-trip sweep: the port box must be inverse-correct for

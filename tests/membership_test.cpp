@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "drum/check/check.hpp"
+#include "drum/crypto/portbox.hpp"
 #include "drum/membership/ca.hpp"
 #include "drum/membership/failure_detector.hpp"
 #include "drum/membership/service.hpp"
@@ -365,6 +366,42 @@ TEST(Service, ExpelRemovesEverywhereAndAppDataStillFlows) {
   EXPECT_FALSE(f.app_deliveries[0].empty());
   EXPECT_FALSE(f.app_deliveries[2].empty());
   EXPECT_EQ(f.app_deliveries[0].back().msg.payload, data);
+}
+
+TEST(Service, ForgedCertificateOfSuspectedMemberAdmitsNoForeignKeys) {
+  // After 40 silent rounds node 0 suspects member 2, so 2 is missing from
+  // node 0's directory and a pull request claiming to be from 2 goes to the
+  // certificate validator. The request carries 2's certificate re-keyed to
+  // an outsider (its CA signature no longer verifies) and a box sealed
+  // under the outsider's pair key: the box must fail, and go unserved.
+  TwoNodeFixture f;
+  for (std::uint32_t id = 0; id < 3; ++id) f.add_node(id);
+  f.sync_roster();
+  f.run_rounds(40);
+  core::Node& victim = *f.nodes[0];
+  ASSERT_TRUE(
+      f.services[0]->failure_detector().is_suspected(2, victim.round()));
+
+  const auto outsider = crypto::Identity::generate(f.rng);
+  Certificate forged = f.ca.roster()[2];
+  ASSERT_EQ(forged.member_id, 2u);
+  forged.sign_pub = outsider.sign_public();
+  forged.dh_pub = outsider.dh_public();
+  core::PullRequest req;
+  req.sender = 2;
+  req.cert = forged.encode();
+  const auto key = outsider.derive_pair_key(f.ids[0].dh_public());
+  req.boxed_reply_port =
+      crypto::portbox_seal_port(util::ByteSpan(key), 50000, f.rng);
+
+  const auto& reg = victim.registry();
+  const auto served = reg.counter_value("node.pull_requests_served");
+  const auto box_failures = reg.counter_value("node.box_failures");
+  f.net.send_raw(net::Address{2, 60000}, net::Address{0, 4000},
+                 util::ByteSpan(core::encode(req)));
+  poll_node(victim);
+  EXPECT_EQ(reg.counter_value("node.box_failures"), box_failures + 1);
+  EXPECT_EQ(reg.counter_value("node.pull_requests_served"), served);
 }
 
 TEST(Service, ForgedEventsCountedAsRejected) {
