@@ -82,9 +82,12 @@ void BM_X25519(benchmark::State& state) {
 BENCHMARK(BM_X25519);
 
 // One identity deriving the pair keys of `n` peers in one batch (the
-// X25519 steps share one inversion), as Node::prewarm_pair_keys does at
-// join time; reported per key.
-void BM_X25519PairKeys(benchmark::State& state) {
+// X25519 steps share one inversion), reported per key, under each backend:
+// n = 4 is a round tick's batch (Node::send_gossip), n = 255 a join-time
+// batch (Node::prewarm_pair_keys). Native runs groups of four on the
+// four-lane ladder where the CPU has AVX-512 IFMA.
+void BM_X25519PairKeys(benchmark::State& state, const char* backend) {
+  crypto::set_active_backend(backend);
   util::Rng rng(12);
   const auto self = crypto::Identity::generate(rng);
   std::vector<crypto::X25519Key> peers(static_cast<std::size_t>(state.range(0)));
@@ -96,8 +99,10 @@ void BM_X25519PairKeys(benchmark::State& state) {
       static_cast<double>(peers.size()),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
+  crypto::set_active_backend("native");
 }
-BENCHMARK(BM_X25519PairKeys)->Arg(255);
+BENCHMARK_CAPTURE(BM_X25519PairKeys, scalar, "scalar")->Arg(4)->Arg(255);
+BENCHMARK_CAPTURE(BM_X25519PairKeys, native, "native")->Arg(4)->Arg(255);
 
 void BM_Ed25519Sign_50B(benchmark::State& state) {
   util::Rng rng(8);
@@ -416,7 +421,7 @@ void run_obs_overhead_report() {
 
 // Per-backend SHA-256 throughput, the single-vs-batch Ed25519 verify cost
 // (batch-64 under one key and under 64 keys), one X25519 and the per-key
-// cost of a 255-key pair-key batch, written to
+// cost of a 4-key and a 255-key pair-key batch, written to
 // BENCH_crypto.json — the CI artifact that tracks the SHA-NI
 // speedup release over release.
 void run_crypto_report() {
@@ -488,18 +493,23 @@ void run_crypto_report() {
   const double pair_keys_s = time_per_call([&] {
     benchmark::DoNotOptimize(self.derive_pair_keys(peers));
   });
+  const std::span<const crypto::X25519Key> four(peers.data(), 4);
+  const double pair_keys4_s = time_per_call([&] {
+    benchmark::DoNotOptimize(self.derive_pair_keys(four));
+  });
   // Every cost stays a lower-is-better leaf. A derived single/batch ratio
   // would read as a regression whenever single verification gets faster.
-  char tail[384];
+  char tail[512];
   std::snprintf(tail, sizeof tail,
                 "\n  ],\n  \"ed25519\": {\"verify_us\": %.1f, "
                 "\"batch64_us_per_sig\": %.1f, "
                 "\"batch64_distinct_us_per_sig\": %.1f},\n"
                 "  \"x25519\": {\"x25519_us\": %.1f, "
-                "\"pair_keys_us_per_key\": %.1f}\n}\n",
+                "\"pair_keys_us_per_key\": %.1f, "
+                "\"pair_keys4_us_per_key\": %.1f}\n}\n",
                 single_s * 1e6, batch_s(one) / 64.0 * 1e6,
                 batch_s(distinct) / 64.0 * 1e6, x25519_s * 1e6,
-                pair_keys_s / 255.0 * 1e6);
+                pair_keys_s / 255.0 * 1e6, pair_keys4_s / 4.0 * 1e6);
   out += tail;
   std::printf("\ncrypto backends (1 MiB buffers; batches of 64 signatures):\n%s",
               out.c_str());

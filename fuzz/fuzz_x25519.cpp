@@ -10,9 +10,12 @@
 //     which subtracts with the carrying fe_sub and inverts each point's Z
 //     on its own;
 //   * every key of derive_pair_keys equals derive_pair_key's.
-// Batches mix honest public keys and random bytes with small-order points
-// (0, 1, p - 1, the two points of order 8), non-canonical encodings
-// (u + p for u < 19) and set top bits.
+// Batches of one to nine points (so under the native backend every layout
+// of the four-lane ladder occurs: full groups, groups of two and three
+// padded with a dummy point, a lone remainder on the scalar ladder) mix
+// honest public keys and random bytes with small-order points (0, 1,
+// p - 1, the two points of order 8), non-canonical encodings (u + p for
+// u < 19) and set top bits.
 //
 // Standalone mode runs a deterministic seed-driven loop (ctest target
 // "fuzz_x25519_10k", also under ASan/TSan via scripts/check.sh and under
@@ -34,14 +37,14 @@ namespace {
 using drum::crypto::X25519Key;
 using drum::util::ByteSpan;
 
-// Byte-level entry: a 32-byte scalar, then up to eight 32-byte points.
+// Byte-level entry: a 32-byte scalar, then up to nine 32-byte points.
 // Every batched output must equal the one-point output.
 void fuzz_one(ByteSpan data) {
   if (data.size() < 32) return;
   X25519Key scalar;
   std::copy_n(data.begin(), 32, scalar.begin());
   std::vector<X25519Key> points;
-  for (std::size_t at = 32; at + 32 <= data.size() && points.size() < 8;
+  for (std::size_t at = 32; at + 32 <= data.size() && points.size() < 9;
        at += 32) {
     X25519Key& u = points.emplace_back();
     std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(at), 32, u.begin());
@@ -170,9 +173,9 @@ int main(int argc, char** argv) {
   };
 
   for (std::uint64_t i = 0; i < args.iterations; ++i) {
-    // A batch of 1..4 points under a fresh scalar.
+    // A batch of 1..9 points under a fresh scalar.
     const X25519Key scalar = random_key(rng);
-    std::vector<X25519Key> points(1 + rng.below(4));
+    std::vector<X25519Key> points(1 + rng.below(9));
     for (X25519Key& u : points) u = pick_point(small_order, rng);
 
     const std::vector<X25519Key> batch =
@@ -204,7 +207,7 @@ int main(int argc, char** argv) {
     // Arbitrary bytes through the byte-level entry.
     if (i % 16 == 0) {
       const drum::util::Bytes noise =
-          drum::fuzz::random_bytes(rng, rng.below(32 * 5));
+          drum::fuzz::random_bytes(rng, rng.below(32 * 11));
       fuzz_one(ByteSpan(noise));
     }
   }

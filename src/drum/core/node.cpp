@@ -124,6 +124,8 @@ void Node::init_metrics() {
   c_.pull_requests_served = &registry_.counter("node.pull_requests_served");
   c_.push_offers_answered = &registry_.counter("node.push_offers_answered");
   c_.push_replies_acted = &registry_.counter("node.push_replies_acted");
+  c_.pair_keys_derived = &registry_.counter("node.pair_keys_derived");
+  c_.pair_key_batches = &registry_.counter("node.pair_key_batches");
   for (int i = 0; i < 5; ++i) {
     const std::string base = std::string("chan.") + kChannelNames[i] + ".";
     chan_[i].read = &registry_.counter(base + "read");
@@ -238,14 +240,21 @@ void Node::update_peers(std::vector<Peer> peers) {
 void Node::prewarm_pair_keys() {
   EntryGuard entry(entry_owner_);
   std::vector<std::uint32_t> ids;
-  std::vector<crypto::X25519Key> dh_pubs;
   for (const auto& p : dir()) {
     if (p.present && p.id != cfg_.id && !pair_keys_.contains(p.id)) {
       ids.push_back(p.id);
-      dh_pubs.push_back(p.dh_pub);
     }
   }
-  // One batch: the X25519 steps share a single field inversion.
+  derive_pair_keys(ids);
+}
+
+void Node::derive_pair_keys(std::span<const std::uint32_t> ids) {
+  if (ids.empty()) return;
+  std::vector<crypto::X25519Key> dh_pubs;
+  dh_pubs.reserve(ids.size());
+  for (const std::uint32_t id : ids) dh_pubs.push_back(dir()[id].dh_pub);
+  // One batch: the X25519 ladders run four at a time where the CPU allows
+  // and share a single field inversion.
   const std::vector<util::Bytes> keys = identity_.derive_pair_keys(dh_pubs);
   pair_keys_.reserve(pair_keys_.size() + ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -253,16 +262,15 @@ void Node::prewarm_pair_keys() {
     std::copy_n(keys[i].begin(), key.size(), key.begin());
     pair_keys_.emplace(ids[i], key);
   }
+  c_.pair_keys_derived->inc(ids.size());
+  c_.pair_key_batches->inc();
 }
 
 const crypto::PortBoxKey& Node::pair_key(std::uint32_t peer_id) {
   auto it = pair_keys_.find(peer_id);
   if (it == pair_keys_.end()) {
-    const util::Bytes derived =
-        identity_.derive_pair_key(dir()[peer_id].dh_pub);
-    crypto::PortBoxKey key;
-    std::copy_n(derived.begin(), key.size(), key.begin());
-    it = pair_keys_.emplace(peer_id, key).first;
+    derive_pair_keys(std::span(&peer_id, 1));
+    it = pair_keys_.find(peer_id);
   }
   return it->second;
 }
@@ -775,11 +783,32 @@ void Node::send_gossip() {
   if (candidates.empty()) return;
   const auto nc = static_cast<std::uint32_t>(candidates.size());
 
+  std::vector<std::uint32_t> pull_view, push_view;
   if (cfg_.pull_enabled()) {
-    auto view = rng_.sample(nc, static_cast<std::uint32_t>(cfg_.view_pull()),
-                            nc);
+    pull_view =
+        rng_.sample(nc, static_cast<std::uint32_t>(cfg_.view_pull()), nc);
+  }
+  if (cfg_.push_enabled()) {
+    push_view =
+        rng_.sample(nc, static_cast<std::uint32_t>(cfg_.view_push()), nc);
+  }
+  // Every target not met before gets its pair key from one batch, a target
+  // in both views once.
+  std::vector<std::uint32_t> uncached;
+  for (const auto* view : {&pull_view, &push_view}) {
+    for (const std::uint32_t idx : *view) {
+      const std::uint32_t t = candidates[idx];
+      if (!pair_keys_.contains(t) &&
+          std::find(uncached.begin(), uncached.end(), t) == uncached.end()) {
+        uncached.push_back(t);
+      }
+    }
+  }
+  derive_pair_keys(uncached);
+
+  if (!pull_view.empty()) {
     Digest digest = buffer_.digest();
-    for (auto idx : view) {
+    for (auto idx : pull_view) {
       std::uint32_t t = candidates[idx];
       PullRequest req;
       req.sender = cfg_.id;
@@ -793,20 +822,16 @@ void Node::send_gossip() {
                  encode(req));
     }
   }
-  if (cfg_.push_enabled()) {
-    auto view = rng_.sample(nc, static_cast<std::uint32_t>(cfg_.view_push()),
-                            nc);
-    for (auto idx : view) {
-      std::uint32_t t = candidates[idx];
-      PushOffer offer;
-      offer.sender = cfg_.id;
-      offer.cert = own_cert_;
-      offer.boxed_reply_port =
-          crypto::portbox_seal_port(pair_key(t), cur_push_reply_port_, rng_);
-      trace(obs::EventKind::kOfferSend, t);
-      queue_send(net::Address{dir()[t].host, dir()[t].wk_offer_port},
-                 encode(offer));
-    }
+  for (auto idx : push_view) {
+    std::uint32_t t = candidates[idx];
+    PushOffer offer;
+    offer.sender = cfg_.id;
+    offer.cert = own_cert_;
+    offer.boxed_reply_port =
+        crypto::portbox_seal_port(pair_key(t), cur_push_reply_port_, rng_);
+    trace(obs::EventKind::kOfferSend, t);
+    queue_send(net::Address{dir()[t].host, dir()[t].wk_offer_port},
+               encode(offer));
   }
   // One scatter call for the whole round's fan-out: pull requests + offers
   // leave in a single network transaction instead of one lock/syscall each.

@@ -174,7 +174,9 @@ class Node {
   /// (rounds, delivered, duplicates, datagrams_read, flushed_unread,
   /// decode_errors, box_failures, sig_failures, unknown_sender,
   /// certs_admitted, pull_requests_served, push_offers_answered,
-  /// push_replies_acted) plus per-channel telemetry under "chan.<name>.*"
+  /// push_replies_acted, and pair_keys_derived / pair_key_batches: X25519
+  /// pair keys derived and the derive calls they took, lazy, round tick
+  /// and prewarm alike) plus per-channel telemetry under "chan.<name>.*"
   /// (read, flushed_unread, decode_errors, budget_exhausted counters and a
   /// per-round budget_used histogram) and the "node.poll.drained"
   /// queue-drain-depth histogram. Read with the typed accessors
@@ -259,7 +261,11 @@ class Node {
 
   const Peer* find_peer(std::uint32_t id) const;
   const Peer* resolve_sender(std::uint32_t id, const util::Bytes& cert);
+  /// The cached pair key of `peer_id`, derived now on first contact.
   const crypto::PortBoxKey& pair_key(std::uint32_t peer_id);
+  /// Derives and caches the pair keys of `ids` (distinct, none cached) in
+  /// one Identity::derive_pair_keys call, and counts it.
+  void derive_pair_keys(std::span<const std::uint32_t> ids);
   void rotate_random_ports();
   /// Records whether the runtime should watch `bs` and tells the socket
   /// hook when that changes.
@@ -360,6 +366,8 @@ class Node {
     obs::Counter* pull_requests_served = nullptr;
     obs::Counter* push_offers_answered = nullptr;
     obs::Counter* push_replies_acted = nullptr;
+    obs::Counter* pair_keys_derived = nullptr;
+    obs::Counter* pair_key_batches = nullptr;
     /// Scoring layer (registered only when cfg.scoring.enabled):
     /// frames from greylisted peers dropped before consuming budget.
     obs::Counter* score_greylist_drops = nullptr;

@@ -15,15 +15,30 @@ namespace drum::crypto {
 namespace {
 
 #if defined(__x86_64__) || defined(_M_X64)
+// XCR0, the state components the OS saves on a context switch. Only valid
+// when CPUID reports OSXSAVE.
+std::uint64_t xgetbv0() {
+  std::uint32_t lo = 0, hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
+  return std::uint64_t{hi} << 32 | lo;
+}
+
 CpuFeatures detect_cpu() {
   CpuFeatures f;
   unsigned a = 0, b = 0, c = 0, d = 0;
   if (__get_cpuid(1, &a, &b, &c, &d)) {
     f.ssse3 = (c >> 9) & 1;
     f.sse41 = (c >> 19) & 1;
+    // SSE, AVX (YMM), opmask, ZMM_Hi256 and Hi16_ZMM state.
+    constexpr std::uint64_t kAvx512State = 0xE6;
+    const bool osxsave = (c >> 27) & 1;
+    f.os_avx512 = osxsave && (xgetbv0() & kAvx512State) == kAvx512State;
     unsigned a7 = 0, b7 = 0, c7 = 0, d7 = 0;
     if (__get_cpuid_count(7, 0, &a7, &b7, &c7, &d7)) {
+      f.avx512f = (b7 >> 16) & 1;
+      f.avx512ifma = (b7 >> 21) & 1;
       f.sha_ni = (b7 >> 29) & 1;
+      f.avx512vl = (b7 >> 31) & 1;
     }
   }
   return f;
@@ -36,6 +51,7 @@ Backend make_scalar() {
   Backend b;
   b.name = "scalar";
   b.sha256_compress = detail::sha256_compress_scalar;
+  b.x25519_ladder_x4 = nullptr;
   return b;
 }
 
@@ -46,6 +62,11 @@ Backend make_native() {
 #if defined(DRUM_CRYPTO_HAVE_SHANI)
   if (cpu.sha_ni && cpu.ssse3 && cpu.sse41) {
     b.sha256_compress = detail::sha256_compress_shani;
+  }
+#endif
+#if defined(DRUM_CRYPTO_HAVE_IFMA)
+  if (cpu.avx512f && cpu.avx512vl && cpu.avx512ifma && cpu.os_avx512) {
+    b.x25519_ladder_x4 = detail::x25519_ladder_x4_ifma;
   }
 #endif
   return b;
@@ -88,7 +109,9 @@ const Backend& native_backend() {
 }
 
 bool native_backend_accelerated() {
-  return native_backend().sha256_compress != scalar_backend().sha256_compress;
+  return native_backend().sha256_compress !=
+             scalar_backend().sha256_compress ||
+         native_backend().x25519_ladder_x4 != nullptr;
 }
 
 const Backend& active_backend() { return *active_slot(); }

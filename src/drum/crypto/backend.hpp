@@ -1,22 +1,28 @@
-// crypto::Backend — runtime dispatch of the SHA-256 block function between
-// the portable scalar reference implementation and the SHA-NI one.
+// crypto::Backend — runtime dispatch of two kernels between the portable
+// scalar reference implementations and the ISA paths of this CPU: the
+// SHA-256 block function (SHA-NI) and four X25519 ladders at once (AVX-512
+// IFMA).
 //
 // Why it exists: the paper's cost model (§6, App. A–C) bounds a victim's
 // survivability by how cheaply it processes an adversarial flood — every
 // fabricated port box a channel's read budget admits costs an HMAC-SHA256
 // check before it can be discarded. Hardware compression shrinks that
-// per-message cost.
+// per-message cost. And every advertised random port is sealed under a
+// pairwise X25519 key (§4), so a correct node pays one X25519 per peer it
+// contacts first; a round tick derives its new targets' keys as one batch,
+// which the four-lane ladder runs for little more than the price of one.
 //
-// Design: SHA-256 keeps its scalar implementation as the portable reference
-// backend; the SHA-NI translation unit (compiled with its own -m flags, so
-// the rest of the tree stays portable) exports an alternative entry point
-// for the block-level hot loop only. A Backend is a name and a function
-// pointer; the active one is chosen once at startup from CPUID and can be
-// forced with DRUM_CRYPTO_BACKEND=scalar|native (or from tests/benches via
-// set_active_backend()). All backends are bit-identical: they implement the
-// same FIPS 180-4 compression.
+// Design: each primitive keeps its scalar implementation as the portable
+// reference; each ISA kernel lives in a translation unit of its own,
+// compiled with its own -m flags so the rest of the tree stays portable. A
+// Backend is a name and one function pointer per slot; the active one is
+// chosen once at startup from CPUID (and XGETBV for the AVX-512 state) and
+// can be forced with DRUM_CRYPTO_BACKEND=scalar|native (or from
+// tests/benches via set_active_backend()). All backends are bit-identical:
+// they implement the same FIPS 180-4 compression and the same RFC 7748
+// ladder.
 //
-// One slot, one stream. The per-round read budgets (paper §4) cap how many
+// One SHA-256 stream. The per-round read budgets (paper §4) cap how many
 // port boxes reach the MAC, so an ingress pass rarely holds eight of them:
 // in the flood, steady and scale benchmark workloads 86–94% of the passes
 // that opened any box opened 1–3, and under 3% opened eight or more. Boxes
@@ -24,9 +30,15 @@
 // ChaCha20 has no slot either: the port box encrypts less than one keystream
 // block, so a block-parallel kernel would never run.
 //
+// Four X25519 lanes. A round tick's batch holds 2–4 new targets, so the
+// X25519 kernel is four lanes of 256 bits; x25519_batch pads a group of two
+// or three with a public dummy point and keeps a lone point on the scalar
+// ladder (DESIGN.md §2).
+//
 // Callers never include this header to do crypto — they use
-// drum/crypto/api.hpp, which routes through the active backend internally.
-// This header is for tests, benchmarks, and startup diagnostics.
+// drum/crypto/api.hpp and drum/crypto/x25519.hpp, which route through the
+// active backend internally. This header is for tests, benchmarks, and
+// startup diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -36,15 +48,25 @@
 
 namespace drum::crypto {
 
-/// The block-level entry point one backend provides. Never null: a backend
-/// missing an ISA path carries the scalar function.
+struct Fe;
+
+/// The kernels one backend provides.
 struct Backend {
   const char* name;
 
   /// SHA-256: compress `nblocks` consecutive 64-byte blocks into `state`
   /// (FIPS 180-4 §6.2.2). `state` is the 8-word working hash, host order.
+  /// Never null: a backend missing the ISA path carries the scalar function.
   void (*sha256_compress)(std::uint32_t state[8], const std::uint8_t* blocks,
                           std::size_t nblocks);
+
+  /// X25519: the Montgomery ladder (RFC 7748 §5) of one clamped 32-byte
+  /// scalar `k` on four u-coordinates `u[0..3]` (fe_frombytes output) at
+  /// once, writing lane l's projective result to (x_out[l] : z_out[l]),
+  /// limbs below 2^52. Null when the backend has no four-lane kernel;
+  /// x25519_batch then runs the scalar ladder on every point.
+  void (*x25519_ladder_x4)(const std::uint8_t* k, const Fe* u, Fe* x_out,
+                           Fe* z_out);
 };
 
 /// The portable reference backend (always available, any architecture).
@@ -55,10 +77,10 @@ const Backend& scalar_backend();
 /// scalar_backend()'s table entirely on non-x86 builds.
 const Backend& native_backend();
 
-/// True when native_backend() runs SHA-NI.
+/// True when native_backend() carries an ISA kernel in either slot.
 bool native_backend_accelerated();
 
-/// The backend the SHA-256 entry points route through. Resolved once on
+/// The backend SHA-256 and x25519_batch route through. Resolved once on
 /// first use: native unless DRUM_CRYPTO_BACKEND=scalar is set in the
 /// environment (DRUM_CRYPTO_BACKEND=native is accepted and is the default;
 /// any other value is ignored with a warning).
@@ -79,6 +101,12 @@ struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
   bool sha_ni = false;
+  bool avx512f = false;
+  bool avx512vl = false;
+  bool avx512ifma = false;
+  /// XGETBV: the OS saves the opmask and full ZMM state (XCR0 bits 1, 2
+  /// and 5–7), so AVX-512 instructions may run.
+  bool os_avx512 = false;
 };
 const CpuFeatures& cpu_features();
 

@@ -1,5 +1,8 @@
 #include "drum/crypto/x25519.hpp"
 
+#include <algorithm>
+
+#include "drum/crypto/backend.hpp"
 #include "drum/crypto/fe25519.hpp"
 
 namespace drum::crypto {
@@ -11,50 +14,71 @@ X25519Key x25519_clamp(X25519Key scalar) {
   return scalar;
 }
 
+namespace {
+
+// u = 9. Also the point a group of two or three fills its spare lanes
+// with: public and of large order (Z != 0); its output is dropped.
+constexpr X25519Key kBasePoint = {9};
+
+}  // namespace
+
 std::vector<X25519Key> x25519_batch(const X25519Key& scalar,
                                     std::span<const X25519Key> points) {
   const X25519Key k = x25519_clamp(scalar);
-  std::vector<X25519Key> out(points.size());
-  if (points.empty()) return out;
+  const std::size_t n = points.size();
+  std::vector<X25519Key> out(n);
+  if (n == 0) return out;
 
-  // Forward: ladder each point to (x_i : z_i), keep z_i and
-  // w_i = x_i * z_0 ... z_{i-1}, and carry acc = z_0 ... z_i.
-  struct Ratio {
-    Fe w, z;
-  };
-  std::vector<Ratio> ratios(points.size());
+  // Ladder every point to (x_i : z_i): groups of four on the backend's
+  // four-lane kernel when it has one, a group of two or three padded with
+  // kBasePoint; a lone point, and every point without the kernel, on the
+  // scalar ladder.
+  std::vector<Fe> xs(n), zs(n);
+  std::size_t i = 0;
+  if (const auto ladder_x4 = active_backend().x25519_ladder_x4) {
+    for (; i + 2 <= n; i += 4) {
+      const std::size_t lanes = std::min<std::size_t>(4, n - i);
+      Fe u[4], x[4], z[4];
+      for (std::size_t l = 0; l < 4; ++l) {
+        fe_frombytes(u[l], (l < lanes ? points[i + l] : kBasePoint).data());
+      }
+      ladder_x4(k.data(), u, x, z);
+      std::copy_n(x, lanes, xs.begin() + static_cast<std::ptrdiff_t>(i));
+      std::copy_n(z, lanes, zs.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  for (; i < n; ++i) fe_x25519_ladder(k, points[i], xs[i], zs[i]);
+
+  // Forward: turn x_i into w_i = x_i * z_0 ... z_{i-1}, and carry
+  // acc = z_0 ... z_i.
   Fe one, zero, acc;
   fe_one(one);
   fe_zero(zero);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    Fe x, z;
-    fe_x25519_ladder(k, points[i], x, z);
+  for (i = 0; i < n; ++i) {
     // z = 0 exactly when the point has small order (the clamped scalar is
     // a multiple of 8, below both large prime orders), so this depends on
     // the public point alone. x * z^(p-2) is then 0; take (0 : 1), which
     // gives the same output and keeps acc invertible.
-    const std::uint64_t z_is_zero = fe_is_zero(z) ? 1 : 0;
-    fe_cmov(x, zero, z_is_zero);
-    fe_cmov(z, one, z_is_zero);
+    const std::uint64_t z_is_zero = fe_is_zero(zs[i]) ? 1 : 0;
+    fe_cmov(xs[i], zero, z_is_zero);
+    fe_cmov(zs[i], one, z_is_zero);
     if (i == 0) {
-      ratios[i].w = x;
-      acc = z;
+      acc = zs[i];
     } else {
-      fe_mul(ratios[i].w, x, acc);
-      fe_mul(acc, acc, z);
+      fe_mul(xs[i], xs[i], acc);
+      fe_mul(acc, acc, zs[i]);
     }
-    ratios[i].z = z;
   }
 
   // Backward: inv = (z_0 ... z_i)^-1 gives out_i = w_i * inv, and inv * z_i
   // is the next point's inverse.
   Fe inv;
   fe_invert(inv, acc);
-  for (std::size_t i = points.size(); i-- > 0;) {
+  for (i = n; i-- > 0;) {
     Fe u;
-    fe_mul(u, ratios[i].w, inv);
+    fe_mul(u, xs[i], inv);
     fe_tobytes(out[i].data(), u);
-    if (i > 0) fe_mul(inv, inv, ratios[i].z);
+    if (i > 0) fe_mul(inv, inv, zs[i]);
   }
   return out;
 }
@@ -64,9 +88,7 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
 }
 
 X25519Key x25519_base(const X25519Key& scalar) {
-  X25519Key base{};
-  base[0] = 9;
-  return x25519(scalar, base);
+  return x25519(scalar, kBasePoint);
 }
 
 }  // namespace drum::crypto

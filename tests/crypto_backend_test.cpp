@@ -1,14 +1,16 @@
 // Backend-dispatch tests for drum::crypto: the published known-answer
-// vectors (FIPS 180-4, RFC 8032) replayed against every compiled backend,
-// randomized scalar-vs-native equivalence over odd lengths and block
-// boundaries, batch Ed25519 negative tests (a corrupted signature at
-// any batch position is detected and attributed to exactly that index, and
-// malformed encodings are rejected exactly as single verification does),
-// each with one key per signature, one key for all and two keys
-// interleaved.
+// vectors (FIPS 180-4, RFC 8032, RFC 7748) replayed against every compiled
+// backend, randomized scalar-vs-native SHA-256 equivalence over odd lengths
+// and block boundaries, batched X25519 against one-point X25519 in every
+// lane layout with hostile points, batch Ed25519 negative tests (a
+// corrupted signature at any batch position is detected and attributed to
+// exactly that index, and malformed encodings are rejected exactly as
+// single verification does), each with one key per signature, one key for
+// all and two keys interleaved.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "drum/crypto/backend.hpp"
 #include "drum/crypto/ed25519.hpp"
 #include "drum/crypto/sha256.hpp"
+#include "drum/crypto/x25519.hpp"
 #include "drum/util/rng.hpp"
 
 namespace drum::crypto {
@@ -46,6 +49,12 @@ Bytes random_bytes(util::Rng& rng, std::size_t n) {
   return out;
 }
 
+X25519Key random_key(util::Rng& rng) {
+  X25519Key k;
+  for (auto& b : k) b = static_cast<std::uint8_t>(rng.below(256));
+  return k;
+}
+
 // Restores whatever backend was active when the test started.
 class BackendGuard {
  public:
@@ -63,6 +72,7 @@ TEST(BackendDispatch, TableIsSaneAndSelectable) {
   auto backends = all_backends();
   ASSERT_FALSE(backends.empty());
   EXPECT_STREQ(backends.front()->name, "scalar");
+  EXPECT_EQ(backends.front()->x25519_ladder_x4, nullptr);
   for (const Backend* be : backends) {
     ASSERT_NE(be, nullptr);
     EXPECT_NE(be->sha256_compress, nullptr);
@@ -75,16 +85,25 @@ TEST(BackendDispatch, TableIsSaneAndSelectable) {
 
 TEST(BackendDispatch, NativeAccelerationMatchesCpuFeatures) {
   const CpuFeatures& f = cpu_features();
-  // The native table accelerates something iff the build compiled the
-  // SHA-NI path and the CPU can run it. On plain-scalar builds both sides
-  // are false.
-  bool cpu_could = f.sha_ni && f.ssse3 && f.sse41;
-  if (!cpu_could) {
-    EXPECT_FALSE(native_backend_accelerated());
+  const Backend& native = native_backend();
+  // A slot of the native table carries an ISA kernel only if the build
+  // compiled it and the CPU (and, for AVX-512, the OS) can run it. On
+  // plain-scalar builds neither slot does.
+  const bool shani = native.sha256_compress != scalar_backend().sha256_compress;
+  const bool ifma = native.x25519_ladder_x4 != nullptr;
+  if (shani) {
+    EXPECT_TRUE(f.sha_ni && f.ssse3 && f.sse41);
   }
-  if (native_backend_accelerated()) {
-    EXPECT_TRUE(cpu_could);
+  if (ifma) {
+    EXPECT_TRUE(f.avx512f && f.avx512vl && f.avx512ifma && f.os_avx512);
   }
+  // Native is listed, and counts as accelerated, when either slot is.
+  EXPECT_EQ(native_backend_accelerated(), shani || ifma);
+  EXPECT_EQ(all_backends().size(), shani || ifma ? 2U : 1U);
+  // Goes to the log, so a CI run shows which kernels its runner ran.
+  std::printf("native backend: SHA-256 %s, X25519 %s\n",
+              shani ? "SHA-NI" : "scalar",
+              ifma ? "four-lane AVX-512 IFMA" : "scalar");
 }
 
 // ------------------------------------------- KATs against every backend
@@ -162,6 +181,48 @@ TEST(BackendKat, Ed25519Rfc8032EveryBackend) {
   }
 }
 
+TEST(BackendKat, X25519Rfc7748EveryBackend) {
+  BackendGuard guard;
+  struct Vector {
+    const char* scalar;
+    const char* u;
+    const char* out;
+  };
+  // RFC 7748 §5.2 (both single-step vectors) and §6.1 (Alice's secret
+  // under Bob's public key).
+  const Vector vectors[] = {
+      {"a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+       "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+       "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"},
+      {"4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+       "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+       "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"},
+      {"77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+       "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+       "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"}};
+  util::Rng rng(301);
+  for (const Backend* be : all_backends()) {
+    ASSERT_TRUE(set_active_backend(be->name));
+    SCOPED_TRACE(be->name);
+    for (const auto& v : vectors) {
+      const auto scalar = arr_from_hex<kX25519KeySize>(v.scalar);
+      const auto u = arr_from_hex<kX25519KeySize>(v.u);
+      const auto want = arr_from_hex<kX25519KeySize>(v.out);
+      EXPECT_EQ(x25519(scalar, u), want);
+      // The vector's point in every lane of batches of one to five.
+      for (std::size_t n = 1; n <= 5; ++n) {
+        for (std::size_t at = 0; at < n; ++at) {
+          std::vector<X25519Key> points(n);
+          for (auto& p : points) p = x25519_base(random_key(rng));
+          points[at] = u;
+          EXPECT_EQ(x25519_batch(scalar, points)[at], want)
+              << "n=" << n << " at=" << at;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------- randomized scalar-vs-native equivalence
 
 TEST(BackendEquivalence, Sha256OddLengthsAndBlockBoundaries) {
@@ -189,6 +250,70 @@ TEST(BackendEquivalence, Sha256OddLengthsAndBlockBoundaries) {
       }
       EXPECT_EQ(h.final(), want)
           << be->name << " streaming diverges at len=" << len;
+    }
+  }
+}
+
+// Batched X25519 against one-point X25519 (whose lone point always runs
+// the scalar ladder) in every lane layout: batch sizes 1–9 cover full
+// groups of four, padded groups of two and three, and a lone remainder;
+// each hostile point sits in each position once.
+TEST(BackendEquivalence, X25519BatchesMatchOnePointInEveryLane) {
+  BackendGuard guard;
+  const std::string ff(60, 'f');
+  std::vector<X25519Key> hostile = {
+      // Small order: 0, 1, p - 1 and the two points of order 8.
+      arr_from_hex<32>(std::string(64, '0')),
+      arr_from_hex<32>("01" + std::string(62, '0')),
+      arr_from_hex<32>("ec" + ff + "7f"),
+      arr_from_hex<32>(
+          "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+      arr_from_hex<32>(
+          "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+      // Non-canonical: p and p + 1 (0 and 1 again), and 2^255 - 1, whose
+      // 51-bit limbs are all at the top of their range.
+      arr_from_hex<32>("ed" + ff + "7f"),
+      arr_from_hex<32>("ee" + ff + "7f"),
+      arr_from_hex<32>("ff" + ff + "7f"),
+      // 2^256 - 1: the ignored top bit set over 2^255 - 1.
+      arr_from_hex<32>(std::string(64, 'f')),
+  };
+  for (std::size_t i = 0; i < 5; ++i) {  // top bit over each small-order one
+    X25519Key top = hostile[i];
+    top[31] |= 0x80;
+    hostile.push_back(top);
+  }
+  util::Rng rng(302);
+  const X25519Key scalar = random_key(rng);
+  std::vector<X25519Key> honest(9);
+  for (auto& p : honest) p = x25519_base(random_key(rng));
+  // One honest point with its top bit set as well.
+  hostile.push_back(honest[0]);
+  hostile.back()[31] |= 0x80;
+
+  std::vector<X25519Key> honest_want, hostile_want;
+  for (const auto& p : honest) honest_want.push_back(x25519(scalar, p));
+  for (const auto& p : hostile) hostile_want.push_back(x25519(scalar, p));
+  EXPECT_EQ(hostile_want[0], X25519Key{});
+
+  for (const Backend* be : all_backends()) {
+    ASSERT_TRUE(set_active_backend(be->name));
+    SCOPED_TRACE(be->name);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      const std::vector<X25519Key> points(honest.begin(), honest.begin() + n);
+      const std::vector<X25519Key> want(honest_want.begin(),
+                                        honest_want.begin() + n);
+      EXPECT_EQ(x25519_batch(scalar, points), want) << "n=" << n;
+      for (std::size_t at = 0; at < n; ++at) {
+        for (std::size_t h = 0; h < hostile.size(); ++h) {
+          std::vector<X25519Key> mixed = points;
+          std::vector<X25519Key> mixed_want = want;
+          mixed[at] = hostile[h];
+          mixed_want[at] = hostile_want[h];
+          EXPECT_EQ(x25519_batch(scalar, mixed), mixed_want)
+              << "n=" << n << " at=" << at << " hostile=" << h;
+        }
+      }
     }
   }
 }

@@ -762,6 +762,85 @@ TEST(Node, RandomReplyPortsRotateAcrossRoundsAndAreEncrypted) {
   EXPECT_GE(ports.size(), 6u);
 }
 
+TEST(Node, RoundTickDerivesEachNewTargetOnceInOneBatch) {
+  // Node 0 runs alone, without prewarm, so nothing reaches its ingress and
+  // every pair key it derives is a round tick's. We play its 15 peers by
+  // binding their well-known ports, which tells us each round's targets.
+  check::reset_nonce_tracker();
+  util::Rng rng(41);
+  net::MemNetwork net;
+  constexpr std::uint32_t kNodes = 16;
+  std::vector<crypto::Identity> ids;
+  std::vector<Peer> dir(kNodes);
+  for (std::uint32_t id = 0; id < kNodes; ++id) {
+    ids.push_back(crypto::Identity::generate(rng));
+    dir[id] = {id,
+               id,
+               static_cast<std::uint16_t>(3000 + 3 * id),
+               static_cast<std::uint16_t>(3001 + 3 * id),
+               0,
+               ids[id].sign_public(),
+               ids[id].dh_public(),
+               true};
+  }
+  std::vector<std::unique_ptr<net::Transport>> peer_tr;
+  std::vector<std::unique_ptr<net::Socket>> pull_sinks, offer_sinks;
+  for (std::uint32_t id = 1; id < kNodes; ++id) {
+    peer_tr.push_back(net.transport(id));
+    auto pull = peer_tr.back()->bind(dir[id].wk_pull_port);
+    auto offer = peer_tr.back()->bind(dir[id].wk_offer_port);
+    ASSERT_TRUE(pull && offer);
+    pull_sinks.push_back(pull.take());
+    offer_sinks.push_back(offer.take());
+  }
+  auto node_tr = net.transport(0);
+  NodeConfig cfg = make_node_config(Variant::kDrum, 0);
+  cfg.wk_pull_port = dir[0].wk_pull_port;
+  cfg.wk_offer_port = dir[0].wk_offer_port;
+  Node node(cfg, ids[0], dir, *node_tr, 9, nullptr);
+
+  auto derived = [&] {
+    return node.registry().counter_value("node.pair_keys_derived");
+  };
+  auto batches = [&] {
+    return node.registry().counter_value("node.pair_key_batches");
+  };
+  std::set<std::uint32_t> keyed;  // every peer node 0 has sent gossip to
+  std::uint64_t last_derived = 0;
+  std::uint64_t last_batches = 0;
+  bool new_target_in_both_views = false;
+  // Round 0 is the gossip the constructor sends.
+  for (int r = 0; r <= 6; ++r) {
+    if (r > 0) node.on_round();
+    std::set<std::uint32_t> fresh;
+    for (std::uint32_t k = 0; k + 1 < kNodes; ++k) {
+      int pulls = 0;
+      int offers = 0;
+      while (pull_sinks[k]->recv()) ++pulls;
+      while (offer_sinks[k]->recv()) ++offers;
+      if (pulls + offers > 0 && !keyed.contains(k + 1)) {
+        fresh.insert(k + 1);
+        if (pulls > 0 && offers > 0) new_target_in_both_views = true;
+      }
+    }
+    keyed.insert(fresh.begin(), fresh.end());
+    SCOPED_TRACE(r);
+    EXPECT_EQ(derived() - last_derived, fresh.size());
+    EXPECT_EQ(batches() - last_batches, fresh.empty() ? 0u : 1u);
+    last_derived = derived();
+    last_batches = batches();
+  }
+  EXPECT_TRUE(new_target_in_both_views);  // the case the dedupe is for
+  ASSERT_LT(keyed.size(), kNodes - 1);
+
+  node.prewarm_pair_keys();
+  EXPECT_EQ(derived(), kNodes - 1u);
+  EXPECT_EQ(batches(), last_batches + 1);
+  for (int r = 0; r < 3; ++r) node.on_round();
+  EXPECT_EQ(derived(), kNodes - 1u);
+  EXPECT_EQ(batches(), last_batches + 1);
+}
+
 }  // namespace
 }  // namespace drum::core
 
