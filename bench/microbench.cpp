@@ -104,6 +104,27 @@ void BM_X25519PairKeys(benchmark::State& state, const char* backend) {
 BENCHMARK_CAPTURE(BM_X25519PairKeys, scalar, "scalar")->Arg(4)->Arg(255);
 BENCHMARK_CAPTURE(BM_X25519PairKeys, native, "native")->Arg(4)->Arg(255);
 
+// Four identities deriving one pair key each in one pooled call, as a shard
+// pass derives the first contacts of four co-hosted nodes
+// (IngressBatch::verify): one four-lane call with a scalar per lane.
+void BM_X25519PairKeysMixed(benchmark::State& state) {
+  util::Rng rng(13);
+  std::vector<crypto::Identity> selves;
+  std::vector<crypto::PairKeyRequest> requests;
+  for (int l = 0; l < 4; ++l) selves.push_back(crypto::Identity::generate(rng));
+  for (const auto& self : selves) {
+    requests.push_back({&self, crypto::Identity::generate(rng).dh_public()});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Identity::derive_pair_keys(requests));
+  }
+  state.counters["per_key"] = benchmark::Counter(
+      static_cast<double>(requests.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_X25519PairKeysMixed)->Name("BM_X25519PairKeys/native/mixed4");
+
 void BM_Ed25519Sign_50B(benchmark::State& state) {
   util::Rng rng(8);
   auto id = crypto::Identity::generate(rng);

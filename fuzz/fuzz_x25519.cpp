@@ -4,18 +4,22 @@
 //
 // Contracts under test:
 //   * every output of x25519_batch equals the one-point x25519()'s for the
-//     same point, whatever else shares the batch: a small-order point gets
-//     the all-zero output and leaves its batch-mates alone;
+//     same (scalar, point) pair, whatever else shares the batch: other
+//     scalars in the other lanes leave it alone, and a small-order point
+//     gets the all-zero output and leaves its batch-mates alone;
 //   * the ladder agrees with an independent RFC 7748 §5 reference below,
 //     which subtracts with the carrying fe_sub and inverts each point's Z
 //     on its own;
-//   * every key of derive_pair_keys equals derive_pair_key's.
+//   * every key of a pooled derive_pair_keys call over two identities
+//     equals derive_pair_key's.
 // Batches of one to nine points (so under the native backend every layout
 // of the four-lane ladder occurs: full groups, groups of two and three
 // padded with a dummy point, a lone remainder on the scalar ladder) mix
 // honest public keys and random bytes with small-order points (0, 1,
 // p - 1, the two points of order 8), non-canonical encodings (u + p for
-// u < 19) and set top bits.
+// u < 19) and set top bits. Each point draws its own scalar, fresh or
+// repeated from an earlier point, so lanes mix shared and distinct
+// scalars.
 //
 // Standalone mode runs a deterministic seed-driven loop (ctest target
 // "fuzz_x25519_10k", also under ASan/TSan via scripts/check.sh and under
@@ -37,22 +41,20 @@ namespace {
 using drum::crypto::X25519Key;
 using drum::util::ByteSpan;
 
-// Byte-level entry: a 32-byte scalar, then up to nine 32-byte points.
-// Every batched output must equal the one-point output.
+// Byte-level entry: up to nine 64-byte (scalar, point) pairs. Every
+// batched output must equal the one-point output.
 void fuzz_one(ByteSpan data) {
-  if (data.size() < 32) return;
-  X25519Key scalar;
-  std::copy_n(data.begin(), 32, scalar.begin());
-  std::vector<X25519Key> points;
-  for (std::size_t at = 32; at + 32 <= data.size() && points.size() < 9;
-       at += 32) {
-    X25519Key& u = points.emplace_back();
-    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(at), 32, u.begin());
+  std::vector<X25519Key> scalars, points;
+  for (std::size_t at = 0; at + 64 <= data.size() && points.size() < 9;
+       at += 64) {
+    const auto from = data.begin() + static_cast<std::ptrdiff_t>(at);
+    std::copy_n(from, 32, scalars.emplace_back().begin());
+    std::copy_n(from + 32, 32, points.emplace_back().begin());
   }
   const std::vector<X25519Key> batch =
-      drum::crypto::x25519_batch(scalar, points);
+      drum::crypto::x25519_batch(scalars, points);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (batch[i] != drum::crypto::x25519(scalar, points[i])) std::abort();
+    if (batch[i] != drum::crypto::x25519(scalars[i], points[i])) std::abort();
   }
 }
 
@@ -173,32 +175,41 @@ int main(int argc, char** argv) {
   };
 
   for (std::uint64_t i = 0; i < args.iterations; ++i) {
-    // A batch of 1..9 points under a fresh scalar.
-    const X25519Key scalar = random_key(rng);
-    std::vector<X25519Key> points(1 + rng.below(9));
-    for (X25519Key& u : points) u = pick_point(small_order, rng);
+    // A batch of 1..9 points, each under a fresh scalar or an earlier
+    // point's.
+    const std::size_t n = 1 + rng.below(9);
+    std::vector<X25519Key> scalars, points;
+    for (std::size_t k = 0; k < n; ++k) {
+      scalars.push_back(k > 0 && rng.below(3) == 0 ? scalars[rng.below(k)]
+                                                   : random_key(rng));
+      points.push_back(pick_point(small_order, rng));
+    }
 
     const std::vector<X25519Key> batch =
-        drum::crypto::x25519_batch(scalar, points);
-    if (batch.size() != points.size()) fail(i, "batch size differs");
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      if (batch[k] != drum::crypto::x25519(scalar, points[k])) {
+        drum::crypto::x25519_batch(scalars, points);
+    if (batch.size() != n) fail(i, "batch size differs");
+    for (std::size_t k = 0; k < n; ++k) {
+      if (batch[k] != drum::crypto::x25519(scalars[k], points[k])) {
         fail(i, "batched output differs from x25519() at index " +
                     std::to_string(k));
       }
     }
-    const std::size_t probe = rng.below(points.size());
-    if (batch[probe] != reference_x25519(scalar, points[probe])) {
+    const std::size_t probe = rng.below(n);
+    if (batch[probe] != reference_x25519(scalars[probe], points[probe])) {
       fail(i, "output differs from the reference ladder at index " +
                   std::to_string(probe));
     }
 
     if (i % 4 == 0) {
-      const drum::crypto::Identity& self = identities[rng.below(2)];
-      const std::vector<drum::util::Bytes> keys = self.derive_pair_keys(points);
-      for (std::size_t k = 0; k < points.size(); ++k) {
-        if (keys[k] != self.derive_pair_key(points[k])) {
-          fail(i, "batched pair key differs from derive_pair_key at index " +
+      std::vector<drum::crypto::PairKeyRequest> requests;
+      for (const X25519Key& u : points) {
+        requests.push_back({&identities[rng.below(2)], u});
+      }
+      const std::vector<drum::util::Bytes> keys =
+          drum::crypto::Identity::derive_pair_keys(requests);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (keys[k] != requests[k].own->derive_pair_key(points[k])) {
+          fail(i, "pooled pair key differs from derive_pair_key at index " +
                       std::to_string(k));
         }
       }
@@ -207,7 +218,7 @@ int main(int argc, char** argv) {
     // Arbitrary bytes through the byte-level entry.
     if (i % 16 == 0) {
       const drum::util::Bytes noise =
-          drum::fuzz::random_bytes(rng, rng.below(32 * 11));
+          drum::fuzz::random_bytes(rng, rng.below(64 * 10));
       fuzz_one(ByteSpan(noise));
     }
   }

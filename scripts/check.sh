@@ -14,6 +14,9 @@
 #           restarts one runtime while another delivers into it). After
 #           the full suite it reruns the wake-sensitive tests 5 times:
 #           a lost wakeup under the loop's parked rule would show there.
+#           With them runs Stress.ReactorPooledFirstContactsDeliverEveryPair,
+#           whose shard passes derive first-contact pair keys of several
+#           nodes with no node lock held.
 #           Build dir: build-tsan/.
 #   ubsan — UBSan alone, non-recoverable (-fno-sanitize-recover=all): any
 #           finding aborts the test instead of printing and continuing.
@@ -41,7 +44,7 @@ run_mode() {
   if [[ "$sanitize" == thread ]]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" \
       --repeat until-fail:5 \
-      -R '^(EventLoop\.|Stress\.ParkedLoopWakesForEveryForeignNotify$|Stress\.ReactorShardedFloodAndChurn$)'
+      -R '^(EventLoop\.|Stress\.ParkedLoopWakesForEveryForeignNotify$|Stress\.ReactorShardedFloodAndChurn$|Stress\.ReactorPooledFirstContactsDeliverEveryPair$)'
   fi
   echo "check.sh: all tests passed under ${mode}"
 }

@@ -14,7 +14,7 @@ NodeSection& IngressBatch::section_for(Node& node) {
   for (auto& sec : sections_) {
     if (sec.node == &node) return sec;
   }
-  sections_.push_back(NodeSection{&node, {}});
+  sections_.push_back(NodeSection{&node, node.identity(), {}, {}});
   return sections_.back();
 }
 
@@ -28,6 +28,18 @@ bool IngressBatch::empty() const {
 void IngressBatch::clear() { sections_.clear(); }
 
 std::size_t IngressBatch::verify() {
+  // Every section's first contacts in one pooled call, before any box
+  // opens: the keys of co-scheduled nodes fill the X25519 lanes together.
+  std::vector<crypto::PairKeyRequest> requests;
+  for (const auto& sec : sections_) {
+    for (const PendingKey& p : sec.pending_keys) {
+      requests.push_back({&sec.identity, p.dh_pub});
+    }
+  }
+  const std::vector<util::Bytes> keys =
+      crypto::Identity::derive_pair_keys(requests);
+  std::size_t section_keys = 0;  // the current section's first entry in keys
+
   // Gather every pending signature across ALL sections — the whole point of
   // accumulating across co-scheduled nodes is that one worker sweep becomes
   // one wide verify. Port boxes open one at a time as they are met.
@@ -48,10 +60,20 @@ std::size_t IngressBatch::verify() {
           if (cand.needs_verify) section.push_back(&cand);
         }
       } else {
+        if (f.derive_from) {
+          const auto pending = std::find_if(
+              sec.pending_keys.begin(), sec.pending_keys.end(),
+              [&](const PendingKey& p) { return p.peer == f.sender; });
+          const util::Bytes& key =
+              keys[section_keys + static_cast<std::size_t>(
+                                      pending - sec.pending_keys.begin())];
+          std::copy_n(key.begin(), f.box_key.size(), f.box_key.begin());
+        }
         f.port = crypto::portbox_open_port(util::ByteSpan(f.box_key),
                                            util::ByteSpan(f.boxed_port));
       }
     }
+    section_keys += sec.pending_keys.size();
     std::sort(section.begin(), section.end(), before);
     for (std::size_t i = 0; i < section.size(); ++i) {
       DataCandidate& cand = *section[i];

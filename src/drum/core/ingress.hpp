@@ -7,18 +7,23 @@
 // many port boxes reach the HMAC at all:
 //
 //   socket ready ──► Node::drain_ingress(batch)   stage A, node serialized
-//                      recv_batch + budgets + greylist peek + decode
+//                      recv_batch + budgets + greylist peek + decode,
+//                      uncached senders recorded as pending pair keys
 //                 ──► IngressBatch::verify()       lock-free, no node held
+//                      one pooled X25519 call over every pending pair key,
 //                      one ed25519_verify_batch over every data signature,
 //                      one portbox_open_port per control frame
 //                 ──► Node::ingest(frames)         stage B, node serialized
-//                      scoring, greylist, serve/ack, dedupe, delivery
+//                      pair-key caching, scoring, greylist, serve/ack,
+//                      dedupe, delivery
 //
 // The seam between A and B is the push-style ingress API: a runtime DRAINS
 // frames out of many nodes, verifies everything it is holding in one crypto
 // pass (across frames AND across co-scheduled nodes), then PUSHES the
 // verified frames back in. Single-node drivers run the three stages
-// back-to-back on a private batch (drain_ingress + dispatch()).
+// back-to-back on a private batch (drain_ingress + dispatch()). The
+// pooling is across co-hosted nodes only: a node hosted alone derives a
+// lone first contact on the scalar ladder.
 //
 // Budgets are charged at stage A (reading is what the paper's bound meters,
 // valid or not), so nothing here lets a node process more than its per-round
@@ -86,8 +91,15 @@ struct VerifiedFrame {
   /// The sealed reply/data port from the frame; opened by verify().
   util::Bytes boxed_port;
   /// Pairwise key copy: update_peers() may drop the node's cached key
-  /// between stages.
+  /// between stages. Copied from the cache at stage A, or written by
+  /// verify() when the cache had none.
   crypto::PortBoxKey box_key{};
+  /// Set when stage A found no cached pair key for `sender`: the sender's
+  /// X25519 public key as the directory held it then. verify() derives
+  /// box_key from it (the section's pending_keys entry), and ingest()
+  /// caches that key unless update_peers() replaced the sender's key
+  /// between the stages.
+  std::optional<crypto::X25519Key> derive_from;
   /// The peer's digest (pull request / push reply); empty for offers.
   Digest digest;
   /// verify()'s verdict: the opened port, or nullopt on a bad/forged box.
@@ -97,10 +109,20 @@ struct VerifiedFrame {
   std::vector<DataCandidate> candidates;
 };
 
+/// A pair key stage A found uncached, derived by IngressBatch::verify().
+struct PendingKey {
+  std::uint32_t peer = 0;
+  crypto::X25519Key dh_pub{};
+};
+
 /// Frames drained from ONE node, plus where to push them back.
 struct NodeSection {
   Node* node = nullptr;
+  /// The node's identity, whose X25519 secret derives pending_keys.
+  const crypto::Identity& identity;
   std::vector<VerifiedFrame> frames;
+  /// The senders of `frames` without a cached pair key, once each.
+  std::vector<PendingKey> pending_keys;
 };
 
 /// The accumulator a runtime carries across co-scheduled nodes: drain into
@@ -112,7 +134,10 @@ class IngressBatch {
   /// valid until clear() (sections are stable once created).
   NodeSection& section_for(Node& node);
 
-  /// Runs the accumulated crypto: every DataCandidate with needs_verify
+  /// Runs the accumulated crypto: first every section's pending pair keys
+  /// in one Identity::derive_pair_keys call, so the first contacts of
+  /// co-scheduled nodes share the four-lane X25519 ladder, each lane under
+  /// its own node's secret; then every DataCandidate with needs_verify
   /// through one ed25519_verify_batch (per-signature fallback inside keeps
   /// blame exact), and each control frame's boxed port through
   /// portbox_open_port. Within one node's section, byte-identical copies of

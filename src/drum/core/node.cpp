@@ -350,7 +350,7 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
   DRUM_REQUIRE(!in_poll_,
                "drain_ingress() re-entered (delivery callback drove node?)");
   ReentryGuard guard(in_poll_);
-  auto& frames = batch.section_for(*this).frames;
+  ingress::NodeSection& sec = batch.section_for(*this);
   std::size_t drained = 0;
   net::Datagram chunk[ingress::kRecvChunk];
   for (auto& bs : sockets_) {
@@ -419,7 +419,7 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
         }
         ++drained;
         try {
-          parse_into(bs.channel, dgram, disposition, frames);
+          parse_into(bs.channel, dgram, disposition, sec);
         } catch (const util::DecodeError&) {
           c_.decode_errors->inc();
           cm.decode_errors->inc();
@@ -445,7 +445,7 @@ void Node::drain_ingress(ingress::IngressBatch& batch) {
 
 void Node::parse_into(Channel channel, const net::Datagram& dgram,
                       ingress::Disposition disposition,
-                      std::vector<ingress::VerifiedFrame>& out) {
+                      ingress::NodeSection& sec) {
   util::ByteSpan wire(dgram.payload);
   ingress::VerifiedFrame f;
   f.channel = channel;
@@ -534,11 +534,26 @@ void Node::parse_into(Channel channel, const net::Datagram& dgram,
     }
   }
   if (f.channel != Channel::kPullData && f.channel != Channel::kPushData) {
-    // 32-byte copy: update_peers() may drop the cached key before verify()
-    // runs.
-    f.box_key = pair_key(f.sender);
+    if (const auto it = pair_keys_.find(f.sender); it != pair_keys_.end()) {
+      // 32-byte copy: update_peers() may drop the cached key before
+      // verify() runs.
+      f.box_key = it->second;
+    } else {
+      // First contact, over budget or not: verify() derives the key in the
+      // batch's pooled call, once per sender however many frames name it.
+      f.derive_from = dir()[f.sender].dh_pub;
+      auto& pending = sec.pending_keys;
+      if (std::none_of(pending.begin(), pending.end(),
+                       [&](const ingress::PendingKey& p) {
+                         return p.peer == f.sender;
+                       })) {
+        if (pending.empty()) c_.pair_key_batches->inc();
+        pending.push_back({f.sender, *f.derive_from});
+        c_.pair_keys_derived->inc();
+      }
+    }
   }
-  out.push_back(std::move(f));
+  sec.frames.push_back(std::move(f));
 }
 
 void Node::ingest(std::span<ingress::VerifiedFrame> frames) {
@@ -547,6 +562,16 @@ void Node::ingest(std::span<ingress::VerifiedFrame> frames) {
                "ingest() re-entered (delivery callback drove node?)");
   ReentryGuard guard(in_poll_);
   for (auto& f : frames) {
+    if (f.derive_from) {
+      // A first contact's key, derived by verify(): cached whatever the box
+      // said, since it belongs to the directory's key for the peer, not to
+      // the frame, so later frames naming the peer derive nothing. Not if
+      // update_peers() replaced that key between the stages.
+      const Peer* peer = find_peer(f.sender);
+      if (peer && peer->dh_pub == *f.derive_from) {
+        pair_keys_.try_emplace(f.sender, f.box_key);
+      }
+    }
     switch (f.channel) {
       case Channel::kPullReq:
         apply_pull_request(f);

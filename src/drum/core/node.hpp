@@ -175,8 +175,10 @@ class Node {
   /// decode_errors, box_failures, sig_failures, unknown_sender,
   /// certs_admitted, pull_requests_served, push_offers_answered,
   /// push_replies_acted, and pair_keys_derived / pair_key_batches: X25519
-  /// pair keys derived and the derive calls they took, lazy, round tick
-  /// and prewarm alike) plus per-channel telemetry under "chan.<name>.*"
+  /// pair keys derived and the derive calls they took — prewarm, round
+  /// tick and lazy sends when they derive, first contacts on ingress when
+  /// stage A hands them to the batch's pooled call, one call per drained
+  /// section) plus per-channel telemetry under "chan.<name>.*"
   /// (read, flushed_unread, decode_errors, budget_exhausted counters and a
   /// per-round budget_used histogram) and the "node.poll.drained"
   /// queue-drain-depth histogram. Read with the typed accessors
@@ -190,6 +192,9 @@ class Node {
   /// costs one predictable branch per event site.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
   [[nodiscard]] const NodeConfig& config() const { return cfg_; }
+  /// The node's long-term keys; IngressBatch::verify() derives the node's
+  /// first-contact pair keys under its X25519 secret.
+  [[nodiscard]] const crypto::Identity& identity() const { return identity_; }
   [[nodiscard]] std::uint64_t round() const { return round_; }
   /// The peer-scoring table (meaningful only when cfg.scoring.enabled;
   /// empty otherwise). Exposed for tests and harness reporting; the node
@@ -225,12 +230,14 @@ class Node {
   void poll_cycle();
 
   /// Stage-A decode: parses one budget-admitted datagram into typed frames
-  /// appended to `out`. Throws util::DecodeError on malformed wire bytes
+  /// appended to `sec`. Throws util::DecodeError on malformed wire bytes
   /// (the caller charges the blame). `disposition` carries the over-budget
-  /// ack-only / score-only marking for the scored control channels.
+  /// ack-only / score-only marking for the scored control channels. A
+  /// control frame whose sender has no cached pair key adds the sender to
+  /// sec.pending_keys, once per section.
   void parse_into(Channel channel, const net::Datagram& dgram,
                   ingress::Disposition disposition,
-                  std::vector<ingress::VerifiedFrame>& out);
+                  ingress::NodeSection& sec);
 
   // Stage-B appliers — the old handle_* bodies minus decode and crypto,
   // which stages A and verify() already did.
@@ -261,7 +268,8 @@ class Node {
 
   const Peer* find_peer(std::uint32_t id) const;
   const Peer* resolve_sender(std::uint32_t id, const util::Bytes& cert);
-  /// The cached pair key of `peer_id`, derived now on first contact.
+  /// The cached pair key of `peer_id`, derived now if a send needs one the
+  /// round tick and ingress did not derive.
   const crypto::PortBoxKey& pair_key(std::uint32_t peer_id);
   /// Derives and caches the pair keys of `ids` (distinct, none cached) in
   /// one Identity::derive_pair_keys call, and counts it.

@@ -10,6 +10,7 @@
 // per-message cost. And every advertised random port is sealed under a
 // pairwise X25519 key (§4), so a correct node pays one X25519 per peer it
 // contacts first; a round tick derives its new targets' keys as one batch,
+// and a shard pass derives the first-contact keys of all its nodes as one,
 // which the four-lane ladder runs for little more than the price of one.
 //
 // Design: each primitive keeps its scalar implementation as the portable
@@ -30,10 +31,12 @@
 // ChaCha20 has no slot either: the port box encrypts less than one keystream
 // block, so a block-parallel kernel would never run.
 //
-// Four X25519 lanes. A round tick's batch holds 2–4 new targets, so the
-// X25519 kernel is four lanes of 256 bits; x25519_batch pads a group of two
-// or three with a public dummy point and keeps a lone point on the scalar
-// ladder (DESIGN.md §2).
+// Four X25519 lanes, a scalar per lane. A round tick's batch holds 2–4 new
+// targets under one node's scalar, and a shard pass's first contacts are
+// mostly one to four keys of different co-hosted nodes, so the X25519
+// kernel is four lanes of 256 bits, each with its own scalar; x25519_batch
+// pads a group of two or three with a public dummy point and keeps a lone
+// point on the scalar ladder (DESIGN.md §2).
 //
 // Callers never include this header to do crypto — they use
 // drum/crypto/api.hpp and drum/crypto/x25519.hpp, which route through the
@@ -60,13 +63,14 @@ struct Backend {
   void (*sha256_compress)(std::uint32_t state[8], const std::uint8_t* blocks,
                           std::size_t nblocks);
 
-  /// X25519: the Montgomery ladder (RFC 7748 §5) of one clamped 32-byte
-  /// scalar `k` on four u-coordinates `u[0..3]` (fe_frombytes output) at
-  /// once, writing lane l's projective result to (x_out[l] : z_out[l]),
-  /// limbs below 2^52. Null when the backend has no four-lane kernel;
-  /// x25519_batch then runs the scalar ladder on every point.
-  void (*x25519_ladder_x4)(const std::uint8_t* k, const Fe* u, Fe* x_out,
-                           Fe* z_out);
+  /// X25519: four Montgomery ladders (RFC 7748 §5) at once, lane l running
+  /// the clamped 32-byte scalar `k[l]` on the u-coordinate `u[l]`
+  /// (fe_frombytes output) and writing its projective result to
+  /// (x_out[l] : z_out[l]), limbs below 2^52. The lanes' scalars may all
+  /// differ or all be the same. Null when the backend has no four-lane
+  /// kernel; x25519_batch then runs the scalar ladder on every point.
+  void (*x25519_ladder_x4)(const std::uint8_t* const k[4], const Fe* u,
+                           Fe* x_out, Fe* z_out);
 };
 
 /// The portable reference backend (always available, any architecture).

@@ -24,10 +24,10 @@ void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* blocks,
 #endif
 
 #if defined(DRUM_CRYPTO_HAVE_IFMA)
-// Four X25519 ladders under one scalar on AVX-512 IFMA (256-bit lanes);
+// Four X25519 ladders, a scalar per lane, on AVX-512 IFMA (256-bit lanes);
 // requires AVX512F + AVX512VL + AVX512IFMA and OS-enabled ZMM state.
-void x25519_ladder_x4_ifma(const std::uint8_t* k, const Fe* u, Fe* x_out,
-                           Fe* z_out);
+void x25519_ladder_x4_ifma(const std::uint8_t* const k[4], const Fe* u,
+                           Fe* x_out, Fe* z_out);
 #endif
 
 }  // namespace drum::crypto::detail

@@ -48,15 +48,30 @@ util::Bytes Identity::derive_pair_key(const X25519Key& peer_dh_public) const {
 }
 
 std::vector<util::Bytes> Identity::derive_pair_keys(
-    std::span<const X25519Key> peer_dh_publics) const {
-  const std::vector<X25519Key> shared =
-      x25519_batch(dh_secret_, peer_dh_publics);
+    std::span<const PairKeyRequest> requests) {
+  std::vector<X25519Key> secrets, peers;
+  secrets.reserve(requests.size());
+  peers.reserve(requests.size());
+  for (const PairKeyRequest& r : requests) {
+    secrets.push_back(r.own->dh_secret_);
+    peers.push_back(r.peer_dh_public);
+  }
+  const std::vector<X25519Key> shared = x25519_batch(secrets, peers);
   std::vector<util::Bytes> keys;
   keys.reserve(shared.size());
   for (std::size_t i = 0; i < shared.size(); ++i) {
-    keys.push_back(pair_key_from_shared(shared[i], dh_pub_, peer_dh_publics[i]));
+    keys.push_back(
+        pair_key_from_shared(shared[i], requests[i].own->dh_pub_, peers[i]));
   }
   return keys;
+}
+
+std::vector<util::Bytes> Identity::derive_pair_keys(
+    std::span<const X25519Key> peer_dh_publics) const {
+  std::vector<PairKeyRequest> requests;
+  requests.reserve(peer_dh_publics.size());
+  for (const X25519Key& peer : peer_dh_publics) requests.push_back({this, peer});
+  return derive_pair_keys(requests);
 }
 
 util::Bytes Identity::serialize_secret() const {

@@ -23,6 +23,14 @@
 
 namespace drum::crypto {
 
+class Identity;
+
+/// One pairwise key to derive: `own`'s X25519 secret with `peer_dh_public`.
+struct PairKeyRequest {
+  const Identity* own = nullptr;
+  X25519Key peer_dh_public{};
+};
+
 /// Long-term identity of a process. Generation is deterministic given the
 /// RNG so simulated deployments are reproducible.
 class Identity {
@@ -41,9 +49,15 @@ class Identity {
   /// (X25519 ECDH followed by HKDF with a fixed protocol label.)
   [[nodiscard]] util::Bytes derive_pair_key(const X25519Key& peer_dh_public) const;
 
-  /// derive_pair_key for each of `peer_dh_publics`, in order, with one
-  /// x25519_batch call: the X25519 steps share one field inversion. Each
-  /// key is byte-identical to derive_pair_key's.
+  /// request.own->derive_pair_key(request.peer_dh_public) for every
+  /// request, in order, with one x25519_batch call over every request's
+  /// (secret, peer key) pair: requests of different identities share the
+  /// four-lane ladder and one field inversion. Each key is byte-identical
+  /// to derive_pair_key's.
+  [[nodiscard]] static std::vector<util::Bytes> derive_pair_keys(
+      std::span<const PairKeyRequest> requests);
+
+  /// The one-identity case: derive_pair_key for each of `peer_dh_publics`.
   [[nodiscard]] std::vector<util::Bytes> derive_pair_keys(
       std::span<const X25519Key> peer_dh_publics) const;
 

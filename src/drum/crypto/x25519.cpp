@@ -1,6 +1,7 @@
 #include "drum/crypto/x25519.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "drum/crypto/backend.hpp"
 #include "drum/crypto/fe25519.hpp"
@@ -17,37 +18,45 @@ X25519Key x25519_clamp(X25519Key scalar) {
 namespace {
 
 // u = 9. Also the point a group of two or three fills its spare lanes
-// with: public and of large order (Z != 0); its output is dropped.
+// with: public and of large order (Z != 0) under any clamped scalar; its
+// output is dropped.
 constexpr X25519Key kBasePoint = {9};
 
 }  // namespace
 
-std::vector<X25519Key> x25519_batch(const X25519Key& scalar,
+std::vector<X25519Key> x25519_batch(std::span<const X25519Key> scalars,
                                     std::span<const X25519Key> points) {
-  const X25519Key k = x25519_clamp(scalar);
+  if (scalars.size() != points.size()) {
+    throw std::invalid_argument("x25519_batch: one scalar per point");
+  }
   const std::size_t n = points.size();
   std::vector<X25519Key> out(n);
   if (n == 0) return out;
+  std::vector<X25519Key> ks(n);
+  std::transform(scalars.begin(), scalars.end(), ks.begin(), x25519_clamp);
 
-  // Ladder every point to (x_i : z_i): groups of four on the backend's
+  // Ladder every pair to (x_i : z_i): groups of four on the backend's
   // four-lane kernel when it has one, a group of two or three padded with
-  // kBasePoint; a lone point, and every point without the kernel, on the
-  // scalar ladder.
+  // kBasePoint under its first scalar; a lone point, and every point
+  // without the kernel, on the scalar ladder.
   std::vector<Fe> xs(n), zs(n);
   std::size_t i = 0;
   if (const auto ladder_x4 = active_backend().x25519_ladder_x4) {
     for (; i + 2 <= n; i += 4) {
       const std::size_t lanes = std::min<std::size_t>(4, n - i);
+      const std::uint8_t* k[4] = {};
       Fe u[4], x[4], z[4];
       for (std::size_t l = 0; l < 4; ++l) {
-        fe_frombytes(u[l], (l < lanes ? points[i + l] : kBasePoint).data());
+        const bool used = l < lanes;
+        k[l] = ks[used ? i + l : i].data();
+        fe_frombytes(u[l], (used ? points[i + l] : kBasePoint).data());
       }
-      ladder_x4(k.data(), u, x, z);
+      ladder_x4(k, u, x, z);
       std::copy_n(x, lanes, xs.begin() + static_cast<std::ptrdiff_t>(i));
       std::copy_n(z, lanes, zs.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
-  for (; i < n; ++i) fe_x25519_ladder(k, points[i], xs[i], zs[i]);
+  for (; i < n; ++i) fe_x25519_ladder(ks[i], points[i], xs[i], zs[i]);
 
   // Forward: turn x_i into w_i = x_i * z_0 ... z_{i-1}, and carry
   // acc = z_0 ... z_i.
@@ -84,7 +93,7 @@ std::vector<X25519Key> x25519_batch(const X25519Key& scalar,
 }
 
 X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
-  return x25519_batch(scalar, std::span(&point, 1)).front();
+  return x25519_batch(std::span(&scalar, 1), std::span(&point, 1)).front();
 }
 
 X25519Key x25519_base(const X25519Key& scalar) {

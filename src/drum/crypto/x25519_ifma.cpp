@@ -1,15 +1,16 @@
 // The X25519 Montgomery ladder (RFC 7748 §5) on four points at once, with
-// AVX-512 IFMA: one clamped scalar, four u-coordinates, one lane each.
-// x25519_batch runs its points through here four at a time when the active
-// backend carries this kernel (backend.cpp: CPUID and XGETBV report
-// AVX512F, AVX512VL and AVX512IFMA, with the opmask and ZMM state enabled
-// by the OS). The scalar ladder in fe25519.cpp stays the reference.
+// AVX-512 IFMA: four clamped scalars and four u-coordinates, one pair per
+// lane. x25519_batch runs its (scalar, point) pairs through here four at a
+// time when the active backend carries this kernel (backend.cpp: CPUID and
+// XGETBV report AVX512F, AVX512VL and AVX512IFMA, with the opmask and ZMM
+// state enabled by the OS). The scalar ladder in fe25519.cpp stays the
+// reference.
 //
 // Layout. A field element keeps fe25519's five 51-bit limbs; Fe4 holds
 // four of them in five 256-bit registers, limb i of lane l in lane l of
 // v[i]. 256-bit registers, not 512: an eight-lane build of the same ladder
 // cost 23–40% more per call, so it lost on the two to four points a round
-// tick derives.
+// tick or a shard pass derives.
 //
 // Limb bound. vpmadd52luq/vpmadd52huq read only the low 52 bits of each
 // multiplicand and silently drop the rest, so every element that reaches a
@@ -19,10 +20,14 @@
 // 2^51. A product's column sums stay below 2^56 and its reduced sums below
 // 2^61, so no 64-bit lane wraps.
 //
-// Constant time. All four lanes share the scalar, so each scalar bit
-// becomes one broadcast mask that swaps (x2, z2) with (x3, z3) by AND and
-// XOR. No branch and no memory index depends on the scalar; the loop
-// reads scalar bytes at indices that depend on the loop counter alone.
+// Constant time. Each lane has its own scalar, so each lane needs its own
+// swap mask. The four scalars are loaded once and transposed so that one
+// register holds the same 64-bit word of every scalar; each step shifts the
+// current bit of every lane to the bottom (a vector shift), XORs it into
+// the lane's swap bit and negates that into an all-ones or all-zero lane
+// mask, which swaps (x2, z2) with (x3, z3) by AND and XOR. No branch and no
+// memory index depends on a scalar; the loops read scalar words at indices
+// that depend on the loop counter alone.
 //
 // This TU is compiled with -mavx512f -mavx512vl -mavx512ifma (see
 // crypto/CMakeLists.txt) and uses no inline function from another header,
@@ -203,11 +208,28 @@ Fe4 from_small(std::uint64_t n) {
   return h;
 }
 
+// One ladder step (RFC 7748 §5) on (x2 : z2), (x3 : z3), after the swap.
+void ladder_step(const Fe4& x1, Fe4& x2, Fe4& z2, Fe4& x3, Fe4& z3) {
+  const Fe4 a = add(x2, z2);
+  const Fe4 aa = sq(a);
+  const Fe4 b = sub(x2, z2);
+  const Fe4 bb = sq(b);
+  const Fe4 e = sub(aa, bb);
+  const Fe4 c = add(x3, z3);
+  const Fe4 d = sub(x3, z3);
+  const Fe4 da = mul(d, a);
+  const Fe4 cb = mul(c, b);
+  x3 = sq(add(da, cb));
+  z3 = mul(x1, sq(sub(da, cb)));
+  x2 = mul(aa, bb);
+  z2 = mul(e, add_a24(aa, e));
+}
+
 }  // namespace
 
 // flatten inlines every helper above into the step, as fe_x25519_ladder
 // does, so the state stays in registers.
-[[gnu::flatten]] void x25519_ladder_x4_ifma(const std::uint8_t* k,
+[[gnu::flatten]] void x25519_ladder_x4_ifma(const std::uint8_t* const k[4],
                                             const Fe* u, Fe* x_out,
                                             Fe* z_out) {
   Fe4 x1{};
@@ -222,30 +244,44 @@ Fe4 from_small(std::uint64_t n) {
   Fe4 x3 = x1;
   Fe4 z3 = from_small(1);
 
-  std::uint64_t swap = 0;
-  for (int t = 254; t >= 0; --t) {
-    const std::uint64_t k_t = (k[t / 8] >> (t % 8)) & 1U;
-    swap ^= k_t;
-    const __m256i mask = _mm256_set1_epi64x(-static_cast<long long>(swap));
-    cswap(x2, x3, mask);
-    cswap(z2, z3, mask);
-    swap = k_t;
-
-    const Fe4 a = add(x2, z2);
-    const Fe4 aa = sq(a);
-    const Fe4 b = sub(x2, z2);
-    const Fe4 bb = sq(b);
-    const Fe4 e = sub(aa, bb);
-    const Fe4 c = add(x3, z3);
-    const Fe4 d = sub(x3, z3);
-    const Fe4 da = mul(d, a);
-    const Fe4 cb = mul(c, b);
-    x3 = sq(add(da, cb));
-    z3 = mul(x1, sq(sub(da, cb)));
-    x2 = mul(aa, bb);
-    z2 = mul(e, add_a24(aa, e));
+  // Transpose the four scalars, read as little-endian 64-bit words, so that
+  // kw[w] holds word w of lane l's scalar in lane l: bit t of that scalar
+  // is bit t % 64 of lane l of kw[t / 64].
+  __m256i kw[4] = {};
+  {
+    __m256i r[4] = {};
+    #pragma GCC unroll 25
+    for (int l = 0; l < 4; ++l) {
+      r[l] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k[l]));
+    }
+    const __m256i lo01 = _mm256_unpacklo_epi64(r[0], r[1]);
+    const __m256i hi01 = _mm256_unpackhi_epi64(r[0], r[1]);
+    const __m256i lo23 = _mm256_unpacklo_epi64(r[2], r[3]);
+    const __m256i hi23 = _mm256_unpackhi_epi64(r[2], r[3]);
+    kw[0] = _mm256_permute2x128_si256(lo01, lo23, 0x20);
+    kw[1] = _mm256_permute2x128_si256(hi01, hi23, 0x20);
+    kw[2] = _mm256_permute2x128_si256(lo01, lo23, 0x31);
+    kw[3] = _mm256_permute2x128_si256(hi01, hi23, 0x31);
   }
-  const __m256i mask = _mm256_set1_epi64x(-static_cast<long long>(swap));
+
+  // Bits 254 down to 0: word 3 from its bit 62 (bit 255 is not part of a
+  // clamped scalar), then words 2, 1 and 0 from their bit 63. `bits` keeps
+  // each lane's next bit at the top.
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i swap = zero;
+  for (int w = 3; w >= 0; --w) {
+    __m256i bits = w == 3 ? _mm256_slli_epi64(kw[3], 1) : kw[w];
+    for (int b = w == 3 ? 62 : 63; b >= 0; --b) {
+      const __m256i k_t = _mm256_srli_epi64(bits, 63);
+      bits = _mm256_slli_epi64(bits, 1);
+      const __m256i mask = _mm256_sub_epi64(zero, _mm256_xor_si256(swap, k_t));
+      cswap(x2, x3, mask);
+      cswap(z2, z3, mask);
+      swap = k_t;
+      ladder_step(x1, x2, z2, x3, z3);
+    }
+  }
+  const __m256i mask = _mm256_sub_epi64(zero, swap);
   cswap(x2, x3, mask);
   cswap(z2, z3, mask);
 

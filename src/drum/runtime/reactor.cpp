@@ -142,9 +142,9 @@ void ReactorRuntime::dispatch(NodeState& st) {
   // drum-lint: shard-local end
 }
 
-void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
-                               core::ingress::IngressBatch& batch,
-                               std::vector<Drained>& scratch) {
+void ReactorRuntime::run_batch(std::span<NodeState* const> sts, Shard& sh) {
+  core::ingress::IngressBatch& batch = sh.batch;
+  std::vector<Drained>& scratch = sh.drain_scratch;
   scratch.clear();
 
   // Phase 1 — drain. Each node is held only long enough to move its backlog
@@ -189,9 +189,13 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts,
 
   if (scratch.empty()) return;
 
-  // Phase 2 — the crypto pass: every signature the drain produced, across
-  // ALL nodes, in one batch, and every port box opened. No node lock is held
-  // here, so multicast()/with_node() callers never wait behind the crypto.
+  // Phase 2 — the crypto pass: every first-contact pair key the drain left
+  // pending and every signature it produced, across ALL nodes, each in one
+  // batch, and every port box opened. No node lock is held here, so
+  // multicast()/with_node() callers never wait behind the crypto.
+  std::size_t pair_keys = 0;
+  for (const auto& sec : batch.sections()) pair_keys += sec.pending_keys.size();
+  if (pair_keys > 0) sh.m_pair_keys_per_pass->record(pair_keys);
   batch.verify();
 
   // Phase 3 — push the verified frames back in, per node, serialized again.
@@ -221,7 +225,7 @@ void ReactorRuntime::shard_cycle(Shard& sh) {
   for (std::size_t i = 0; i < n; i += kShardBatch) {
     run_batch(std::span<NodeState* const>(sh.ready.data() + i,
                                           std::min(kShardBatch, n - i)),
-              sh.batch, sh.drain_scratch);
+              sh);
     sh.m_batches->inc();
   }
   DRUM_ASSERT(sh.ready.size() == n, "dispatch() ran inside a shard pass");
@@ -235,6 +239,8 @@ void ReactorRuntime::reset_shard(Shard& sh, std::size_t per_shard) {
   sh.loop.set_registry(&sh.registry);
   sh.m_batches = &sh.registry.counter("reactor.shard.batches");
   sh.m_resyncs = &sh.registry.counter("reactor.timer_resyncs");
+  sh.m_pair_keys_per_pass =
+      &sh.registry.histogram("reactor.shard.pair_keys_per_pass");
   // Each node sits in the ready list at most once.
   sh.ready.reserve(per_shard);
   sh.drain_scratch.reserve(kShardBatch);

@@ -208,6 +208,9 @@ class ReactorRuntime {
     // Telemetry; shard thread only.
     obs::Counter* m_batches = nullptr;    ///< drain/verify/ingest passes
     obs::Counter* m_resyncs = nullptr;    ///< reactor.timer_resyncs
+    /// reactor.shard.pair_keys_per_pass: first-contact pair keys one
+    /// crypto pass derived, recorded only when it derived any.
+    obs::Histogram* m_pair_keys_per_pass = nullptr;
   };
 
   net::EventLoop::Clock::duration jittered_round(NodeState& st);
@@ -216,12 +219,11 @@ class ReactorRuntime {
   /// Puts `st` on its shard's ready list, once. Home loop thread only.
   void dispatch(NodeState& st);
   /// The ingress pipeline (DESIGN.md §12): drain every node under its own
-  /// lock into `batch`, run the accumulated crypto once with NO node lock
-  /// held, then re-lock each drained node to push its verified frames back
-  /// in. Round ticks stay self-contained under a single lock hold.
-  void run_batch(std::span<NodeState* const> sts,
-                 core::ingress::IngressBatch& batch,
-                 std::vector<Drained>& scratch);
+  /// lock into the shard's batch, run the accumulated crypto (pending pair
+  /// keys, signatures, port boxes) once with NO node lock held, then
+  /// re-lock each drained node to push its verified frames back in. Round
+  /// ticks stay self-contained under a single lock hold.
+  void run_batch(std::span<NodeState* const> sts, Shard& sh);
   void install_hooks(NodeState& st);
   /// Fresh registry and scratch capacity for the next run; called by
   /// start() while the shard thread is down.

@@ -2,7 +2,8 @@
 // vectors (FIPS 180-4, RFC 8032, RFC 7748) replayed against every compiled
 // backend, randomized scalar-vs-native SHA-256 equivalence over odd lengths
 // and block boundaries, batched X25519 against one-point X25519 in every
-// lane layout with hostile points, batch Ed25519 negative tests (a
+// lane layout with hostile points, under one scalar and a scalar per point,
+// batch Ed25519 negative tests (a
 // corrupted signature at any batch position is detected and attributed to
 // exactly that index, and malformed encodings are rejected exactly as
 // single verification does), each with one key per signature, one key for
@@ -209,14 +210,25 @@ TEST(BackendKat, X25519Rfc7748EveryBackend) {
       const auto u = arr_from_hex<kX25519KeySize>(v.u);
       const auto want = arr_from_hex<kX25519KeySize>(v.out);
       EXPECT_EQ(x25519(scalar, u), want);
-      // The vector's point in every lane of batches of one to five.
+      // The vector in every lane of batches of one to five whose other
+      // lanes hold other scalars, which must keep their own outputs.
       for (std::size_t n = 1; n <= 5; ++n) {
         for (std::size_t at = 0; at < n; ++at) {
-          std::vector<X25519Key> points(n);
-          for (auto& p : points) p = x25519_base(random_key(rng));
+          std::vector<X25519Key> scalars(n), points(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            scalars[i] = random_key(rng);
+            points[i] = x25519_base(random_key(rng));
+          }
+          scalars[at] = scalar;
           points[at] = u;
-          EXPECT_EQ(x25519_batch(scalar, points)[at], want)
-              << "n=" << n << " at=" << at;
+          const std::vector<X25519Key> got = x25519_batch(scalars, points);
+          EXPECT_EQ(got[at], want) << "n=" << n << " at=" << at;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (i != at) {
+              EXPECT_EQ(got[i], x25519(scalars[i], points[i]))
+                  << "n=" << n << " at=" << at << " lane " << i;
+            }
+          }
         }
       }
     }
@@ -254,12 +266,8 @@ TEST(BackendEquivalence, Sha256OddLengthsAndBlockBoundaries) {
   }
 }
 
-// Batched X25519 against one-point X25519 (whose lone point always runs
-// the scalar ladder) in every lane layout: batch sizes 1–9 cover full
-// groups of four, padded groups of two and three, and a lone remainder;
-// each hostile point sits in each position once.
-TEST(BackendEquivalence, X25519BatchesMatchOnePointInEveryLane) {
-  BackendGuard guard;
+// Points a batch must survive: small order, non-canonical, top bit set.
+std::vector<X25519Key> hostile_points() {
   const std::string ff(60, 'f');
   std::vector<X25519Key> hostile = {
       // Small order: 0, 1, p - 1 and the two points of order 8.
@@ -283,39 +291,62 @@ TEST(BackendEquivalence, X25519BatchesMatchOnePointInEveryLane) {
     top[31] |= 0x80;
     hostile.push_back(top);
   }
-  util::Rng rng(302);
-  const X25519Key scalar = random_key(rng);
-  std::vector<X25519Key> honest(9);
+  return hostile;
+}
+
+// Batched X25519 against one-point X25519 (whose lone point always runs
+// the scalar ladder) in every lane layout, under every backend: batch sizes
+// 1–9 cover full groups of four, padded groups of two and three, and a lone
+// remainder; each hostile point sits in each position once. `per_point`
+// gives every point its own scalar, as a shard pass's pooled first contacts
+// do; otherwise one scalar serves the batch, as a round tick's does.
+void expect_batches_match_one_point(bool per_point, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<X25519Key> hostile = hostile_points();
+  const X25519Key shared = random_key(rng);
+  std::vector<X25519Key> honest(9), scalars(9);
   for (auto& p : honest) p = x25519_base(random_key(rng));
+  for (auto& k : scalars) k = per_point ? random_key(rng) : shared;
   // One honest point with its top bit set as well.
   hostile.push_back(honest[0]);
   hostile.back()[31] |= 0x80;
-
-  std::vector<X25519Key> honest_want, hostile_want;
-  for (const auto& p : honest) honest_want.push_back(x25519(scalar, p));
-  for (const auto& p : hostile) hostile_want.push_back(x25519(scalar, p));
-  EXPECT_EQ(hostile_want[0], X25519Key{});
+  std::vector<X25519Key> honest_want;
+  for (std::size_t i = 0; i < 9; ++i) {
+    honest_want.push_back(x25519(scalars[i], honest[i]));
+  }
+  EXPECT_EQ(x25519(scalars[0], hostile[0]), X25519Key{});
 
   for (const Backend* be : all_backends()) {
     ASSERT_TRUE(set_active_backend(be->name));
     SCOPED_TRACE(be->name);
     for (std::size_t n = 1; n <= 9; ++n) {
+      const std::vector<X25519Key> ks(scalars.begin(), scalars.begin() + n);
       const std::vector<X25519Key> points(honest.begin(), honest.begin() + n);
       const std::vector<X25519Key> want(honest_want.begin(),
                                         honest_want.begin() + n);
-      EXPECT_EQ(x25519_batch(scalar, points), want) << "n=" << n;
+      EXPECT_EQ(x25519_batch(ks, points), want) << "n=" << n;
       for (std::size_t at = 0; at < n; ++at) {
         for (std::size_t h = 0; h < hostile.size(); ++h) {
           std::vector<X25519Key> mixed = points;
           std::vector<X25519Key> mixed_want = want;
           mixed[at] = hostile[h];
-          mixed_want[at] = hostile_want[h];
-          EXPECT_EQ(x25519_batch(scalar, mixed), mixed_want)
+          mixed_want[at] = x25519(ks[at], hostile[h]);
+          EXPECT_EQ(x25519_batch(ks, mixed), mixed_want)
               << "n=" << n << " at=" << at << " hostile=" << h;
         }
       }
     }
   }
+}
+
+TEST(BackendEquivalence, X25519BatchesMatchOnePointInEveryLane) {
+  BackendGuard guard;
+  expect_batches_match_one_point(/*per_point=*/false, 302);
+}
+
+TEST(BackendEquivalence, X25519ScalarPerPointMatchesOnePointInEveryLane) {
+  BackendGuard guard;
+  expect_batches_match_one_point(/*per_point=*/true, 303);
 }
 
 // -------------------------------------------- batch Ed25519 negative tests

@@ -7,6 +7,8 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -1233,6 +1235,12 @@ X25519Key random_key(util::Rng& rng) {
   return k;
 }
 
+// x25519_batch with one scalar for every point, as a round tick calls it.
+std::vector<X25519Key> batch_under(const X25519Key& scalar,
+                                   const std::vector<X25519Key>& points) {
+  return x25519_batch(std::vector<X25519Key>(points.size(), scalar), points);
+}
+
 TEST(X25519, SmallOrderPointsGiveZeroAloneAndInABatch) {
   util::Rng rng(16);
   const X25519Key zero{};
@@ -1242,7 +1250,7 @@ TEST(X25519, SmallOrderPointsGiveZeroAloneAndInABatch) {
     for (const X25519Key& u : bad) {
       EXPECT_EQ(x25519(scalar, u), zero) << to_hex(ByteSpan(u));
     }
-    EXPECT_EQ(x25519_batch(scalar, bad), std::vector<X25519Key>(bad.size()));
+    EXPECT_EQ(batch_under(scalar, bad), std::vector<X25519Key>(bad.size()));
 
     // Each bad point between honest ones, whose outputs must still be the
     // Diffie-Hellman secrets; one honest point also with its top bit set.
@@ -1260,13 +1268,16 @@ TEST(X25519, SmallOrderPointsGiveZeroAloneAndInABatch) {
     points.back()[31] |= 0x80;
     want.push_back(want.front());
 
-    const std::vector<X25519Key> got = x25519_batch(scalar, points);
+    const std::vector<X25519Key> got = batch_under(scalar, points);
     EXPECT_EQ(got, want);
     for (std::size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(got[i], x25519(scalar, points[i])) << i;
     }
-    EXPECT_TRUE(x25519_batch(scalar, {}).empty());
+    EXPECT_TRUE(batch_under(scalar, {}).empty());
   }
+  // One scalar per point, not one for the batch.
+  const std::vector<X25519Key> one(1), two(2);
+  EXPECT_THROW((void)x25519_batch(one, two), std::invalid_argument);
 }
 
 TEST(Identity, BatchedPairKeysEqualSingleDerivations) {
@@ -1281,6 +1292,30 @@ TEST(Identity, BatchedPairKeysEqualSingleDerivations) {
   for (std::size_t i = 0; i < peers.size(); ++i) {
     EXPECT_EQ(keys[i], self.derive_pair_key(peers[i])) << i;
   }
+}
+
+// One pooled call over the requests of several identities, interleaved and
+// with a peer named twice, gives each request its own identity's key.
+TEST(Identity, PooledPairKeysEqualEachIdentitysDerivation) {
+  util::Rng rng(18);
+  std::vector<Identity> selves;
+  for (int i = 0; i < 5; ++i) selves.push_back(Identity::generate(rng));
+  std::vector<X25519Key> peers;
+  for (int i = 0; i < 7; ++i) peers.push_back(Identity::generate(rng).dh_public());
+  for (std::size_t n = 1; n <= 11; ++n) {
+    std::vector<PairKeyRequest> requests;
+    for (std::size_t i = 0; i < n; ++i) {
+      requests.push_back({&selves[i % selves.size()], peers[(3 * i) % peers.size()]});
+    }
+    const std::vector<Bytes> keys = Identity::derive_pair_keys(requests);
+    ASSERT_EQ(keys.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(keys[i], requests[i].own->derive_pair_key(
+                             requests[i].peer_dh_public))
+          << "n=" << n << " i=" << i;
+    }
+  }
+  EXPECT_TRUE(Identity::derive_pair_keys(std::span<const PairKeyRequest>{}).empty());
 }
 
 // Parameterized round-trip sweep: the port box must be inverse-correct for

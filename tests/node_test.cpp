@@ -841,6 +841,235 @@ TEST(Node, RoundTickDerivesEachNewTargetOnceInOneBatch) {
   EXPECT_EQ(batches(), last_batches + 1);
 }
 
+// A group on one MemNetwork without prewarm, for first contacts on ingress:
+// the members in `hosted` run Nodes, and the test plays every other member,
+// whose well-known ports are sinks. A sink that hears a hosted node's round
+// tick shows that the node keyed that member.
+struct LazyGroup {
+  util::Rng rng{61};
+  net::MemNetwork net;
+  std::vector<crypto::Identity> ids;
+  std::vector<Peer> dir;
+  std::vector<std::unique_ptr<net::Transport>> transports;
+  std::vector<std::unique_ptr<net::Socket>> sinks;
+  std::map<std::uint32_t, std::unique_ptr<Node>> nodes;
+  /// For each hosted node, the played members its round ticks reached.
+  std::map<std::uint32_t, std::set<std::uint32_t>> keyed;
+
+  LazyGroup(std::uint32_t n, const std::set<std::uint32_t>& hosted) {
+    check::reset_nonce_tracker();  // fresh deliberately re-seeded world
+    dir.resize(n);
+    for (std::uint32_t id = 0; id < n; ++id) {
+      ids.push_back(crypto::Identity::generate(rng));
+      dir[id] = {id,
+                 id,
+                 static_cast<std::uint16_t>(3000 + 3 * id),
+                 static_cast<std::uint16_t>(3001 + 3 * id),
+                 0,
+                 ids[id].sign_public(),
+                 ids[id].dh_public(),
+                 true};
+    }
+    for (std::uint32_t id = 0; id < n; ++id) {
+      transports.push_back(net.transport(id));
+      if (hosted.contains(id)) continue;
+      for (std::uint16_t port : {dir[id].wk_pull_port, dir[id].wk_offer_port}) {
+        auto sock = transports.back()->bind(port);
+        EXPECT_TRUE(sock);
+        sinks.push_back(sock.take());
+      }
+    }
+    for (const std::uint32_t id : hosted) {
+      NodeConfig cfg = make_node_config(Variant::kDrum, id);
+      cfg.wk_pull_port = dir[id].wk_pull_port;
+      cfg.wk_offer_port = dir[id].wk_offer_port;
+      nodes[id] = std::make_unique<Node>(cfg, ids[id], dir, *transports[id],
+                                         rng.next(), nullptr);
+    }
+    for (const auto& sink : sinks) {
+      while (auto d = sink->recv()) {
+        keyed[d->from.host].insert(sink->local().host);
+      }
+    }
+  }
+
+  /// `count` played members that hosted node `h` holds no pair key for.
+  std::vector<std::uint32_t> strangers(std::uint32_t h, std::size_t count) {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t id = 0; id < dir.size() && out.size() < count; ++id) {
+      if (!nodes.contains(id) && !keyed[h].contains(id)) out.push_back(id);
+    }
+    EXPECT_EQ(out.size(), count);
+    return out;
+  }
+
+  /// A control frame from played member `from` to hosted node `to`: an
+  /// offer, or a pull request with an empty digest. Sealed under their
+  /// pair key, or garbage in place of the box when `spoofed`.
+  void send(std::uint32_t from, std::uint32_t to, Channel ch,
+            bool spoofed = false) {
+    const util::Bytes key = ids[from].derive_pair_key(ids[to].dh_public());
+    util::Bytes box = spoofed ? util::Bytes(crypto::kPortBoxOverhead + 2, 0xAB)
+                              : crypto::portbox_seal_port(
+                                    util::ByteSpan(key), 40000, rng);
+    util::Bytes wire;
+    if (ch == Channel::kOffer) {
+      wire = encode(PushOffer{from, std::move(box), {}});
+    } else {
+      wire = encode(PullRequest{from, {}, std::move(box), {}});
+    }
+    const std::uint16_t port = ch == Channel::kOffer ? dir[to].wk_offer_port
+                                                     : dir[to].wk_pull_port;
+    net.send_raw(net::Address{from, 40001}, net::Address{to, port},
+                 util::ByteSpan(wire));
+  }
+
+  std::uint64_t count(std::uint32_t h, const char* name) {
+    return nodes[h]->registry().counter_value(name);
+  }
+};
+
+TEST(Node, OneDrainDerivesItsNewSendersInOneCall) {
+  LazyGroup g(16, {0});
+  const std::vector<std::uint32_t> s = g.strangers(0, 3);
+  // Three new senders in four frames, within the offer and pull-request
+  // budgets of two each: s[0] sends both an offer and a pull request.
+  g.send(s[0], 0, Channel::kOffer);
+  g.send(s[0], 0, Channel::kPullReq);
+  g.send(s[1], 0, Channel::kOffer);
+  g.send(s[2], 0, Channel::kPullReq);
+  const std::uint64_t derived = g.count(0, "node.pair_keys_derived");
+  const std::uint64_t batches = g.count(0, "node.pair_key_batches");
+  ingress::IngressBatch batch;
+  g.nodes[0]->drain_ingress(batch);
+  ASSERT_EQ(batch.sections().size(), 1u);
+  EXPECT_EQ(batch.sections().front().pending_keys.size(), 3u);
+  batch.dispatch();
+  EXPECT_EQ(g.count(0, "node.pair_keys_derived"), derived + 3);
+  EXPECT_EQ(g.count(0, "node.pair_key_batches"), batches + 1);
+  // Every box opened under its derived key.
+  EXPECT_EQ(g.count(0, "node.box_failures"), 0u);
+  EXPECT_EQ(g.count(0, "node.push_offers_answered"), 2u);
+  EXPECT_EQ(g.count(0, "node.pull_requests_served"), 2u);
+  // The keys are cached: the same senders next round derive nothing.
+  g.nodes[0]->on_round();
+  const std::uint64_t after_round = g.count(0, "node.pair_keys_derived");
+  g.send(s[1], 0, Channel::kPullReq);
+  g.send(s[2], 0, Channel::kOffer);
+  poll_node(*g.nodes[0]);
+  EXPECT_EQ(g.count(0, "node.pair_keys_derived"), after_round);
+  EXPECT_EQ(g.count(0, "node.box_failures"), 0u);
+}
+
+TEST(Node, SpoofedFramesBuyOneDerivationPerNamedPeer) {
+  LazyGroup g(24, {0});
+  const std::vector<std::uint32_t> s = g.strangers(0, 3);
+  const std::uint64_t derived = g.count(0, "node.pair_keys_derived");
+  // A spoofed pull request naming an uncached present peer: its box fails,
+  // but the peer's key is cached all the same.
+  g.send(s[0], 0, Channel::kPullReq, /*spoofed=*/true);
+  poll_node(*g.nodes[0]);
+  EXPECT_EQ(g.count(0, "node.box_failures"), 1u);
+  EXPECT_EQ(g.count(0, "node.pair_keys_derived"), derived + 1);
+  // A second one in a later drain derives nothing.
+  g.send(s[0], 0, Channel::kPullReq, /*spoofed=*/true);
+  poll_node(*g.nodes[0]);
+  EXPECT_EQ(g.count(0, "node.box_failures"), 2u);
+  EXPECT_EQ(g.count(0, "node.pair_keys_derived"), derived + 1);
+  // A flood over several rounds naming three peers buys at most one
+  // derivation per named peer, however many frames the budgets admit.
+  std::uint64_t round_keys = 0;
+  for (int r = 0; r < 4; ++r) {
+    for (int i = 0; i < 30; ++i) {
+      g.send(s[i % 3], 0, i % 2 ? Channel::kOffer : Channel::kPullReq,
+             /*spoofed=*/true);
+      if (i % 10 == 9) poll_node(*g.nodes[0]);
+    }
+    const std::uint64_t before = g.count(0, "node.pair_keys_derived");
+    g.nodes[0]->on_round();
+    round_keys += g.count(0, "node.pair_keys_derived") - before;
+  }
+  EXPECT_GT(g.count(0, "node.box_failures"), 10u);
+  EXPECT_LE(g.count(0, "node.pair_keys_derived") - round_keys, derived + 3);
+}
+
+TEST(Node, PeerKeyChangedBetweenDrainAndIngestIsNotCached) {
+  LazyGroup g(16, {0});
+  const std::uint32_t s = g.strangers(0, 1).front();
+  // A pull request: serving it seals nothing, so no send path derives the
+  // key on its own.
+  g.send(s, 0, Channel::kPullReq);
+  ingress::IngressBatch batch;
+  g.nodes[0]->drain_ingress(batch);
+  batch.verify();
+  // The member re-keys between the stages.
+  const crypto::Identity rekeyed = crypto::Identity::generate(g.rng);
+  std::vector<Peer> dir = g.dir;
+  dir[s].dh_pub = rekeyed.dh_public();
+  g.nodes[0]->update_peers(dir);
+  for (auto& sec : batch.sections()) {
+    sec.node->ingest(std::span<ingress::VerifiedFrame>(sec.frames));
+  }
+  batch.clear();
+  // Nothing stale was cached: the next frame, sealed under the new key,
+  // derives that key and opens.
+  const std::uint64_t derived = g.count(0, "node.pair_keys_derived");
+  const std::uint64_t answered = g.count(0, "node.push_offers_answered");
+  g.ids[s] = rekeyed;
+  g.send(s, 0, Channel::kOffer);
+  poll_node(*g.nodes[0]);
+  EXPECT_EQ(g.count(0, "node.pair_keys_derived"), derived + 1);
+  EXPECT_EQ(g.count(0, "node.push_offers_answered"), answered + 1);
+  EXPECT_EQ(g.count(0, "node.box_failures"), 0u);
+}
+
+TEST(Node, OneBatchDerivesEachNodesFirstContactsUnderItsOwnKey) {
+  LazyGroup g(24, {0, 1});
+  // Settle what the two nodes' round-0 gossip sent each other, replies
+  // included.
+  for (int i = 0; i < 2; ++i) {
+    for (const std::uint32_t h : {0u, 1u}) poll_node(*g.nodes[h]);
+  }
+  const std::vector<std::uint32_t> s0 = g.strangers(0, 2);
+  const std::vector<std::uint32_t> s1 = g.strangers(1, 3);
+  const std::uint64_t answered0 = g.count(0, "node.push_offers_answered");
+  const std::uint64_t answered1 = g.count(1, "node.push_offers_answered");
+  const std::uint64_t served1 = g.count(1, "node.pull_requests_served");
+  // Within the budgets of two offers and two pull requests per node.
+  for (const std::uint32_t s : s0) g.send(s, 0, Channel::kOffer);
+  g.send(s1[0], 1, Channel::kPullReq);
+  g.send(s1[1], 1, Channel::kPullReq);
+  g.send(s1[0], 1, Channel::kOffer);
+  g.send(s1[2], 1, Channel::kOffer);
+  ingress::IngressBatch batch;
+  for (const std::uint32_t h : {0u, 1u}) g.nodes[h]->drain_ingress(batch);
+  batch.verify();
+  std::size_t frames = 0;
+  for (const auto& sec : batch.sections()) {
+    const std::uint32_t h = sec.node->config().id;
+    EXPECT_EQ(sec.pending_keys.size(), h == 0 ? 2u : 3u);
+    for (const auto& f : sec.frames) {
+      if (g.nodes.contains(f.sender)) continue;
+      ++frames;
+      ASSERT_TRUE(f.derive_from.has_value());
+      const util::Bytes want =
+          g.ids[h].derive_pair_key(g.ids[f.sender].dh_public());
+      EXPECT_EQ(util::Bytes(f.box_key.begin(), f.box_key.end()), want)
+          << "node " << h << " sender " << f.sender;
+      EXPECT_TRUE(f.port.has_value()) << "node " << h << " sender " << f.sender;
+    }
+  }
+  EXPECT_EQ(frames, 6u);
+  for (auto& sec : batch.sections()) {
+    sec.node->ingest(std::span<ingress::VerifiedFrame>(sec.frames));
+  }
+  EXPECT_EQ(g.count(0, "node.push_offers_answered"), answered0 + 2);
+  EXPECT_EQ(g.count(1, "node.pull_requests_served"), served1 + 2);
+  EXPECT_EQ(g.count(1, "node.push_offers_answered"), answered1 + 2);
+  EXPECT_EQ(g.count(0, "node.box_failures") + g.count(1, "node.box_failures"),
+            0u);
+}
+
 }  // namespace
 }  // namespace drum::core
 

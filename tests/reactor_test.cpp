@@ -456,9 +456,11 @@ TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
   f.reactor->stop();
 
   // stop() folds each shard's registry into loop_registry(): the loop
-  // counters, the timer-slop histogram and the batch count. The fleet runs
-  // on MemNetwork, so every socket readiness edge, same-shard or
-  // cross-shard, reaches its loop through the bridge.
+  // counters, the timer-slop histogram, the batch count and the pair keys
+  // each crypto pass derived (a sample only for a pass that derived any, so
+  // at most one per pass). The fleet runs on MemNetwork, so every socket
+  // readiness edge, same-shard or cross-shard, reaches its loop through the
+  // bridge.
   const auto& reg = f.reactor->loop_registry();
   EXPECT_EQ(reg.gauge_value("reactor.shards"),
             static_cast<double>(GetParam()));
@@ -467,6 +469,9 @@ TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
   EXPECT_GT(reg.counter_value("loop.timers_fired"), 0u);
   EXPECT_GT(reg.histogram_count("loop.timer_slop_us"), 0u);
   EXPECT_GT(reg.counter_value("reactor.shard.batches"), 0u);
+  EXPECT_NE(reg.find_histogram("reactor.shard.pair_keys_per_pass"), nullptr);
+  EXPECT_LE(reg.histogram_count("reactor.shard.pair_keys_per_pass"),
+            reg.counter_value("reactor.shard.batches"));
 }
 
 TEST_P(ReactorFleet, WithNodeGivesExclusiveAccess) {

@@ -435,6 +435,82 @@ TEST(Stress, ReactorCrossNodeBatchAccumulation) {
   EXPECT_EQ(delivered.load(), expect);
 }
 
+// First contacts pooled across co-hosted nodes: without prewarm, every
+// node meets its peers on ingress, so each shard's crypto pass derives the
+// pair keys of several nodes in one call (IngressBatch::verify), with no
+// node lock held, while application threads multicast through the same
+// nodes. TSan checks that the derivation touches no node state and that the
+// keys reach their nodes' caches only under st.mu. No flood, so no budget
+// runs out: fan-out four reaches all ten nodes within a few of the ten
+// rounds a message lives in a buffer, and every pair is delivered.
+TEST(Stress, ReactorPooledFirstContactsDeliverEveryPair) {
+  constexpr std::size_t kNodes = 10;
+  util::Rng rng{103};
+  net::MemNetwork mem;
+  std::vector<crypto::Identity> ids;
+  std::vector<core::Peer> dir(kNodes);
+  std::vector<std::unique_ptr<net::Transport>> transports;
+  std::vector<std::unique_ptr<core::Node>> nodes;
+  std::atomic<int> delivered{0};
+  for (std::uint32_t id = 0; id < kNodes; ++id) {
+    ids.push_back(crypto::Identity::generate(rng));
+    dir[id] = {id,
+               id,
+               static_cast<std::uint16_t>(9900 + 2 * id),
+               static_cast<std::uint16_t>(9900 + 2 * id + 1),
+               0,
+               ids[id].sign_public(),
+               ids[id].dh_public(),
+               true};
+  }
+  ReactorConfig rc;
+  rc.round = 20ms;
+  rc.shards = 2;
+  ReactorRuntime reactor(rc);
+  for (std::uint32_t id = 0; id < kNodes; ++id) {
+    transports.push_back(mem.transport(id));
+    core::NodeConfig cfg = core::make_node_config(core::Variant::kDrum, id);
+    cfg.wk_pull_port = dir[id].wk_pull_port;
+    cfg.wk_offer_port = dir[id].wk_offer_port;
+    nodes.push_back(std::make_unique<core::Node>(
+        cfg, ids[id], dir, *transports.back(), rng.next(),
+        [&delivered](const core::Node::Delivery&) { delivered.fetch_add(1); }));
+    reactor.add_node(*nodes.back(), rng.next());
+  }
+  reactor.start();
+
+  constexpr int kThreads = 2;
+  constexpr int kPerThread = 5;
+  std::vector<std::thread> apps;
+  for (int t = 0; t < kThreads; ++t) {
+    apps.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto which = static_cast<std::size_t>(3 * t + 2 * i) % kNodes;
+        const std::uint8_t payload[2] = {static_cast<std::uint8_t>(t),
+                                         static_cast<std::uint8_t>(i)};
+        reactor.multicast(which, util::ByteSpan(payload, sizeof payload));
+        std::this_thread::sleep_for(3ms);
+      }
+    });
+  }
+  for (auto& t : apps) t.join();
+
+  const int expect = kThreads * kPerThread * (int(kNodes) - 1);
+  const bool all_delivered = eventually(
+      [&] { return delivered.load() >= expect; }, 20000ms * kSanSlowdown);
+  reactor.stop();
+  EXPECT_TRUE(all_delivered) << delivered.load() << " of " << expect;
+  EXPECT_EQ(delivered.load(), expect);
+  // Some pass derived first contacts, and every node's keys equal its
+  // identity's derivation (checked through the boxes: none failed).
+  EXPECT_GT(reactor.loop_registry().histogram_count(
+                "reactor.shard.pair_keys_per_pass"),
+            0u);
+  for (const auto& n : nodes) {
+    EXPECT_EQ(n->registry().counter_value("node.box_failures"), 0u);
+  }
+}
+
 /// Busy-waits `d`: sleep_for cannot pause a few microseconds.
 void spin_for(std::chrono::microseconds d) {
   const auto end = std::chrono::steady_clock::now() + d;
