@@ -1,14 +1,14 @@
 // google-benchmark microbenchmarks of the hot paths: the crypto primitives
 // (what bounds a node's per-round CPU budget, and hence how expensive it is
 // for a victim to process fabricated messages), digest/buffer operations,
-// the obs primitives, and one full simulated gossip round. The SHA-256
-// benchmarks run once per compiled backend (scalar reference vs the
-// CPUID-selected native one) so the SHA-NI speedup is measured in-tree. After
-// the registered benchmarks, main() runs an instrumented-vs-uninstrumented
-// cluster comparison (tracing on vs off) and writes microbench_obs.json,
-// then times each backend's SHA-256 throughput, the single-vs-batch
-// Ed25519 verify cost and the X25519 and pair-key costs, and writes
-// BENCH_crypto.json.
+// the obs primitives, and one full simulated gossip round. The SHA-256,
+// SHA-512, pair-key and 1 KiB Ed25519 batch benchmarks run once per
+// compiled backend (scalar reference vs the CPUID-selected native one) so
+// each kernel's speedup is measured in-tree. After the registered
+// benchmarks, main() runs an instrumented-vs-uninstrumented cluster
+// comparison (tracing on vs off) and writes microbench_obs.json, then times
+// each backend's SHA-256 throughput, the single-vs-batch Ed25519 verify
+// cost and the X25519 and pair-key costs, and writes BENCH_crypto.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -59,6 +59,42 @@ void BM_Sha256_1KiB(benchmark::State& state, const char* backend) {
 }
 BENCHMARK_CAPTURE(BM_Sha256_1KiB, scalar, "scalar");
 BENCHMARK_CAPTURE(BM_Sha256_1KiB, native, "native");
+
+// Four 1 KiB messages per iteration, one lane group of the Ed25519 parse's
+// challenge hashes: Sha512 on each under scalar, and native's four-lane
+// kernel where the CPU has AVX-512F/VL. per_msg is the cost per message.
+void BM_Sha512_1KiB(benchmark::State& state, const char* backend) {
+  crypto::set_active_backend(backend);
+  const auto sha512_x4 = crypto::active_backend().sha512_x4;
+  std::vector<util::Bytes> msgs;
+  const std::uint8_t* msg[4] = {};
+  std::size_t len[4] = {};
+  for (std::size_t l = 0; l < 4; ++l) {
+    msgs.push_back(random_bytes(1024, 50 + l));
+    msg[l] = msgs[l].data();
+    len[l] = msgs[l].size();
+  }
+  std::uint8_t out[4][64];
+  for (auto _ : state) {
+    if (sha512_x4 != nullptr) {
+      sha512_x4(msg, len, out);
+      benchmark::DoNotOptimize(out);
+      benchmark::ClobberMemory();
+    } else {
+      for (const auto& m : msgs) {
+        benchmark::DoNotOptimize(crypto::sha512(util::ByteSpan(m)));
+      }
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          4 * 1024);
+  state.counters["per_msg"] = benchmark::Counter(
+      4, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+  crypto::set_active_backend("native");
+}
+BENCHMARK_CAPTURE(BM_Sha512_1KiB, scalar, "scalar");
+BENCHMARK_CAPTURE(BM_Sha512_1KiB, native, "native");
 
 void BM_HmacSha256_64B(benchmark::State& state) {
   auto key = random_bytes(32, 2);
@@ -147,14 +183,14 @@ void BM_Ed25519Verify_50B(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify_50B);
 
-// `n` verify jobs over 50-byte messages, each signed by its own key when
-// `distinct_signers`, else all by one key.
+// `n` verify jobs over `msg_len`-byte messages, each signed by its own key
+// when `distinct_signers`, else all by one key.
 struct SignedBatch {
   std::vector<util::Bytes> msgs;
   std::vector<crypto::VerifyJob> jobs;
 };
 SignedBatch make_batch(std::size_t n, bool distinct_signers,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, std::size_t msg_len = 50) {
   util::Rng rng(seed);
   SignedBatch b;
   std::vector<crypto::Identity> ids;
@@ -162,7 +198,7 @@ SignedBatch make_batch(std::size_t n, bool distinct_signers,
     ids.push_back(crypto::Identity::generate(rng));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    b.msgs.push_back(random_bytes(50, seed + 1 + i));
+    b.msgs.push_back(random_bytes(msg_len, seed + 1 + i));
   }
   for (std::size_t i = 0; i < n; ++i) {
     const auto& id = ids[i % ids.size()];
@@ -177,9 +213,10 @@ SignedBatch make_batch(std::size_t n, bool distinct_signers,
 // cost directly. The one-signer rows are the perfbench traffic, where the
 // batch merges every signature's key term into one; the Distinct rows give
 // every signature its own key, which the merge cannot help.
-void run_verify_batch(benchmark::State& state, bool distinct_signers) {
+void run_verify_batch(benchmark::State& state, bool distinct_signers,
+                      std::size_t msg_len = 50) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const SignedBatch b = make_batch(batch, distinct_signers, 20);
+  const SignedBatch b = make_batch(batch, distinct_signers, 20, msg_len);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ed25519_verify_batch(
         std::span<const crypto::VerifyJob>(b.jobs)));
@@ -197,6 +234,20 @@ void BM_Ed25519VerifyBatchDistinct_50B(benchmark::State& state) {
   run_verify_batch(state, true);
 }
 BENCHMARK(BM_Ed25519VerifyBatchDistinct_50B)->Arg(8)->Arg(16)->Arg(64);
+
+// steady's traffic: one warm signer, 1044-byte signed messages, batches of
+// 4, 10 and 16 (steady's passes average about 10 signatures, scale's and
+// flood's about 5), under each backend, so the parse's lane kernels and
+// the scalar reference are compared inside one process.
+void BM_Ed25519VerifyBatch_1KiB(benchmark::State& state, const char* backend) {
+  crypto::set_active_backend(backend);
+  run_verify_batch(state, false, 1044);
+  crypto::set_active_backend("native");
+}
+BENCHMARK_CAPTURE(BM_Ed25519VerifyBatch_1KiB, scalar, "scalar")
+    ->Arg(4)->Arg(10)->Arg(16);
+BENCHMARK_CAPTURE(BM_Ed25519VerifyBatch_1KiB, native, "native")
+    ->Arg(4)->Arg(10)->Arg(16);
 
 // Every iteration verifies a batch under `range(0)` keys never seen before
 // (made outside the timed region), so no key is in the signer cache: what a

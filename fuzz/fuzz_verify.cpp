@@ -9,7 +9,12 @@
 //     torsion defects may cancel inside the combination — the documented
 //     batch caveat — so only the first contract is checked there);
 //   * verdicts do not depend on the per-thread signer cache: each batch is
-//     verified with the cache emptied first, and again warm.
+//     verified with the cache emptied first, and again warm;
+//   * the batch parse gives every job exactly its one-job parse's result:
+//     the same rejection, or the same -R, S and k. The batch runs R's roots
+//     and the challenge hashes four at a time on the active backend's lane
+//     kernels; a lane that went wrong on a job the check rejects anyway
+//     would leave every verdict as it was.
 // Mutations hit A, R, S and M: small-order points and added torsion
 // components, y >= p encodings, S >= L, flipped sign bits, random bytes and
 // altered messages. Batches draw their signers from a small pool, so
@@ -21,11 +26,14 @@
 // byte-oriented fuzz_one() becomes a libFuzzer target.
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/ed25519_internal.hpp"
+#include "drum/crypto/fe25519.hpp"
 #include "drum/util/bytes.hpp"
 #include "drum/util/rng.hpp"
 #include "fuzz_common.hpp"
@@ -57,6 +65,32 @@ std::vector<bool> batch_cold_and_warm(const std::vector<VerifyJob>& jobs,
   return cold;
 }
 
+// The bytes of a parse result: empty for a rejection, else -R's four
+// coordinates, S and k, canonically encoded.
+Bytes parse_bytes(const std::optional<detail::ParsedSignature>& p) {
+  Bytes out;
+  if (!p) return out;
+  for (const drum::crypto::Fe* f :
+       {&p->neg_r.x, &p->neg_r.y, &p->neg_r.z, &p->neg_r.t}) {
+    std::uint8_t b[32];
+    drum::crypto::fe_tobytes(b, *f);
+    out.insert(out.end(), b, b + 32);
+  }
+  out.insert(out.end(), p->s.begin(), p->s.end());
+  out.insert(out.end(), p->k.begin(), p->k.end());
+  return out;
+}
+
+// Whether every job's batch parse equals its one-job parse.
+bool batch_parse_matches_one_job(const std::vector<VerifyJob>& jobs) {
+  const auto batch = detail::parse_signatures(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto one = detail::parse_signatures(std::span(&jobs[i], 1));
+    if (parse_bytes(batch[i]) != parse_bytes(one[0])) return false;
+  }
+  return true;
+}
+
 // Byte-level entry: records of pub(32) || sig(64) || len(1) || message.
 // Never crashes; when at most one job fails single verification, the batch
 // must agree with it.
@@ -81,6 +115,7 @@ void fuzz_one(ByteSpan data) {
   const std::vector<bool> cold = batch_cold_and_warm(jobs, &warm);
   if (cold != warm) std::abort();
   if (rejected <= 1 && cold != single) std::abort();
+  if (!batch_parse_matches_one_job(jobs)) std::abort();
 }
 
 #ifndef DRUM_LIBFUZZER
@@ -261,6 +296,9 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (!batch_parse_matches_one_job(jobs)) {
+      fail(i, "the batch parse differs from the one-job parse");
+    }
     std::vector<bool> warm;
     const std::vector<bool> cold = batch_cold_and_warm(jobs, &warm);
     if (cold != warm) fail(i, "cold and warm signer caches disagree");

@@ -256,7 +256,6 @@ void Node::derive_pair_keys(std::span<const std::uint32_t> ids) {
   // One batch: the X25519 ladders run four at a time where the CPU allows
   // and share a single field inversion.
   const std::vector<util::Bytes> keys = identity_.derive_pair_keys(dh_pubs);
-  pair_keys_.reserve(pair_keys_.size() + ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     crypto::PortBoxKey key;
     std::copy_n(keys[i].begin(), key.size(), key.begin());

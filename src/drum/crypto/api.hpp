@@ -8,10 +8,13 @@
 //   * batch     — crypto::ed25519_verify_batch(jobs), the one batched
 //                 primitive: it shares work across signatures, where a
 //                 batched hash would only interleave independent streams
+//                 (its parse interleaves four challenge hashes inside)
 //
 // The SHA-256 forms route through the active crypto::Backend (backend.hpp):
 // scalar reference, or SHA-NI picked at startup from CPUID and overridable
-// with DRUM_CRYPTO_BACKEND=scalar|native. Results are bit-identical across
+// with DRUM_CRYPTO_BACKEND=scalar|native. So does Ed25519 verification's
+// parse, for its four-lane square roots and challenge hashes; the SHA-512
+// forms here are the scalar Sha512. Results are bit-identical across
 // backends. ChaCha20 (chacha20.hpp, included here) has one portable
 // implementation and no backend slot.
 #pragma once
@@ -32,14 +35,6 @@ Sha256::Digest sha256(util::ByteSpan data);
 
 /// One-shot SHA-512.
 Sha512::Digest sha512(util::ByteSpan data);
-
-/// One unit of batch signature verification. `message` is a non-owning view;
-/// the caller keeps the bytes alive until ed25519_verify_batch returns.
-struct VerifyJob {
-  Ed25519PublicKey pub;
-  util::ByteSpan message;
-  Ed25519Signature sig;
-};
 
 /// Verifies many Ed25519 signatures, sharing the doubling ladder across the
 /// whole batch (random linear combination + Straus multi-scalar

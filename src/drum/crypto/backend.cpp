@@ -52,6 +52,8 @@ Backend make_scalar() {
   b.name = "scalar";
   b.sha256_compress = detail::sha256_compress_scalar;
   b.x25519_ladder_x4 = nullptr;
+  b.fe_pow22523_x4 = nullptr;
+  b.sha512_x4 = nullptr;
   return b;
 }
 
@@ -64,9 +66,15 @@ Backend make_native() {
     b.sha256_compress = detail::sha256_compress_shani;
   }
 #endif
+#if defined(DRUM_CRYPTO_HAVE_AVX512)
+  if (cpu.avx512f && cpu.avx512vl && cpu.os_avx512) {
+    b.sha512_x4 = detail::sha512_x4_avx512;
+  }
+#endif
 #if defined(DRUM_CRYPTO_HAVE_IFMA)
   if (cpu.avx512f && cpu.avx512vl && cpu.avx512ifma && cpu.os_avx512) {
     b.x25519_ladder_x4 = detail::x25519_ladder_x4_ifma;
+    b.fe_pow22523_x4 = detail::fe_pow22523_x4_ifma;
   }
 #endif
   return b;
@@ -109,9 +117,10 @@ const Backend& native_backend() {
 }
 
 bool native_backend_accelerated() {
-  return native_backend().sha256_compress !=
-             scalar_backend().sha256_compress ||
-         native_backend().x25519_ladder_x4 != nullptr;
+  const Backend& native = native_backend();
+  return native.sha256_compress != scalar_backend().sha256_compress ||
+         native.x25519_ladder_x4 != nullptr ||
+         native.fe_pow22523_x4 != nullptr || native.sha512_x4 != nullptr;
 }
 
 const Backend& active_backend() { return *active_slot(); }

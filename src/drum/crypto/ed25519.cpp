@@ -6,6 +6,7 @@
 #include <random>
 #include <vector>
 
+#include "drum/crypto/backend.hpp"
 #include "drum/crypto/ed25519_internal.hpp"
 #include "drum/crypto/sha512.hpp"
 #include "drum/crypto/x25519.hpp"
@@ -151,55 +152,61 @@ void ge_tobytes(std::uint8_t s[32], const Ge& h) {
   s[31] ^= static_cast<std::uint8_t>(fe_is_negative(x) ? 0x80 : 0x00);
 }
 
-// Decompression (RFC 8032 §5.1.3). Returns false on invalid encodings.
-bool ge_frombytes(Ge& h, const std::uint8_t s[32]) {
-  Fe y, y2, u, v, v3, x, x2, check;
-  fe_frombytes(y, s);
-  // Step 1: y must be below p. fe_frombytes accepts y >= p, as X25519
-  // requires (RFC 7748 §5), so re-encode y and compare.
+bool ge_root_input(GeRootInput& in, const std::uint8_t s[32]) {
+  fe_frombytes(in.y, s);
+  // y must be below p. fe_frombytes accepts y >= p, as X25519 requires
+  // (RFC 7748 §5), so re-encode y and compare.
   std::uint8_t canonical[32];
-  fe_tobytes(canonical, y);
+  fe_tobytes(canonical, in.y);
   canonical[31] |= s[31] & 0x80;
   if (std::memcmp(canonical, s, 32) != 0) return false;
+  in.x_negative = (s[31] & 0x80) != 0;
   // u = y^2 - 1, v = d y^2 + 1.
-  fe_sq(y2, y);
-  Fe one;
+  Fe y2, one, v3;
+  fe_sq(y2, in.y);
   fe_one(one);
-  fe_sub(u, y2, one);
-  fe_mul(v, y2, const_d());
-  fe_add(v, v, one);
-  // x = u v^3 (u v^7)^((p-5)/8)
-  fe_sq(v3, v);
-  fe_mul(v3, v3, v);           // v^3
-  fe_sq(x, v3);
-  fe_mul(x, x, v);             // v^7
-  fe_mul(x, x, u);             // u v^7
-  fe_pow22523(x, x);
-  fe_mul(x, x, v3);
-  fe_mul(x, x, u);             // u v^3 (u v^7)^((p-5)/8)
-  // check = v x^2
+  fe_sub(in.u, y2, one);
+  fe_mul(in.v, y2, const_d());
+  fe_add(in.v, in.v, one);
+  fe_sq(v3, in.v);
+  fe_mul(v3, v3, in.v);         // v^3
+  fe_mul(in.uv3, v3, in.u);     // u v^3
+  fe_sq(in.w, v3);
+  fe_mul(in.w, in.w, in.v);     // v^7
+  fe_mul(in.w, in.w, in.u);     // u v^7
+  return true;
+}
+
+bool ge_from_root(Ge& h, const GeRootInput& in, const Fe& root) {
+  // x = u v^3 (u v^7)^((p-5)/8); v x^2 must be u or -u.
+  Fe x, x2, check, neg_u, diff1, diff2;
+  fe_mul(x, in.uv3, root);
   fe_sq(x2, x);
-  fe_mul(check, x2, v);
-  Fe neg_u;
-  fe_neg(neg_u, u);
-  Fe diff1, diff2;
-  fe_sub(diff1, check, u);
+  fe_mul(check, x2, in.v);
+  fe_neg(neg_u, in.u);
+  fe_sub(diff1, check, in.u);
   fe_sub(diff2, check, neg_u);
   if (!fe_is_zero(diff1)) {
     if (!fe_is_zero(diff2)) return false;  // not a square: invalid point
     fe_mul(x, x, const_sqrtm1());
   }
-  bool x_neg = fe_is_negative(x);
-  bool want_neg = (s[31] & 0x80) != 0;
-  if (x_neg != want_neg) {
-    if (fe_is_zero(x) && want_neg) return false;  // -0 is non-canonical
+  if (fe_is_negative(x) != in.x_negative) {
+    if (fe_is_zero(x) && in.x_negative) return false;  // -0 is non-canonical
     fe_neg(x, x);
   }
   fe_copy(h.x, x);
-  fe_copy(h.y, y);
+  fe_copy(h.y, in.y);
   fe_one(h.z);
-  fe_mul(h.t, x, y);
+  fe_mul(h.t, x, in.y);
   return true;
+}
+
+bool ge_frombytes(Ge& h, const std::uint8_t s[32]) {
+  GeRootInput in;
+  if (!ge_root_input(in, s)) return false;
+  Fe root;
+  fe_pow22523(root, in.w);
+  return ge_from_root(h, in, root);
 }
 
 const Ge& base_point() {
@@ -531,29 +538,112 @@ void signer_cache_clear() {
 
 namespace {
 
-// k = SHA512(R || A || M) mod L (RFC 8032 §5.1.6 step 4, §5.1.7 step 2).
-Scalar challenge(const std::uint8_t r[32], const Ed25519PublicKey& pub,
-                 util::ByteSpan message) {
+// SHA512(R || A || M), which k reduces mod L (RFC 8032 §5.1.6 step 4,
+// §5.1.7 step 2).
+Sha512::Digest challenge_digest(const std::uint8_t r[32],
+                                const Ed25519PublicKey& pub,
+                                util::ByteSpan message) {
   Sha512 h;
   h.update(util::ByteSpan(r, 32));
   h.update(util::ByteSpan(pub.data(), pub.size()));
   h.update(message);
-  return sc_reduce(h.final().data());
+  return h.final();
 }
 
 }  // namespace
 
-std::optional<ParsedSignature> parse_signature(const Ed25519PublicKey& pub,
-                                               util::ByteSpan message,
-                                               const Ed25519Signature& sig) {
-  if (!sc_is_canonical(sig.data() + 32)) return std::nullopt;
-  auto neg_r = ge_decode_neg(sig.data());
-  if (!neg_r) return std::nullopt;
-  ParsedSignature out;
-  out.neg_r = *neg_r;
-  std::copy_n(sig.begin() + 32, 32, out.s.begin());
-  out.k = challenge(sig.data(), pub, message);
+std::vector<std::optional<ParsedSignature>> parse_signatures(
+    std::span<const VerifyJob> jobs) {
+  const Backend& backend = active_backend();
+  std::vector<std::optional<ParsedSignature>> out(jobs.size());
+
+  // S < L and R's work before its square root, one job at a time.
+  std::vector<std::size_t> live;
+  std::vector<GeRootInput> inputs;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    GeRootInput in;
+    if (!sc_is_canonical(jobs[i].sig.data() + 32) ||
+        !ge_root_input(in, jobs[i].sig.data())) {
+      continue;
+    }
+    live.push_back(i);
+    inputs.push_back(in);
+  }
+
+  // R's square roots; a padding lane repeats its group's first input.
+  std::vector<Fe> roots(live.size());
+  in_groups_of_four(
+      live.size(), backend.fe_pow22523_x4 != nullptr,
+      [&](std::size_t i, std::size_t lanes) {
+        Fe w[4], r[4];
+        for (std::size_t l = 0; l < 4; ++l) {
+          w[l] = inputs[l < lanes ? i + l : i].w;
+        }
+        backend.fe_pow22523_x4(w, r);
+        std::copy_n(r, lanes, roots.begin() + static_cast<std::ptrdiff_t>(i));
+      },
+      [&](std::size_t i) { fe_pow22523(roots[i], inputs[i].w); });
+
+  std::vector<std::size_t> decoded;
+  std::vector<Ge> neg_r;
+  for (std::size_t j = 0; j < live.size(); ++j) {
+    Ge r;
+    if (!ge_from_root(r, inputs[j], roots[j])) continue;
+    decoded.push_back(live[j]);
+    ge_neg(r, r);
+    neg_r.push_back(r);
+  }
+
+  // The challenge hashes of the jobs whose R decoded. The lane kernel reads
+  // each R || A || M as one message, so a group copies them out, each to an
+  // allocation of its exact size; a padding lane hashes the empty message.
+  std::vector<Sha512::Digest> digests(decoded.size());
+  in_groups_of_four(
+      decoded.size(), backend.sha512_x4 != nullptr,
+      [&](std::size_t i, std::size_t lanes) {
+        util::Bytes joined[4];
+        const std::uint8_t* msg[4] = {};
+        std::size_t len[4] = {};
+        std::uint8_t digest[4][64];
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const VerifyJob& job = jobs[decoded[i + l]];
+          joined[l].resize(32 + job.pub.size() + job.message.size());
+          auto at = std::copy_n(job.sig.begin(), 32, joined[l].begin());
+          at = std::copy(job.pub.begin(), job.pub.end(), at);
+          std::copy(job.message.begin(), job.message.end(), at);
+          msg[l] = joined[l].data();
+          len[l] = joined[l].size();
+        }
+        backend.sha512_x4(msg, len, digest);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          std::copy_n(digest[l], 64, digests[i + l].begin());
+        }
+      },
+      [&](std::size_t i) {
+        const VerifyJob& job = jobs[decoded[i]];
+        digests[i] = challenge_digest(job.sig.data(), job.pub, job.message);
+      });
+
+  for (std::size_t j = 0; j < decoded.size(); ++j) {
+    ParsedSignature& p = out[decoded[j]].emplace();
+    p.neg_r = neg_r[j];
+    std::copy_n(jobs[decoded[j]].sig.begin() + 32, 32, p.s.begin());
+    p.k = sc_reduce(digests[j].data());
+  }
   return out;
+}
+
+bool verify_parsed(SignerTables& signer, bool split, const ParsedSignature& p) {
+  if (split) signer_add_hi(signer);
+  std::vector<MsmEntry> terms;
+  push_scalar_terms(terms, p.s, base_table(), base_table_hi(), split);
+  push_scalar_terms(terms, p.k, signer.lo, signer.hi, split);
+  Ge sum;
+  ge_msm(sum, terms);
+  GeCached neg_r;
+  ge_to_cached(neg_r, p.neg_r);
+  ge_add(sum, sum, neg_r);
+  return ge_is_identity(sum);
 }
 
 }  // namespace detail
@@ -612,7 +702,8 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
   encode_base_multiple(sig.data(), r);
 
   // S = (r + k·s) mod L
-  const Scalar k = detail::challenge(sig.data(), pub, message);
+  const Scalar k = detail::sc_reduce(
+      detail::challenge_digest(sig.data(), pub, message).data());
   const Scalar s = detail::sc_muladd(k, secret_scalar(h), r);
   std::copy(s.begin(), s.end(), sig.begin() + 32);
   return sig;
@@ -622,22 +713,12 @@ bool ed25519_verify(const Ed25519PublicKey& pub, util::ByteSpan message,
                     const Ed25519Signature& sig) {
   const auto signer = detail::signer_lookup(pub);
   if (!signer.tables) return false;
-  const auto p = detail::parse_signature(pub, message, sig);
-  if (!p) return false;
-  // S·B == R + k·A  ⇔  S·B + k·(-A) + (-R) == O. A key cached before this
-  // call gets its 2^128 table, and the halves run 128 doublings.
-  if (signer.warm) detail::signer_add_hi(*signer.tables);
-  std::vector<detail::MsmEntry> terms;
-  detail::push_scalar_terms(terms, p->s, detail::base_table(),
-                            detail::base_table_hi(), signer.warm);
-  detail::push_scalar_terms(terms, p->k, signer.tables->lo,
-                            signer.tables->hi, signer.warm);
-  Ge sum;
-  detail::ge_msm(sum, terms);
-  detail::GeCached neg_r;
-  detail::ge_to_cached(neg_r, p->neg_r);
-  detail::ge_add(sum, sum, neg_r);
-  return detail::ge_is_identity(sum);
+  const VerifyJob job{pub, message, sig};
+  const auto parsed = detail::parse_signatures(std::span(&job, 1));
+  // A key cached before this call gets its 2^128 table, and the halves run
+  // 128 doublings.
+  return parsed[0] &&
+         detail::verify_parsed(*signer.tables, signer.warm, *parsed[0]);
 }
 
 }  // namespace drum::crypto

@@ -34,6 +34,15 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
                               const Ed25519PublicKey& pub,
                               util::ByteSpan message);
 
+/// One unit of batch signature verification (api.hpp:
+/// ed25519_verify_batch). `message` is a non-owning view; the caller keeps
+/// the bytes alive until the verification returns.
+struct VerifyJob {
+  Ed25519PublicKey pub;
+  util::ByteSpan message;
+  Ed25519Signature sig;
+};
+
 /// Verifies a signature (RFC 8032 §5.1.7). Rejects non-canonical S and
 /// invalid point encodings.
 bool ed25519_verify(const Ed25519PublicKey& pub, util::ByteSpan message,

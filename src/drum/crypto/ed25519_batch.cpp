@@ -31,14 +31,17 @@
 //
 // Verdict policy: per-signature parse failures (non-canonical S, invalid A
 // or R encodings) are rejected deterministically before the combined check,
-// exactly as ed25519_verify does. If the combined equation fails, the batch
-// falls back to per-signature ed25519_verify so the bad indices are
-// attributed exactly. The one intentional divergence from per-signature
-// verification: several colluding signatures whose defects all lie in the
-// order-8 torsion subgroup can cancel each other inside the combination and
-// be accepted (the standard cofactored-style batch caveat, cf. RFC 8032
-// §8.9); unforgeability is unaffected since the prime-order component —
-// the part bound to the message — is always checked.
+// exactly as ed25519_verify does: the batch runs the same parse
+// (detail::parse_signatures), over all of its signatures under valid keys
+// at once. If the combined equation fails, the batch falls back to checking
+// each parsed signature alone (detail::verify_parsed, ed25519_verify's
+// check), so the bad indices are attributed exactly and nothing is parsed
+// twice. The one intentional divergence from per-signature verification:
+// several colluding signatures whose defects all lie in the order-8 torsion
+// subgroup can cancel each other inside the combination and be accepted
+// (the standard cofactored-style batch caveat, cf. RFC 8032 §8.9);
+// unforgeability is unaffected since the prime-order component — the part
+// bound to the message — is always checked.
 #include <algorithm>
 #include <array>
 #include <map>
@@ -104,30 +107,39 @@ std::vector<bool> ed25519_verify_batch(std::span<const VerifyJob> jobs) {
     return verdicts;
   }
 
-  // Deterministic per-signature parse pass, the same one ed25519_verify
-  // runs: non-canonical S and invalid point encodings never reach the
-  // probabilistic combined check. Each parsed signature adds its -R_i term
-  // and its share of its key's -A term.
+  // Each distinct key is looked up once; the jobs under a valid key go
+  // through the one parse, together. Non-canonical S and invalid point
+  // encodings never reach the probabilistic combined check. Each parsed
+  // signature adds its -R_i term and its share of its key's -A term.
   const std::vector<Scalar> z = random_z128_odd(jobs.size());
   std::map<Ed25519PublicKey, Signer> signers;
-  std::vector<std::size_t> parsed;
-  std::vector<detail::MsmEntry> entries;
-  parsed.reserve(jobs.size());
-  entries.reserve(3 * jobs.size() + 2);  // R terms, B and key halves
-  Scalar zs_sum{};  // Σ z_i S_i mod L
+  std::vector<VerifyJob> keyed;
+  std::vector<std::size_t> keyed_index;  // the job each keyed one came from
+  std::vector<Signer*> keyed_signer;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const VerifyJob& job = jobs[i];
-    auto [it, fresh] = signers.try_emplace(job.pub);
-    Signer& signer = it->second;
-    if (fresh) signer.cached = detail::signer_lookup(job.pub);
-    if (!signer.cached.tables) continue;
-    const auto p = detail::parse_signature(job.pub, job.message, job.sig);
-    if (!p) continue;
-    parsed.push_back(i);
-    zs_sum = detail::sc_muladd(z[i], p->s, zs_sum);
-    entries.push_back({z[i], p->neg_r});
+    auto [it, fresh] = signers.try_emplace(jobs[i].pub);
+    if (fresh) it->second.cached = detail::signer_lookup(jobs[i].pub);
+    if (!it->second.cached.tables) continue;
+    keyed.push_back(jobs[i]);
+    keyed_index.push_back(i);
+    keyed_signer.push_back(&it->second);
+  }
+  const auto parses = detail::parse_signatures(keyed);
+  std::vector<std::size_t> parsed;  // indices into keyed
+  std::vector<detail::MsmEntry> entries;
+  parsed.reserve(keyed.size());
+  entries.reserve(3 * keyed.size() + 2);  // R terms, B and key halves
+  Scalar zs_sum{};  // Σ z_i S_i mod L
+  for (std::size_t j = 0; j < keyed.size(); ++j) {
+    if (!parses[j]) continue;
+    const detail::ParsedSignature& p = *parses[j];
+    const Scalar& zi = z[keyed_index[j]];
+    Signer& signer = *keyed_signer[j];
+    parsed.push_back(j);
+    zs_sum = detail::sc_muladd(zi, p.s, zs_sum);
+    entries.push_back({zi, p.neg_r});
     signer.scalar = detail::sc_add_mod_8l(
-        signer.scalar, detail::sc_muladd(z[i], p->k, Scalar{}));
+        signer.scalar, detail::sc_muladd(zi, p.k, Scalar{}));
     signer.used = true;
   }
   if (parsed.empty()) return verdicts;
@@ -148,14 +160,17 @@ std::vector<bool> ed25519_verify_batch(std::span<const VerifyJob> jobs) {
   Ge sum;
   detail::ge_msm(sum, entries);
   if (detail::ge_is_identity(sum)) {
-    for (std::size_t i : parsed) verdicts[i] = true;
+    for (std::size_t j : parsed) verdicts[keyed_index[j]] = true;
     return verdicts;
   }
 
   // Combined check failed: at least one signature in the batch is bad.
-  // Attribute exactly with per-signature verification.
-  for (std::size_t i : parsed) {
-    verdicts[i] = ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig);
+  // Attribute exactly by checking each parsed signature alone, splitting
+  // under the rule ed25519_verify applies to a key cached before the call.
+  for (std::size_t j : parsed) {
+    const detail::SignerLookup& cached = keyed_signer[j]->cached;
+    verdicts[keyed_index[j]] =
+        detail::verify_parsed(*cached.tables, cached.warm, *parses[j]);
   }
   return verdicts;
 }

@@ -3,8 +3,8 @@
 // homogeneous coordinates over fe25519, with one addition (an extended
 // point plus a point in cached form, or minus it) and one doubling; scalars
 // mod the group order L; the one multi-scalar multiplication and the tables
-// it reads; the per-thread cache of decoded signers; and the parse step of
-// verification. Not part of the public API — include
+// it reads; the per-thread cache of decoded signers; and the batch parse and
+// the single check of verification. Not part of the public API — include
 // drum/crypto/ed25519.hpp / api.hpp instead.
 #pragma once
 
@@ -58,6 +58,23 @@ void ge_neg(Ge& out, const Ge& p);
 void ge_tobytes(std::uint8_t s[32], const Ge& h);
 // Decompression (RFC 8032 §5.1.3). Returns false on invalid encodings.
 bool ge_frombytes(Ge& h, const std::uint8_t s[32]);
+
+// Decompression in two halves around its one exponentiation, so that a
+// batch can take several points' square roots together. ge_root_input
+// applies the y < p rule and computes the root's input w; ge_from_root takes
+// w^((p-5)/8) and applies the square and sign rules (x = 0 with the sign
+// bit set is rejected). ge_frombytes is the two with fe_pow22523 between
+// them, and holds no rule of its own.
+struct GeRootInput {
+  Fe y;
+  Fe u;    // y^2 - 1
+  Fe v;    // d·y^2 + 1
+  Fe uv3;  // u·v^3
+  Fe w;    // u·v^7, a tight fe_mul output: x = u·v^3·w^((p-5)/8)
+  bool x_negative = false;  // the encoding's sign bit
+};
+bool ge_root_input(GeRootInput& in, const std::uint8_t s[32]);
+bool ge_from_root(Ge& h, const GeRootInput& in, const Fe& root);
 
 // Base point B: y = 4/5, x positive ("even").
 const Ge& base_point();
@@ -154,18 +171,30 @@ void signer_add_hi(SignerTables& t);
 void signer_cache_clear();
 
 // A signature that passed the deterministic checks of RFC 8032 §5.1.7
-// other than the decoding of A, which the caller does once per key with
-// ge_decode_neg: S < L, and R decodes.
+// other than the decoding of A, which the caller does once per key through
+// the signer cache: S < L, and R decodes.
 struct ParsedSignature {
   Ge neg_r;   // -R
   Scalar s;   // S
   Scalar k;   // SHA512(R || A || M) mod L
 };
 
-// The parse step shared by ed25519_verify and ed25519_verify_batch; empty
-// when S is non-canonical or R is not a valid encoding.
-std::optional<ParsedSignature> parse_signature(const Ed25519PublicKey& pub,
-                                               util::ByteSpan message,
-                                               const Ed25519Signature& sig);
+// The one parse of both verify paths, over a batch: for each job, its
+// ParsedSignature, or empty when S is non-canonical or R is not a valid
+// encoding. S's check and R's work before and after the square root run one
+// job at a time; the roots and the challenge hashes of the jobs whose R
+// decodes run four at a time on the active backend's fe_pow22523_x4 and
+// sha512_x4, a last group of two or three padded. A lone job, and every job
+// on a backend without the slot, runs fe_pow22523 or Sha512. Every result
+// equals the one-job parse's.
+std::vector<std::optional<ParsedSignature>> parse_signatures(
+    std::span<const VerifyJob> jobs);
+
+// Whether S·B + k·(-A) + (-R) = O for one parsed signature under the key
+// whose tables `signer` holds: the check of ed25519_verify, and of each
+// signature of a batch whose combined check failed. With `split`, S and k
+// are split against the 2^128 tables (built here if missing) and the chain
+// is 128 doublings; without, ~253.
+bool verify_parsed(SignerTables& signer, bool split, const ParsedSignature& p);
 
 }  // namespace drum::crypto::detail

@@ -1,10 +1,14 @@
 #include "drum/crypto/sha512.hpp"
 
+#include <algorithm>
+
+#include "drum/crypto/backend_impl.hpp"
+
 namespace drum::crypto {
 
-namespace {
+namespace detail {
 
-constexpr std::uint64_t kK[80] = {
+const std::uint64_t kSha512K[80] = {
     0x428a2f98d728ae22ULL, 0x7137449123ef65cdULL, 0xb5c0fbcfec4d3b2fULL,
     0xe9b5dba58189dbbcULL, 0x3956c25bf348b538ULL, 0x59f111f1b605d019ULL,
     0x923f82a4af194f9bULL, 0xab1c5ed5da6d8118ULL, 0xd807aa98a3030242ULL,
@@ -33,17 +37,24 @@ constexpr std::uint64_t kK[80] = {
     0x431d67c49c100d4cULL, 0x4cc5d4becb3e42b6ULL, 0x597f299cfc657e2aULL,
     0x5fcb6fab3ad6faecULL, 0x6c44198c4a475817ULL};
 
+const std::uint64_t kSha512Iv[8] = {
+    0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL, 0x3c6ef372fe94f82bULL,
+    0xa54ff53a5f1d36f1ULL, 0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
+    0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL};
+
+}  // namespace detail
+
+namespace {
+
 inline std::uint64_t rotr(std::uint64_t x, int n) {
   return (x >> n) | (x << (64 - n));
 }
 
 }  // namespace
 
-Sha512::Sha512()
-    : state_{0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL,
-             0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL,
-             0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
-             0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL} {}
+Sha512::Sha512() {
+  std::copy_n(detail::kSha512Iv, state_.size(), state_.begin());
+}
 
 void Sha512::compress(const std::uint8_t* block) {
   std::uint64_t w[80];
@@ -62,7 +73,7 @@ void Sha512::compress(const std::uint8_t* block) {
   for (int i = 0; i < 80; ++i) {
     std::uint64_t s1 = rotr(e, 14) ^ rotr(e, 18) ^ rotr(e, 41);
     std::uint64_t ch = (e & f) ^ (~e & g);
-    std::uint64_t t1 = h + s1 + ch + kK[i] + w[i];
+    std::uint64_t t1 = h + s1 + ch + detail::kSha512K[i] + w[i];
     std::uint64_t s0 = rotr(a, 28) ^ rotr(a, 34) ^ rotr(a, 39);
     std::uint64_t maj = (a & b) ^ (a & c) ^ (b & c);
     std::uint64_t t2 = s0 + maj;
@@ -93,16 +104,21 @@ void Sha512::update(util::ByteSpan data) {
 }
 
 Sha512::Digest Sha512::final() {
-  std::uint64_t bits = bits_;
-  std::uint8_t pad = 0x80;
-  update(util::ByteSpan(&pad, 1));
-  std::uint8_t zero = 0;
-  while (buf_len_ != 112) update(util::ByteSpan(&zero, 1));
-  std::uint8_t len[16] = {};  // high 8 bytes zero: length < 2^64 bits
-  for (int i = 0; i < 8; ++i) {
-    len[8 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  // One 0x80 byte, zeros, and the 128-bit big-endian bit length in the last
+  // 16 bytes of the block; a second block when fewer than 16 bytes are left.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > kBlockSize - 16) {
+    std::fill(buf_.begin() + static_cast<std::ptrdiff_t>(buf_len_), buf_.end(),
+              0);
+    compress(buf_.data());
+    buf_len_ = 0;
   }
-  update(util::ByteSpan(len, 16));
+  std::fill(buf_.begin() + static_cast<std::ptrdiff_t>(buf_len_),
+            buf_.end() - 8, 0);  // high 8 length bytes zero: < 2^64 bits
+  for (int i = 0; i < 8; ++i) {
+    buf_[kBlockSize - 1 - i] = static_cast<std::uint8_t>(bits_ >> (8 * i));
+  }
+  compress(buf_.data());
   Digest out;
   for (int i = 0; i < 8; ++i) {
     for (int j = 0; j < 8; ++j) {

@@ -40,30 +40,31 @@ std::vector<X25519Key> x25519_batch(std::span<const X25519Key> scalars,
   // kBasePoint under its first scalar; a lone point, and every point
   // without the kernel, on the scalar ladder.
   std::vector<Fe> xs(n), zs(n);
-  std::size_t i = 0;
-  if (const auto ladder_x4 = active_backend().x25519_ladder_x4) {
-    for (; i + 2 <= n; i += 4) {
-      const std::size_t lanes = std::min<std::size_t>(4, n - i);
-      const std::uint8_t* k[4] = {};
-      Fe u[4], x[4], z[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        const bool used = l < lanes;
-        k[l] = ks[used ? i + l : i].data();
-        fe_frombytes(u[l], (used ? points[i + l] : kBasePoint).data());
-      }
-      ladder_x4(k, u, x, z);
-      std::copy_n(x, lanes, xs.begin() + static_cast<std::ptrdiff_t>(i));
-      std::copy_n(z, lanes, zs.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
-  for (; i < n; ++i) fe_x25519_ladder(ks[i], points[i], xs[i], zs[i]);
+  const auto ladder_x4 = active_backend().x25519_ladder_x4;
+  detail::in_groups_of_four(
+      n, ladder_x4 != nullptr,
+      [&](std::size_t i, std::size_t lanes) {
+        const std::uint8_t* k[4] = {};
+        Fe u[4], x[4], z[4];
+        for (std::size_t l = 0; l < 4; ++l) {
+          const bool used = l < lanes;
+          k[l] = ks[used ? i + l : i].data();
+          fe_frombytes(u[l], (used ? points[i + l] : kBasePoint).data());
+        }
+        ladder_x4(k, u, x, z);
+        std::copy_n(x, lanes, xs.begin() + static_cast<std::ptrdiff_t>(i));
+        std::copy_n(z, lanes, zs.begin() + static_cast<std::ptrdiff_t>(i));
+      },
+      [&](std::size_t i) {
+        fe_x25519_ladder(ks[i], points[i], xs[i], zs[i]);
+      });
 
   // Forward: turn x_i into w_i = x_i * z_0 ... z_{i-1}, and carry
   // acc = z_0 ... z_i.
   Fe one, zero, acc;
   fe_one(one);
   fe_zero(zero);
-  for (i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     // z = 0 exactly when the point has small order (the clamped scalar is
     // a multiple of 8, below both large prime orders), so this depends on
     // the public point alone. x * z^(p-2) is then 0; take (0 : 1), which
@@ -83,7 +84,7 @@ std::vector<X25519Key> x25519_batch(std::span<const X25519Key> scalars,
   // is the next point's inverse.
   Fe inv;
   fe_invert(inv, acc);
-  for (i = n; i-- > 0;) {
+  for (std::size_t i = n; i-- > 0;) {
     Fe u;
     fe_mul(u, xs[i], inv);
     fe_tobytes(out[i].data(), u);

@@ -1,10 +1,16 @@
-// The X25519 Montgomery ladder (RFC 7748 §5) on four points at once, with
-// AVX-512 IFMA: four clamped scalars and four u-coordinates, one pair per
-// lane. x25519_batch runs its (scalar, point) pairs through here four at a
-// time when the active backend carries this kernel (backend.cpp: CPUID and
-// XGETBV report AVX512F, AVX512VL and AVX512IFMA, with the opmask and ZMM
-// state enabled by the OS). The scalar ladder in fe25519.cpp stays the
-// reference.
+// Field arithmetic of GF(2^255 - 19) on four elements at once, with AVX-512
+// IFMA, and the two routines built on it:
+//   * the X25519 Montgomery ladder (RFC 7748 §5) on four points at once:
+//     four clamped scalars and four u-coordinates, one pair per lane.
+//     x25519_batch runs its (scalar, point) pairs through here four at a
+//     time;
+//   * the square-root exponentiation of Ed25519 decompression,
+//     f^((p-5)/8), on four elements at once, which the Ed25519 batch parse
+//     runs on R's root inputs four at a time.
+// Both run when the active backend carries this kernel (backend.cpp: CPUID
+// and XGETBV report AVX512F, AVX512VL and AVX512IFMA, with the opmask and
+// ZMM state enabled by the OS). The scalar ladder and fe_pow22523 in
+// fe25519.cpp stay the reference.
 //
 // Layout. A field element keeps fe25519's five 51-bit limbs; Fe4 holds
 // four of them in five 256-bit registers, limb i of lane l in lane l of
@@ -28,6 +34,10 @@
 // mask, which swaps (x2, z2) with (x3, z3) by AND and XOR. No branch and no
 // memory index depends on a scalar; the loops read scalar words at indices
 // that depend on the loop counter alone.
+//
+// The exponentiation is fe_pow22523's ref10 addition chain, 251 squarings
+// and 11 multiplications, on the same mul and sq as the ladder. Its inputs
+// are fe_mul outputs, whose limbs are below 2^51 + 2^13, so tight4.
 //
 // This TU is compiled with -mavx512f -mavx512vl -mavx512ifma (see
 // crypto/CMakeLists.txt) and uses no inline function from another header,
@@ -201,6 +211,35 @@ void cswap(Fe4& f, Fe4& g, __m256i mask) {
   }
 }
 
+// Lane l of the result holds f[l].
+Fe4 load4(const Fe* f) {
+  Fe4 h{};
+  #pragma GCC unroll 25
+  for (int i = 0; i < 5; ++i) {
+    h.v[i] = _mm256_set_epi64x(
+        static_cast<long long>(f[3].v[i]), static_cast<long long>(f[2].v[i]),
+        static_cast<long long>(f[1].v[i]), static_cast<long long>(f[0].v[i]));
+  }
+  return h;
+}
+
+// out[l] = lane l of h.
+void store4(const Fe4& h, Fe* out) {
+  #pragma GCC unroll 25
+  for (int i = 0; i < 5; ++i) {
+    alignas(32) std::uint64_t limb[4] = {};
+    _mm256_store_si256(reinterpret_cast<__m256i*>(limb), h.v[i]);
+    #pragma GCC unroll 25
+    for (int l = 0; l < 4; ++l) out[l].v[i] = limb[l];
+  }
+}
+
+// f^(2^n), n >= 1.
+Fe4 sqn(Fe4 f, int n) {
+  for (int i = 0; i < n; ++i) f = sq(f);
+  return f;
+}
+
 // n in every lane, for n < 2^51.
 Fe4 from_small(std::uint64_t n) {
   Fe4 h{};
@@ -232,13 +271,7 @@ void ladder_step(const Fe4& x1, Fe4& x2, Fe4& z2, Fe4& x3, Fe4& z3) {
 [[gnu::flatten]] void x25519_ladder_x4_ifma(const std::uint8_t* const k[4],
                                             const Fe* u, Fe* x_out,
                                             Fe* z_out) {
-  Fe4 x1{};
-  #pragma GCC unroll 25
-  for (int i = 0; i < 5; ++i) {
-    x1.v[i] = _mm256_set_epi64x(
-        static_cast<long long>(u[3].v[i]), static_cast<long long>(u[2].v[i]),
-        static_cast<long long>(u[1].v[i]), static_cast<long long>(u[0].v[i]));
-  }
+  const Fe4 x1 = load4(u);
   Fe4 x2 = from_small(1);
   Fe4 z2 = from_small(0);
   Fe4 x3 = x1;
@@ -285,18 +318,25 @@ void ladder_step(const Fe4& x1, Fe4& x2, Fe4& z2, Fe4& x3, Fe4& z3) {
   cswap(x2, x3, mask);
   cswap(z2, z3, mask);
 
-  #pragma GCC unroll 25
-  for (int i = 0; i < 5; ++i) {
-    alignas(32) std::uint64_t x[4] = {};
-    alignas(32) std::uint64_t z[4] = {};
-    _mm256_store_si256(reinterpret_cast<__m256i*>(x), x2.v[i]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(z), z2.v[i]);
-    #pragma GCC unroll 25
-    for (int l = 0; l < 4; ++l) {
-      x_out[l].v[i] = x[l];
-      z_out[l].v[i] = z[l];
-    }
-  }
+  store4(x2, x_out);
+  store4(z2, z_out);
+}
+
+// z^((p-5)/8) = z^(2^252 - 3), fe_pow22523's chain.
+[[gnu::flatten]] void fe_pow22523_x4_ifma(const Fe* f, Fe* out) {
+  const Fe4 z = load4(f);
+  Fe4 t0 = sq(z);                  // 2
+  Fe4 t1 = mul(z, sqn(t0, 2));     // 9
+  t0 = mul(t0, t1);                // 11
+  t0 = mul(t1, sq(t0));            // 31 = 2^5 - 1
+  t0 = mul(sqn(t0, 5), t0);        // 2^10 - 1
+  t1 = mul(sqn(t0, 10), t0);       // 2^20 - 1
+  t1 = mul(sqn(t1, 20), t1);       // 2^40 - 1
+  t0 = mul(sqn(t1, 10), t0);       // 2^50 - 1
+  t1 = mul(sqn(t0, 50), t0);       // 2^100 - 1
+  t1 = mul(sqn(t1, 100), t1);      // 2^200 - 1
+  t0 = mul(sqn(t1, 50), t0);       // 2^250 - 1
+  store4(mul(sqn(t0, 2), z), out);  // 2^252 - 3
 }
 
 }  // namespace drum::crypto::detail

@@ -196,7 +196,8 @@ void ReactorRuntime::run_batch(std::span<NodeState* const> sts, Shard& sh) {
   std::size_t pair_keys = 0;
   for (const auto& sec : batch.sections()) pair_keys += sec.pending_keys.size();
   if (pair_keys > 0) sh.m_pair_keys_per_pass->record(pair_keys);
-  batch.verify();
+  const std::size_t sigs = batch.verify();
+  if (sigs > 0) sh.m_sigs_per_pass->record(sigs);
 
   // Phase 3 — push the verified frames back in, per node, serialized again.
   for (Drained& d : scratch) {
@@ -241,6 +242,7 @@ void ReactorRuntime::reset_shard(Shard& sh, std::size_t per_shard) {
   sh.m_resyncs = &sh.registry.counter("reactor.timer_resyncs");
   sh.m_pair_keys_per_pass =
       &sh.registry.histogram("reactor.shard.pair_keys_per_pass");
+  sh.m_sigs_per_pass = &sh.registry.histogram("reactor.shard.sigs_per_pass");
   // Each node sits in the ready list at most once.
   sh.ready.reserve(per_shard);
   sh.drain_scratch.reserve(kShardBatch);

@@ -211,6 +211,10 @@ class ReactorRuntime {
     /// reactor.shard.pair_keys_per_pass: first-contact pair keys one
     /// crypto pass derived, recorded only when it derived any.
     obs::Histogram* m_pair_keys_per_pass = nullptr;
+    /// reactor.shard.sigs_per_pass: signature jobs one crypto pass handed
+    /// ed25519_verify_batch, recorded only when it had any; the Ed25519
+    /// parse fills its four lanes from these.
+    obs::Histogram* m_sigs_per_pass = nullptr;
   };
 
   net::EventLoop::Clock::duration jittered_round(NodeState& st);

@@ -1,9 +1,12 @@
 // Backend-dispatch tests for drum::crypto: the published known-answer
 // vectors (FIPS 180-4, RFC 8032, RFC 7748) replayed against every compiled
 // backend, randomized scalar-vs-native SHA-256 equivalence over odd lengths
-// and block boundaries, batched X25519 against one-point X25519 in every
-// lane layout with hostile points, under one scalar and a scalar per point,
-// batch Ed25519 negative tests (a
+// and block boundaries, the four-lane SHA-512 and square-root kernels
+// against Sha512 and fe_pow22523 in every lane, batched X25519 against
+// one-point X25519 in every lane layout with hostile points, under one
+// scalar and a scalar per point, the Ed25519 batch parse against its
+// one-job case with hostile R encodings in every lane, and batch Ed25519
+// negative tests (a
 // corrupted signature at any batch position is detected and attributed to
 // exactly that index, and malformed encodings are rejected exactly as
 // single verification does), each with one key per signature, one key for
@@ -18,7 +21,10 @@
 #include "drum/crypto/api.hpp"
 #include "drum/crypto/backend.hpp"
 #include "drum/crypto/ed25519.hpp"
+#include "drum/crypto/ed25519_internal.hpp"
+#include "drum/crypto/fe25519.hpp"
 #include "drum/crypto/sha256.hpp"
+#include "drum/crypto/sha512.hpp"
 #include "drum/crypto/x25519.hpp"
 #include "drum/util/rng.hpp"
 
@@ -74,6 +80,8 @@ TEST(BackendDispatch, TableIsSaneAndSelectable) {
   ASSERT_FALSE(backends.empty());
   EXPECT_STREQ(backends.front()->name, "scalar");
   EXPECT_EQ(backends.front()->x25519_ladder_x4, nullptr);
+  EXPECT_EQ(backends.front()->fe_pow22523_x4, nullptr);
+  EXPECT_EQ(backends.front()->sha512_x4, nullptr);
   for (const Backend* be : backends) {
     ASSERT_NE(be, nullptr);
     EXPECT_NE(be->sha256_compress, nullptr);
@@ -89,22 +97,31 @@ TEST(BackendDispatch, NativeAccelerationMatchesCpuFeatures) {
   const Backend& native = native_backend();
   // A slot of the native table carries an ISA kernel only if the build
   // compiled it and the CPU (and, for AVX-512, the OS) can run it. On
-  // plain-scalar builds neither slot does.
+  // plain-scalar builds no slot does.
   const bool shani = native.sha256_compress != scalar_backend().sha256_compress;
   const bool ifma = native.x25519_ladder_x4 != nullptr;
+  const bool sha512_lanes = native.sha512_x4 != nullptr;
   if (shani) {
     EXPECT_TRUE(f.sha_ni && f.ssse3 && f.sse41);
   }
   if (ifma) {
     EXPECT_TRUE(f.avx512f && f.avx512vl && f.avx512ifma && f.os_avx512);
   }
-  // Native is listed, and counts as accelerated, when either slot is.
-  EXPECT_EQ(native_backend_accelerated(), shani || ifma);
-  EXPECT_EQ(all_backends().size(), shani || ifma ? 2U : 1U);
+  // The square root and the ladder share the IFMA field kernel.
+  EXPECT_EQ(native.fe_pow22523_x4 != nullptr, ifma);
+  if (sha512_lanes) {
+    EXPECT_TRUE(f.avx512f && f.avx512vl && f.os_avx512);
+  }
+  // Native is listed, and counts as accelerated, when any slot is.
+  const bool any = shani || ifma || sha512_lanes;
+  EXPECT_EQ(native_backend_accelerated(), any);
+  EXPECT_EQ(all_backends().size(), any ? 2U : 1U);
   // Goes to the log, so a CI run shows which kernels its runner ran.
-  std::printf("native backend: SHA-256 %s, X25519 %s\n",
-              shani ? "SHA-NI" : "scalar",
-              ifma ? "four-lane AVX-512 IFMA" : "scalar");
+  std::printf(
+      "native backend: SHA-256 %s, X25519 and square roots %s, SHA-512 %s\n",
+      shani ? "SHA-NI" : "scalar",
+      ifma ? "four-lane AVX-512 IFMA" : "scalar",
+      sha512_lanes ? "four-lane AVX-512F/VL" : "scalar");
 }
 
 // ------------------------------------------- KATs against every backend
@@ -262,6 +279,146 @@ TEST(BackendEquivalence, Sha256OddLengthsAndBlockBoundaries) {
       }
       EXPECT_EQ(h.final(), want)
           << be->name << " streaming diverges at len=" << len;
+    }
+  }
+}
+
+// The four-lane SHA-512 of one to four messages, lane l hashing msgs[l];
+// the lanes past msgs.size() hash the empty message.
+std::vector<Sha512::Digest> sha512_lanes(const Backend& be,
+                                         const std::vector<Bytes>& msgs) {
+  const std::uint8_t* msg[4] = {};
+  std::size_t len[4] = {};
+  for (std::size_t l = 0; l < msgs.size(); ++l) {
+    msg[l] = msgs[l].data();
+    len[l] = msgs[l].size();
+  }
+  std::uint8_t out[4][64];
+  be.sha512_x4(msg, len, out);
+  std::vector<Sha512::Digest> digests(msgs.size());
+  for (std::size_t l = 0; l < msgs.size(); ++l) {
+    std::copy_n(out[l], 64, digests[l].begin());
+  }
+  return digests;
+}
+
+Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+TEST(BackendKat, Sha512LanesFips180EveryBackend) {
+  // FIPS 180-4's examples and its million-'a' message: each vector in every
+  // lane, beside the others, so the long one also keeps three ended lanes
+  // masked for thousands of blocks.
+  const std::vector<std::pair<Bytes, std::string>> vectors = {
+      {bytes_of("abc"),
+       "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+       "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"},
+      {Bytes{},
+       "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
+       "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
+      {bytes_of("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+       "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
+       "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"},
+      {Bytes(1000000, 'a'),
+       "e718483d0ce769644e2e42c7bc15b4638e1f98b13b2044285632a803afa973eb"
+       "de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b"}};
+  for (const Backend* be : all_backends()) {
+    SCOPED_TRACE(be->name);
+    if (be->sha512_x4 == nullptr) continue;  // no lanes: Sha512 alone
+    for (std::size_t shift = 0; shift < 4; ++shift) {
+      std::vector<Bytes> msgs;
+      for (std::size_t l = 0; l < 4; ++l) {
+        msgs.push_back(vectors[(l + shift) % 4].first);
+      }
+      const auto got = sha512_lanes(*be, msgs);
+      for (std::size_t l = 0; l < 4; ++l) {
+        EXPECT_EQ(to_hex(ByteSpan(got[l])), vectors[(l + shift) % 4].second)
+            << "shift=" << shift << " lane " << l;
+      }
+    }
+  }
+}
+
+// Groups of one to four messages whose lengths sit around the padding
+// edges (the length field needs a second block from 112 bytes on) and at
+// steady's challenge size, each length in every lane beside other lengths,
+// against Sha512. Each message is an allocation of its exact size, so an
+// ASan build also checks that no lane reads past its message.
+TEST(BackendEquivalence, Sha512LanesMatchScalarAroundPaddingEdges) {
+  util::Rng rng(104);
+  const std::size_t lengths[] = {0, 1, 111, 112, 127, 128, 129, 239, 240, 1108};
+  for (const Backend* be : all_backends()) {
+    SCOPED_TRACE(be->name);
+    if (be->sha512_x4 == nullptr) continue;
+    for (std::size_t group = 1; group <= 4; ++group) {
+      for (std::size_t at = 0; at < group; ++at) {
+        for (std::size_t len : lengths) {
+          std::vector<Bytes> msgs;
+          for (std::size_t l = 0; l < group; ++l) {
+            const std::size_t n =
+                l == at ? len : lengths[rng.below(std::size(lengths))];
+            msgs.push_back(random_bytes(rng, n));
+          }
+          const auto got = sha512_lanes(*be, msgs);
+          for (std::size_t l = 0; l < group; ++l) {
+            EXPECT_EQ(got[l], sha512(ByteSpan(msgs[l])))
+                << "group=" << group << " lane " << l
+                << " len=" << msgs[l].size();
+          }
+        }
+      }
+    }
+  }
+}
+
+std::string fe_hex(const Fe& f) {
+  std::array<std::uint8_t, 32> b{};
+  fe_tobytes(b.data(), f);
+  return to_hex(ByteSpan(b));
+}
+
+// The four-lane square-root exponentiation against fe_pow22523, each edge
+// value in every lane beside random ones: 0, 1, p - 1, and p and
+// 2^255 - 1 as fe_frombytes loads them (non-canonical, limbs at the top of
+// 2^51), and limbs at the top of fe_mul's tight output range.
+TEST(BackendEquivalence, FePow22523LanesMatchScalarInEveryLane) {
+  util::Rng rng(105);
+  const std::string ff(60, 'f');
+  std::vector<Fe> edges;
+  for (const std::string& hex :
+       {std::string(64, '0'), "01" + std::string(62, '0'), "ec" + ff + "7f",
+        "ed" + ff + "7f", "ff" + ff + "7f"}) {
+    Fe f;
+    fe_frombytes(f, arr_from_hex<32>(hex).data());
+    edges.push_back(f);
+  }
+  constexpr std::uint64_t kTight = (std::uint64_t{1} << 51) + (1 << 13);
+  Fe top;
+  for (auto& limb : top.v) limb = kTight - 1;
+  edges.push_back(top);
+  auto random_tight = [&] {
+    Fe f;
+    for (auto& limb : f.v) limb = rng.next() % kTight;
+    return f;
+  };
+  for (const Backend* be : all_backends()) {
+    SCOPED_TRACE(be->name);
+    if (be->fe_pow22523_x4 == nullptr) continue;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      for (std::size_t at = 0; at < 4; ++at) {
+        Fe in[4], out[4];
+        for (std::size_t l = 0; l < 4; ++l) {
+          in[l] = l == at ? edges[e] : random_tight();
+        }
+        be->fe_pow22523_x4(in, out);
+        for (std::size_t l = 0; l < 4; ++l) {
+          for (auto limb : out[l].v) EXPECT_LT(limb, std::uint64_t{1} << 52);
+          Fe want;
+          fe_pow22523(want, in[l]);
+          EXPECT_EQ(fe_hex(out[l]), fe_hex(want))
+              << "edge " << e << " at=" << at << " lane " << l;
+        }
+      }
     }
   }
 }
@@ -477,6 +634,82 @@ TEST(BatchVerify, MalformedEncodingsRejectedDeterministically) {
         EXPECT_EQ(verdicts[i],
                   ed25519_verify(jobs[i].pub, jobs[i].message, jobs[i].sig))
             << "signers=" << signers << " i=" << i;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ the Ed25519 batch parse
+
+// A parse result in canonical bytes: "rejected", or -R's four coordinates,
+// S and k.
+std::string describe(const std::optional<detail::ParsedSignature>& p) {
+  if (!p) return "rejected";
+  return fe_hex(p->neg_r.x) + " " + fe_hex(p->neg_r.y) + " " +
+         fe_hex(p->neg_r.z) + " " + fe_hex(p->neg_r.t) + " " +
+         to_hex(ByteSpan(p->s)) + " " + to_hex(ByteSpan(p->k));
+}
+
+// Batches of 1–9 valid signatures over messages of 0 to 1044 bytes, and
+// the same batches with one job's R replaced by each of the hostile
+// table's seven encodings (Ed25519.HostileInputVerdictsArePinned), or its S
+// by L, in each position, under every backend: every job's result in the
+// batch parse equals its one-job parse's. A wrong root or hash in a lane
+// shows in the verdict tests only when it lands on a valid signature; on a
+// job the check rejects anyway, it leaves every verdict as it was.
+TEST(Ed25519Parse, BatchMatchesOneJobInEveryLane) {
+  BackendGuard guard;
+  util::Rng rng(205);
+  const std::size_t lengths[] = {0, 1, 44, 111, 112, 1044, 200, 63, 500};
+  std::vector<SignedMessage> sm = make_signed(rng, 9, 2);
+  for (std::size_t i = 0; i < sm.size(); ++i) {
+    sm[i].msg = random_bytes(rng, lengths[i]);
+    sm[i].sig = ed25519_sign(sm[i].seed, sm[i].pub, ByteSpan(sm[i].msg));
+  }
+  const std::string ff(60, 'f');
+  const std::string zeros(60, '0');
+  std::vector<std::array<std::uint8_t, 32>> hostile_r;
+  for (const std::string& hex :
+       {"01" + zeros + "00", "ec" + ff + "7f", "00" + zeros + "00",
+        "02" + zeros + "00", "ed" + ff + "7f", "ee" + ff + "7f",
+        "01" + zeros + "80"}) {
+    hostile_r.push_back(arr_from_hex<32>(hex));
+  }
+  const auto order = arr_from_hex<32>(
+      "edd3f55c1a631258d69cf7a2def9de14000000000000000000000000000000" "10");
+
+  auto expect_matches_one_job = [](const std::vector<VerifyJob>& jobs,
+                                   const std::string& where) {
+    const auto batch = detail::parse_signatures(jobs);
+    ASSERT_EQ(batch.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const auto one = detail::parse_signatures(std::span(&jobs[i], 1));
+      EXPECT_EQ(describe(batch[i]), describe(one[0])) << where << " i=" << i;
+    }
+  };
+  for (const Backend* be : all_backends()) {
+    ASSERT_TRUE(set_active_backend(be->name));
+    SCOPED_TRACE(be->name);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      std::vector<VerifyJob> valid = jobs_of(sm);  // views into sm
+      valid.resize(n);
+      for (const auto& p : detail::parse_signatures(valid)) {
+        EXPECT_TRUE(p.has_value()) << "n=" << n;
+      }
+      expect_matches_one_job(valid, "valid n=" + std::to_string(n));
+      for (std::size_t at = 0; at < n; ++at) {
+        for (std::size_t h = 0; h <= hostile_r.size(); ++h) {
+          std::vector<VerifyJob> jobs = valid;
+          if (h < hostile_r.size()) {
+            std::copy(hostile_r[h].begin(), hostile_r[h].end(),
+                      jobs[at].sig.begin());
+          } else {
+            std::copy(order.begin(), order.end(), jobs[at].sig.begin() + 32);
+          }
+          expect_matches_one_job(jobs, "n=" + std::to_string(n) +
+                                           " at=" + std::to_string(at) +
+                                           " hostile=" + std::to_string(h));
+        }
       }
     }
   }

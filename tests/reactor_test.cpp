@@ -456,9 +456,9 @@ TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
   f.reactor->stop();
 
   // stop() folds each shard's registry into loop_registry(): the loop
-  // counters, the timer-slop histogram, the batch count and the pair keys
-  // each crypto pass derived (a sample only for a pass that derived any, so
-  // at most one per pass). The fleet runs on MemNetwork, so every socket
+  // counters, the timer-slop histogram, the batch count, and the pair keys
+  // each crypto pass derived and the signature jobs it verified (a sample
+  // only for a pass that had any, so at most one per pass). The fleet runs on MemNetwork, so every socket
   // readiness edge, same-shard or cross-shard, reaches its loop through the
   // bridge.
   const auto& reg = f.reactor->loop_registry();
@@ -471,6 +471,9 @@ TEST_P(ReactorFleet, TelemetryMergedIntoLoopRegistry) {
   EXPECT_GT(reg.counter_value("reactor.shard.batches"), 0u);
   EXPECT_NE(reg.find_histogram("reactor.shard.pair_keys_per_pass"), nullptr);
   EXPECT_LE(reg.histogram_count("reactor.shard.pair_keys_per_pass"),
+            reg.counter_value("reactor.shard.batches"));
+  EXPECT_NE(reg.find_histogram("reactor.shard.sigs_per_pass"), nullptr);
+  EXPECT_LE(reg.histogram_count("reactor.shard.sigs_per_pass"),
             reg.counter_value("reactor.shard.batches"));
 }
 
