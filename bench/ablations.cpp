@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       std::vector<double> row{frac};
       for (double x : {128.0, 512.0}) {
         sim::SimParams p;
-        p.protocol = sim::SimProtocol::kDrum;
+        p.protocol = core::Variant::kDrum;
         p.n = 120;
         p.alpha = 0.1;
         p.x = x;
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
       std::vector<double> row{x};
       for (std::size_t split : {1u, 2u, 3u}) {
         sim::SimParams p;
-        p.protocol = sim::SimProtocol::kDrum;
+        p.protocol = core::Variant::kDrum;
         p.n = 120;
         p.alpha = 0.1;
         p.x = x;

@@ -31,7 +31,7 @@ inline sim::SimOptions sim_options_from_flags(util::Flags& flags) {
 
 /// One simulated data point: mean/std propagation time to 99% of correct
 /// processes (and the attacked/non-attacked splits).
-inline sim::AggregateResult sim_point(sim::SimProtocol proto, std::size_t n,
+inline sim::AggregateResult sim_point(core::Variant proto, std::size_t n,
                                       double alpha, double x,
                                       std::size_t runs, std::uint64_t seed,
                                       std::size_t max_rounds = 600,

@@ -21,33 +21,14 @@ namespace {
 
 using namespace drum;
 
-std::vector<std::size_t> parse_sweep(const std::string& s) {
-  std::vector<std::size_t> out;
-  std::size_t v = 0;
-  bool have = false;
-  for (char c : s) {
-    if (c >= '0' && c <= '9') {
-      v = v * 10 + static_cast<std::size_t>(c - '0');
-      have = true;
-    } else if (c == ',') {
-      if (have) out.push_back(v);
-      v = 0;
-      have = false;
-    }
-  }
-  if (have) out.push_back(v);
-  return out;
-}
-
 // The Figure 3 grids: 3(a) x in {0,32,64,96,128} at alpha=10%, 3(b) alpha in
 // {10..80%} at x=128; each for drum/push/pull.
 std::vector<sim::AggregateResult> run_workload(std::size_t n,
                                                std::size_t runs,
                                                std::uint64_t seed,
                                                const sim::SimOptions& opt) {
-  const sim::SimProtocol protos[] = {sim::SimProtocol::kDrum,
-                                     sim::SimProtocol::kPush,
-                                     sim::SimProtocol::kPull};
+  const core::Variant protos[] = {core::Variant::kDrum, core::Variant::kPush,
+                                  core::Variant::kPull};
   std::vector<sim::AggregateResult> points;
   for (double x : {0.0, 32.0, 64.0, 96.0, 128.0}) {
     for (auto proto : protos) {
@@ -73,7 +54,7 @@ int main(int argc, char** argv) {
   auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1, "RNG seed"));
   auto n = static_cast<std::size_t>(
       flags.get_int("n", 120, "group size for the Fig. 3 workload"));
-  auto sweep_str = flags.get_string(
+  auto sweep = flags.get_size_list(
       "sweep", "1,2,4,8", "comma-separated thread counts to benchmark");
   auto json_path =
       flags.get_string("json", "BENCH_sim.json", "output artifact path");
@@ -82,12 +63,6 @@ int main(int argc, char** argv) {
       "exit non-zero if any thread count's aggregates differ from the "
       "first's (CI determinism gate)");
   flags.done();
-
-  auto sweep = parse_sweep(sweep_str);
-  if (sweep.empty()) {
-    std::fprintf(stderr, "bench_sim: empty --sweep\n");
-    return 2;
-  }
 
   bench::print_header("BENCH_sim",
                       "parallel sim engine: Fig. 3 workload thread sweep "

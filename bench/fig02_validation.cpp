@@ -20,9 +20,8 @@ int main(int argc, char** argv) {
                       "validation without DoS: log(n) growth + crash "
                       "tolerance (simulations)");
 
-  const sim::SimProtocol protos[] = {sim::SimProtocol::kDrum,
-                                     sim::SimProtocol::kPush,
-                                     sim::SimProtocol::kPull};
+  const core::Variant protos[] = {core::Variant::kDrum, core::Variant::kPush,
+                                  core::Variant::kPull};
 
   util::Table a({"n", "drum", "push", "pull"});
   for (std::size_t n : {40u, 80u, 120u, 250u, 500u, 1000u}) {

@@ -22,9 +22,8 @@ int main(int argc, char** argv) {
                       "targeted DoS attacks: propagation time vs x and vs "
                       "alpha (simulations)");
 
-  const sim::SimProtocol protos[] = {sim::SimProtocol::kDrum,
-                                     sim::SimProtocol::kPush,
-                                     sim::SimProtocol::kPull};
+  const core::Variant protos[] = {core::Variant::kDrum, core::Variant::kPush,
+                                  core::Variant::kPull};
   std::vector<std::size_t> sizes = {120};
   if (!small_only) sizes.push_back(1000);
 

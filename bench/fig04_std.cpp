@@ -20,9 +20,8 @@ int main(int argc, char** argv) {
                       "STD of propagation time under targeted attacks, "
                       "n=1000 (simulations)");
 
-  const sim::SimProtocol protos[] = {sim::SimProtocol::kDrum,
-                                     sim::SimProtocol::kPush,
-                                     sim::SimProtocol::kPull};
+  const core::Variant protos[] = {core::Variant::kDrum, core::Variant::kPush,
+                                  core::Variant::kPull};
 
   util::Table a({"x", "drum", "push", "pull", "pull escape STD (App. B)"});
   for (double x : {0.0, 32.0, 64.0, 96.0, 128.0}) {

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
 
   for (const auto& c : configs) {
     std::vector<std::vector<double>> curves;
-    for (auto proto : {sim::SimProtocol::kDrum, sim::SimProtocol::kPush,
-                       sim::SimProtocol::kPull}) {
+    for (auto proto : {core::Variant::kDrum, core::Variant::kPush,
+                       core::Variant::kPull}) {
       auto agg = bench::sim_point(proto, n, c.alpha, c.x, runs, seed,
                                   std::max<std::size_t>(max_round, 300), 0.0,
                                   0.1, opts);

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   util::Table b({"x", "drum", "push", "pull"});
   for (double x : {32.0, 64.0, 96.0, 128.0}) {
     std::vector<double> row_non{x}, row_att{x};
-    for (auto proto : {sim::SimProtocol::kDrum, sim::SimProtocol::kPush,
-                       sim::SimProtocol::kPull}) {
+    for (auto proto : {core::Variant::kDrum, core::Variant::kPush,
+                       core::Variant::kPull}) {
       auto agg = bench::sim_point(proto, n, 0.1, x, runs, seed, 600, 0.0, 0.1, opts);
       row_non.push_back(agg.rounds_to_target_non_attacked.mean());
       row_att.push_back(agg.rounds_to_target_attacked.mean());

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     for (double alpha : {0.1, 0.2, 0.3, 0.5, 0.7, 0.9}) {
       double x = c.b_per_n / alpha;
       std::vector<double> row{alpha * 100, x};
-      for (auto proto : {sim::SimProtocol::kDrum, sim::SimProtocol::kPush,
-                         sim::SimProtocol::kPull}) {
+      for (auto proto : {core::Variant::kDrum, core::Variant::kPush,
+                         core::Variant::kPull}) {
         auto agg = bench::sim_point(proto, c.n, alpha, x, runs, seed, 900, 0.0,
                                     0.1, opts);
         row.push_back(agg.rounds_to_target.mean());

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     std::vector<double> row{alpha * 100};
     for (double b_per_n : {0.0, 0.9, 1.8, 3.6}) {
       double x = b_per_n > 0 ? b_per_n / alpha : 0.0;
-      auto agg = bench::sim_point(sim::SimProtocol::kDrum, n, alpha, x, runs,
+      auto agg = bench::sim_point(core::Variant::kDrum, n, alpha, x, runs,
                                   seed, 600, 0.0, 0.1, opts);
       row.push_back(agg.rounds_to_target.mean());
     }

@@ -38,13 +38,8 @@ int main(int argc, char** argv) {
   mo.use_udp = udp;
   mo.seed = seed;
 
-  struct Proto {
-    const char* name;
-    sim::SimProtocol sim;
-    core::Variant real;
-  } protos[] = {{"drum", sim::SimProtocol::kDrum, core::Variant::kDrum},
-                {"push", sim::SimProtocol::kPush, core::Variant::kPush},
-                {"pull", sim::SimProtocol::kPull, core::Variant::kPull}};
+  const core::Variant protos[] = {core::Variant::kDrum, core::Variant::kPush,
+                                  core::Variant::kPull};
 
   util::Table a({"x", "drum sim", "drum meas", "push sim", "push meas",
                  "pull sim", "pull meas"});
@@ -52,9 +47,10 @@ int main(int argc, char** argv) {
   for (double x : {0.0, 32.0, 64.0, 128.0}) {
     std::vector<double> row{x};
     for (const auto& p : protos) {
-      auto sim_agg = bench::sim_point(p.sim, n, 0.1, x, runs, seed, 600, 0.0, 0.1, opts);
+      auto sim_agg =
+          bench::sim_point(p, n, 0.1, x, runs, seed, 600, 0.0, 0.1, opts);
       mo.udp_base_port = static_cast<std::uint16_t>(21000 + 200 * point++);
-      auto meas = bench::measured_point(p.real, 0.1, x, mo);
+      auto meas = bench::measured_point(p, 0.1, x, mo);
       row.push_back(sim_agg.rounds_to_target.mean());
       row.push_back(meas.propagation_rounds_mean);
     }
@@ -67,10 +63,10 @@ int main(int argc, char** argv) {
   for (double alpha : {0.1, 0.2, 0.4, 0.6, 0.8}) {
     std::vector<double> row{alpha * 100};
     for (const auto& p : protos) {
-      auto sim_agg = bench::sim_point(p.sim, n, alpha, 128, runs, seed, 600, 0.0, 0.1,
-                                      opts);
+      auto sim_agg =
+          bench::sim_point(p, n, alpha, 128, runs, seed, 600, 0.0, 0.1, opts);
       mo.udp_base_port = static_cast<std::uint16_t>(21000 + 200 * point++);
-      auto meas = bench::measured_point(p.real, alpha, 128, mo);
+      auto meas = bench::measured_point(p, alpha, 128, mo);
       row.push_back(sim_agg.rounds_to_target.mean());
       row.push_back(meas.propagation_rounds_mean);
     }

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
 
   util::Table a({"x", "drum", "drum-wk-ports"});
   for (double x : {0.0, 32.0, 64.0, 96.0, 128.0}) {
-    auto drum = bench::sim_point(sim::SimProtocol::kDrum, n_sim, 0.1, x, runs,
+    auto drum = bench::sim_point(core::Variant::kDrum, n_sim, 0.1, x, runs,
                                  seed, 600, 0.0, 0.1, opts);
-    auto wk = bench::sim_point(sim::SimProtocol::kDrumWkPorts, n_sim, 0.1, x,
+    auto wk = bench::sim_point(core::Variant::kDrumWkPorts, n_sim, 0.1, x,
                                runs, seed, 600, 0.0, 0.1, opts);
     a.add_row({x, drum.rounds_to_target.mean(), wk.rounds_to_target.mean()},
               2);

@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
 
   struct Proto {
     const char* name;
-    sim::SimProtocol sim;
+    core::Variant sim;
     analysis::Protocol ana;
-  } protos[] = {{"drum", sim::SimProtocol::kDrum, analysis::Protocol::kDrum},
-                {"push", sim::SimProtocol::kPush, analysis::Protocol::kPush},
-                {"pull", sim::SimProtocol::kPull, analysis::Protocol::kPull}};
+  } protos[] = {{"drum", core::Variant::kDrum, analysis::Protocol::kDrum},
+                {"push", core::Variant::kPush, analysis::Protocol::kPush},
+                {"pull", core::Variant::kPull, analysis::Protocol::kPull}};
 
   for (const auto& c : configs) {
     std::vector<std::vector<double>> sim_curves, ana_curves;

@@ -20,7 +20,7 @@ namespace {
 
 struct Mode {
   const char* name;
-  drum::sim::SimProtocol protocol;
+  drum::core::Variant protocol;
   bool scoring;
 };
 
@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
       only.empty() ? adversary::registered()
                    : std::vector<std::string>{only};
   const Mode modes[] = {
-      {"drum", sim::SimProtocol::kDrum, false},
-      {"push", sim::SimProtocol::kPush, false},
-      {"pull", sim::SimProtocol::kPull, false},
-      {"drum+scoring", sim::SimProtocol::kDrum, true},
+      {"drum", core::Variant::kDrum, false},
+      {"push", core::Variant::kPush, false},
+      {"pull", core::Variant::kPull, false},
+      {"drum+scoring", core::Variant::kDrum, true},
   };
   const double xs[] = {32.0, 64.0, 128.0};
 

@@ -424,7 +424,7 @@ void BM_SimRound(benchmark::State& state) {
   // One full simulated run, n as parameter (drum, alpha=10%, x=128). Uses
   // the reusable-scratch overload, as simulate_many's workers do.
   sim::SimParams p;
-  p.protocol = sim::SimProtocol::kDrum;
+  p.protocol = core::Variant::kDrum;
   p.n = static_cast<std::size_t>(state.range(0));
   p.alpha = 0.1;
   p.x = 128;

@@ -5,7 +5,7 @@
 // event-driven ReactorRuntime, and reports shards / CPU / wall-clock
 // delivery latency.
 //
-//   swarm [options]
+//   swarm [options]     (--help lists them)
 //     --nodes N        group size                      (default 128)
 //     --seconds S      measurement window              (default 10)
 //     --shards LIST    comma-separated reactor shard counts, each >= 1; one
@@ -27,45 +27,14 @@
 // baselines stay addressable; the others are "reactor-s<K>".
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "drum/harness/swarm.hpp"
+#include "drum/util/flags.hpp"
 
 namespace {
-
-struct Options {
-  std::size_t nodes = 128;
-  int seconds = 10;
-  std::vector<std::size_t> shards = {1};
-  int round_ms = 200;
-  std::size_t rate = 10;
-  double alpha = 0.25;
-  double x = 64.0;
-  bool udp = false;
-  bool verify = true;
-  bool prewarm = true;
-  std::string json_path;
-  std::uint64_t seed = 1;
-};
-
-std::vector<std::size_t> parse_size_list(const char* s) {
-  std::vector<std::size_t> out;
-  std::string cur;
-  for (const char* p = s;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) out.push_back(std::strtoull(cur.c_str(), nullptr, 10));
-      cur.clear();
-      if (*p == '\0') break;
-    } else {
-      cur.push_back(*p);
-    }
-  }
-  return out;
-}
 
 std::string fmt(double v) {
   char buf[64];
@@ -105,23 +74,13 @@ std::string report_json(const std::string& mode,
   return out;
 }
 
-drum::harness::SwarmReport run_phase(const Options& opt, std::size_t shards,
+drum::harness::SwarmReport run_phase(drum::harness::SwarmConfig cfg,
+                                     int seconds, std::size_t shards,
                                      const std::string& label) {
-  drum::harness::SwarmConfig cfg;
-  cfg.n = opt.nodes;
-  cfg.alpha = opt.alpha;
-  cfg.x = opt.x;
-  cfg.seed = opt.seed;
-  cfg.round = std::chrono::milliseconds(opt.round_ms);
-  cfg.rate = opt.rate;
-  cfg.use_udp = opt.udp;
-  cfg.verify_signatures = opt.verify;
   cfg.shards = shards;
-  cfg.prewarm = opt.prewarm;
-
   drum::harness::Swarm swarm(cfg);
   swarm.start();
-  swarm.run_for(std::chrono::seconds(opt.seconds));
+  swarm.run_for(std::chrono::seconds(seconds));
   swarm.stop();
   auto r = swarm.report();
 
@@ -142,91 +101,78 @@ drum::harness::SwarmReport run_phase(const Options& opt, std::size_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--nodes") {
-      opt.nodes = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--seconds") {
-      opt.seconds = std::atoi(next());
-    } else if (a == "--shards") {
-      opt.shards = parse_size_list(next());
-      if (opt.shards.empty() ||
-          std::find(opt.shards.begin(), opt.shards.end(), 0) !=
-              opt.shards.end()) {
-        std::fprintf(stderr, "--shards needs one or more counts, each >= 1\n");
-        return 2;
-      }
-    } else if (a == "--round") {
-      opt.round_ms = std::atoi(next());
-    } else if (a == "--rate") {
-      opt.rate = static_cast<std::size_t>(std::atoll(next()));
-    } else if (a == "--alpha") {
-      opt.alpha = std::atof(next());
-    } else if (a == "--x") {
-      opt.x = std::atof(next());
-    } else if (a == "--udp") {
-      opt.udp = true;
-    } else if (a == "--no-verify") {
-      opt.verify = false;
-    } else if (a == "--no-prewarm") {
-      opt.prewarm = false;
-    } else if (a == "--json") {
-      opt.json_path = next();
-    } else if (a == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      return 2;
-    }
+  drum::util::Flags flags(argc, argv);
+  drum::harness::SwarmConfig cfg;
+  cfg.n = static_cast<std::size_t>(flags.get_int("nodes", 128, "group size"));
+  const auto seconds =
+      static_cast<int>(flags.get_int("seconds", 10, "measurement window"));
+  const auto shards = flags.get_size_list(
+      "shards", "1",
+      "comma-separated reactor shard counts, each >= 1; one phase per entry");
+  const auto round_ms =
+      flags.get_int("round", 200, "mean round duration, ms");
+  cfg.round = std::chrono::milliseconds(round_ms);
+  cfg.rate = static_cast<std::size_t>(
+      flags.get_int("rate", 10, "source multicasts per round"));
+  cfg.alpha = flags.get_double("alpha", 0.25, "attacked fraction");
+  cfg.x = flags.get_double("x", 64, "fabricated msgs/victim/round");
+  cfg.use_udp =
+      flags.get_bool("udp", false, "loopback UDP instead of mem net");
+  cfg.verify_signatures = !flags.get_bool(
+      "no-verify", false,
+      "skip Ed25519 data-signature checks (CPU calibration)");
+  cfg.prewarm = !flags.get_bool(
+      "no-prewarm", false,
+      "lazy pairwise-key derivation (mandatory at 10k nodes: prewarming is "
+      "O(n^2) X25519 exchanges)");
+  const auto json_path =
+      flags.get_string("json", "", "write a BENCH_reactor.json-style report");
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1, "RNG seed"));
+  flags.done();
+  if (std::find(shards.begin(), shards.end(), 0) != shards.end()) {
+    std::fprintf(stderr, "--shards needs one or more counts, each >= 1\n");
+    return 2;
   }
   std::printf(
-      "swarm: %zu nodes, %ds window, round %dms, alpha=%.2f x=%.0f, %s\n",
-      opt.nodes, opt.seconds, opt.round_ms, opt.alpha, opt.x,
-      opt.udp ? "udp" : "mem");
+      "swarm: %zu nodes, %ds window, round %lldms, alpha=%.2f x=%.0f, %s\n",
+      cfg.n, seconds, static_cast<long long>(round_ms), cfg.alpha, cfg.x,
+      cfg.use_udp ? "udp" : "mem");
 
   std::vector<std::string> entries;
-  for (std::size_t sh : opt.shards) {
+  for (std::size_t sh : shards) {
     const std::string label =
         sh == 1 ? "reactor" : "reactor-s" + std::to_string(sh);
-    entries.push_back(report_json(label, run_phase(opt, sh, label)));
+    entries.push_back(report_json(label, run_phase(cfg, seconds, sh, label)));
   }
 
-  if (!opt.json_path.empty()) {
+  if (!json_path.empty()) {
     std::string out = "{\n  \"bench\": \"reactor_swarm\",\n";
-    out += "  \"config\": {\"nodes\": " + std::to_string(opt.nodes);
-    out += ", \"seconds\": " + std::to_string(opt.seconds);
-    out += ", \"round_ms\": " + std::to_string(opt.round_ms);
-    out += ", \"rate\": " + std::to_string(opt.rate);
-    out += ", \"alpha\": " + fmt(opt.alpha);
-    out += ", \"x\": " + fmt(opt.x);
+    out += "  \"config\": {\"nodes\": " + std::to_string(cfg.n);
+    out += ", \"seconds\": " + std::to_string(seconds);
+    out += ", \"round_ms\": " + std::to_string(round_ms);
+    out += ", \"rate\": " + std::to_string(cfg.rate);
+    out += ", \"alpha\": " + fmt(cfg.alpha);
+    out += ", \"x\": " + fmt(cfg.x);
     out += ", \"shards\": [";
-    for (std::size_t i = 0; i < opt.shards.size(); ++i) {
-      out += (i ? ", " : "") + std::to_string(opt.shards[i]);
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      out += (i ? ", " : "") + std::to_string(shards[i]);
     }
-    out += "], \"prewarm\": " + std::string(opt.prewarm ? "true" : "false");
-    out += ", \"transport\": \"" + std::string(opt.udp ? "udp" : "mem");
-    out += "\", \"seed\": " + std::to_string(opt.seed) + "},\n";
+    out += "], \"prewarm\": " + std::string(cfg.prewarm ? "true" : "false");
+    out += ", \"transport\": \"" + std::string(cfg.use_udp ? "udp" : "mem");
+    out += "\", \"seed\": " + std::to_string(cfg.seed) + "},\n";
     out += "  \"phases\": [\n";
     for (std::size_t i = 0; i < entries.size(); ++i) {
       out += entries[i];
       out += i + 1 < entries.size() ? ",\n" : "\n";
     }
     out += "  ]\n}\n";
-    std::ofstream f(opt.json_path);
+    std::ofstream f(json_path);
     if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
     f << out;
-    std::printf("wrote %s\n", opt.json_path.c_str());
+    std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
 }

@@ -109,9 +109,10 @@ doc = {
             "flood sweep uses --no-prewarm --round 500 --seconds 10. One "
             "process, in-process mem network, flooding adversary at "
             "alpha=0.25 x=16 throughout; each phase runs one event loop per "
-            "shard with SPSC cross-shard handoff (DESIGN.md §13). The 10k "
-            "group is overloaded: its nodes miss most of their configured "
-            "rounds, so its delivery counts are not a defense figure.",
+            "shard, every socket waiting on its home shard's loop (DESIGN.md "
+            "§13). The 10k group is overloaded: its nodes miss most of their "
+            "configured rounds, so its delivery counts are not a defense "
+            "figure.",
     "runs": runs,
 }
 (results / "BENCH_reactor.json").write_text(json.dumps(doc, indent=2) + "\n")

@@ -29,7 +29,9 @@ bool MessageBuffer::insert(DataMessage msg, std::uint64_t current_round) {
 }
 
 bool MessageBuffer::seen(const MessageId& id) const {
-  return seen_.contains(id);
+  auto floor = floor_.find(id.source);
+  return seen_.contains(id) ||
+         (floor != floor_.end() && id.seqno < floor->second);
 }
 
 void MessageBuffer::on_round(std::uint64_t current_round) {
@@ -53,6 +55,8 @@ void MessageBuffer::on_round(std::uint64_t current_round) {
   const auto expired = static_cast<std::ptrdiff_t>(seen_end - first_seen());
   for (auto it = ids_.begin(); it != ids_.begin() + expired; ++it) {
     seen_.erase(*it);
+    std::uint64_t& floor = floor_[it->source];
+    floor = std::max(floor, it->seqno + 1);
   }
   ids_.erase(ids_.begin(), ids_.begin() + expired);
 }

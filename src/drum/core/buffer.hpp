@@ -1,7 +1,8 @@
 // The node's message buffer (paper §4, §8.2): received messages are kept for
 // a fixed number of rounds and gossiped while buffered; old messages are
-// purged. A longer-lived "seen" set prevents purged messages that come back
-// from being re-delivered to the application.
+// purged. A longer-lived "seen" set, and after it a per-source seqno floor,
+// keep purged messages that come back from being re-delivered to the
+// application.
 //
 // Every message expires a constant number of rounds after its insertion, so
 // insertion order is expiry order: the buffer keeps its ids and messages in
@@ -30,6 +31,8 @@ class MessageBuffer {
   /// `current_round` never decreases from one insert to the next.
   bool insert(DataMessage msg, std::uint64_t current_round);
 
+  /// In the seen set, or below its source's floor: copies can outlive
+  /// seen_rounds, since each holder buffers its own (DESIGN.md §12).
   [[nodiscard]] bool seen(const MessageId& id) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
@@ -93,6 +96,8 @@ class MessageBuffer {
   /// Seen id -> its sequence number, which locates it in ids_ and, while
   /// buffered, in entries_.
   std::unordered_map<MessageId, std::uint64_t, MessageIdHash> seen_;
+  /// Source -> one past the highest seqno that has left seen_.
+  std::unordered_map<std::uint32_t, std::uint64_t> floor_;
   std::vector<char> held_scratch_;  // select_missing: peer holds entry i
   std::vector<std::uint32_t> select_scratch_;  // candidate indices, reused
 };

@@ -47,7 +47,7 @@ struct NodeConfig {
 
   // ---- gossip parameters ------------------------------------------------
   std::size_t buffer_rounds = 10;       ///< purge messages after this many rounds
-  std::size_t seen_rounds = 40;         ///< dedup memory
+  std::size_t seen_rounds = 40;  ///< dedup set, then a seqno floor (buffer.hpp)
   std::size_t max_msgs_per_gossip = 80; ///< cap per exchange (paper §8.2)
   std::size_t port_lifetime_rounds = 3; ///< random sockets retired after this
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "drum/check/check.hpp"
-#include "drum/crypto/portbox.hpp"
 #include "drum/net/udp_transport.hpp"
 
 namespace drum::harness {
@@ -26,91 +24,50 @@ double ClusterMetrics::mean_latency_ms() const {
   return all.mean() / 1000.0;
 }
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
+Cluster::Cluster(ClusterConfig cfg)
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      group_(GroupConfig{.n = cfg_.n,
+                         .malicious = cfg_.malicious_fraction,
+                         .alpha = cfg_.alpha,
+                         .use_udp = cfg_.use_udp,
+                         .loss = cfg_.loss,
+                         .latency_us = cfg_.latency_us,
+                         .base_port = cfg_.udp_base_port},
+             rng_),
+      attacker_(group_, cfg_.variant, cfg_.fanout, "flood",
+                adversary::Params{.x = cfg_.x}, cfg_.seed,
+                cfg_.attacker_bursts_per_round) {
   // A cluster is a fresh simulated world: open a new portbox nonce-tracker
   // window so deliberately re-seeded worlds (variant sweeps, re-runs) are
   // not mistaken for keystream reuse within one execution.
   check::reset_nonce_tracker();
-  const std::size_t n = cfg_.n;
-  if (n < 4) throw std::invalid_argument("cluster too small");
-  n_malicious_ = static_cast<std::size_t>(
-      std::llround(cfg_.malicious_fraction * static_cast<double>(n)));
-  if (n_malicious_ >= n) throw std::invalid_argument("no correct processes");
-
-  if (!cfg_.use_udp) {
-    net::MemNetwork::Options opts;
-    opts.loss = cfg_.loss;
-    opts.seed = rng_.next();
-    opts.latency_us = cfg_.latency_us;
-    mem_net_ = std::make_unique<net::MemNetwork>(opts);
-    mem_net_->set_registry(&net_registry_);
-  }
-
-  // Build identities + directory. Ids [0, n_malicious) are the adversary's
-  // members: present in the directory (so correct nodes waste fan-out on
-  // them) but never instantiated.
-  std::vector<crypto::Identity> identities;
-  identities.reserve(n);
-  directory_.resize(n);
-  const std::uint32_t udp_host = net::parse_ipv4("127.0.0.1");
-  for (std::uint32_t id = 0; id < n; ++id) {
-    identities.push_back(crypto::Identity::generate(rng_));
-    core::Peer& p = directory_[id];
-    p.id = id;
-    p.host = cfg_.use_udp ? udp_host : id;
-    p.wk_pull_port = static_cast<std::uint16_t>(cfg_.udp_base_port + 3 * id);
-    p.wk_offer_port =
-        static_cast<std::uint16_t>(cfg_.udp_base_port + 3 * id + 1);
-    p.wk_pull_reply_port =
-        static_cast<std::uint16_t>(cfg_.udp_base_port + 3 * id + 2);
-    p.sign_pub = identities[id].sign_public();
-    p.dh_pub = identities[id].dh_public();
-  }
-
-  // Attacked set: round(alpha*n) correct members starting at the first
-  // correct id; the source is the first correct process (attacked whenever
-  // the attack is on), as in the paper.
-  auto n_attacked = static_cast<std::size_t>(
-      std::llround(cfg_.alpha * static_cast<double>(n)));
-  n_attacked = std::min(n_attacked, n - n_malicious_);
-  const bool attack_on = cfg_.x > 0 && n_attacked > 0;
-  source_ = static_cast<std::uint32_t>(n_malicious_);
-  if (attack_on) {
-    for (std::size_t i = 0; i < n_attacked; ++i) {
-      victims_.push_back(static_cast<std::uint32_t>(n_malicious_ + i));
-    }
-  }
-
-  // Instantiate the correct nodes.
-  for (std::uint32_t id = static_cast<std::uint32_t>(n_malicious_); id < n;
-       ++id) {
+  net::MemNetwork* mem_net = group_.mem_net();
+  if (mem_net != nullptr) mem_net->set_registry(&net_registry_);
+  for (std::uint32_t id = group_.first_live(); id < group_.size(); ++id) {
     LiveNode live;
     live.id = id;
     if (cfg_.use_udp) {
       // Real sockets: all nodes' UDP counters land in the shared network
       // registry (the harness polls every node from one thread).
-      auto udp = std::make_unique<net::UdpTransport>(udp_host);
+      auto udp = std::make_unique<net::UdpTransport>();
       udp->set_registry(&net_registry_);
       live.transport = std::move(udp);
     } else {
-      live.transport = mem_net_->transport(id);
+      live.transport = mem_net->transport(id);
     }
-    core::NodeConfig ncfg = core::make_node_config(cfg_.variant, id,
-                                                   cfg_.fanout);
-    ncfg.wk_pull_port = directory_[id].wk_pull_port;
-    ncfg.wk_offer_port = directory_[id].wk_offer_port;
-    ncfg.wk_pull_reply_port = directory_[id].wk_pull_reply_port;
+    core::NodeConfig ncfg = group_.node_config(cfg_.variant, id, cfg_.fanout);
     ncfg.verify_signatures = cfg_.verify_signatures;
     ncfg.discard_unread = cfg_.discard_unread;
     live.node = std::make_unique<core::Node>(
-        ncfg, identities[id], directory_, *live.transport, rng_.next(),
+        ncfg, group_.identity(id), group_.directory(), *live.transport,
+        rng_.next(),
         [this, id](const core::Node::Delivery& d) { on_delivery(id, d); });
     if (cfg_.trace_capacity > 0) {
       live.trace = std::make_unique<obs::TraceRing>(cfg_.trace_capacity);
       live.node->set_trace(live.trace.get());
     }
     live.next_tick_us = jittered_round(rng_);
-    node_index_[id] = nodes_.size();
     nodes_.push_back(std::move(live));
   }
 
@@ -127,25 +84,20 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
 
 void Cluster::check_invariants() const {
 #if DRUM_CHECKED
-  DRUM_INVARIANT(node_index_.size() == nodes_.size(),
-                 "node_index_ must cover every live node exactly once");
-  for (const auto& [id, idx] : node_index_) {
-    DRUM_INVARIANT(idx < nodes_.size() && nodes_[idx].id == id,
-                   "node_index_ entry points at the wrong node: id ", id);
-    DRUM_INVARIANT(nodes_[idx].node != nullptr && nodes_[idx].transport,
-                   "live node missing its node or transport: id ", id);
-    DRUM_INVARIANT(id >= n_malicious_,
-                   "a malicious member must never be instantiated: id ", id);
-  }
-  DRUM_INVARIANT(node_index_.contains(source_),
-                 "source must be a live correct node");
-  for (auto v : victims_) {
-    DRUM_INVARIANT(node_index_.contains(v),
-                   "victim must be a live correct node: id ", v);
-  }
-  for (const auto& live : nodes_) {
+  DRUM_INVARIANT(nodes_.size() == group_.size() - group_.first_live(),
+                 "every live id needs exactly one node");
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const LiveNode& live = nodes_[i];
+    DRUM_INVARIANT(live.id == source_id() + i,
+                   "live node out of id order: index ", i, " id ", live.id);
+    DRUM_INVARIANT(live.node != nullptr && live.transport,
+                   "live node missing its node or transport: id ", live.id);
     DRUM_INVARIANT(live.next_tick_us > now_us_,
                    "round tick armed in the past: node ", live.id);
+  }
+  for (auto v : group_.victims()) {
+    DRUM_INVARIANT(v >= source_id() && v < group_.size(),
+                   "victim must be a live correct node: id ", v);
   }
   for (const auto& [id, t] : tracked_) {
     DRUM_INVARIANT(t.deliveries <= nodes_.size() - 1,
@@ -157,108 +109,14 @@ void Cluster::check_invariants() const {
 
 Cluster::~Cluster() = default;
 
-bool Cluster::is_attacked(std::uint32_t id) const {
-  return std::find(victims_.begin(), victims_.end(), id) != victims_.end();
-}
-
 std::int64_t Cluster::jittered_round(util::Rng& rng) const {
   double jitter = 1.0 + cfg_.round_jitter * (2.0 * rng.uniform() - 1.0);
   return static_cast<std::int64_t>(static_cast<double>(cfg_.round_us) *
                                    jitter);
 }
 
-void Cluster::fire_attacker_burst() {
-  if (victims_.empty() || cfg_.x <= 0) return;
-  // Each burst delivers x / bursts_per_round fabricated datagrams per
-  // victim, split across the variant's attackable well-known ports.
-  const double per_burst =
-      cfg_.x / static_cast<double>(cfg_.attacker_bursts_per_round);
-  for (auto victim : victims_) {
-    const core::Peer& p = directory_[victim];
-    // Integerize stochastically so fractional rates are honored on average.
-    double want = per_burst;
-    auto count = static_cast<std::size_t>(want);
-    if (rng_.chance(want - static_cast<double>(count))) ++count;
-    for (std::size_t i = 0; i < count; ++i) {
-      // Craft a type-correct control message with a garbage box so the
-      // victim pays full parse + box-open cost.
-      util::Bytes garbage_box(crypto::kPortBoxOverhead + 2);
-      for (auto& b : garbage_box) {
-        b = static_cast<std::uint8_t>(rng_.below(256));
-      }
-      net::Address target;
-      util::Bytes payload;
-      const std::uint64_t k = attacker_seq_++;
-      auto fake_sender = static_cast<std::uint32_t>(rng_.below(cfg_.n));
-      auto fake_offer = [&] {
-        core::PushOffer offer;
-        offer.sender = fake_sender;
-        offer.boxed_reply_port = garbage_box;
-        return core::encode(offer);
-      };
-      auto fake_pull = [&] {
-        core::PullRequest req;
-        req.sender = fake_sender;
-        req.boxed_reply_port = garbage_box;
-        return core::encode(req);
-      };
-      switch (cfg_.variant) {
-        case core::Variant::kPush:
-          target = {p.host, p.wk_offer_port};
-          payload = fake_offer();
-          break;
-        case core::Variant::kPull:
-          target = {p.host, p.wk_pull_port};
-          payload = fake_pull();
-          break;
-        case core::Variant::kDrumWkPorts:
-          // x/2 push, x/4 pull-request, x/4 pull-reply port (paper §9).
-          if (k % 4 < 2) {
-            target = {p.host, p.wk_offer_port};
-            payload = fake_offer();
-          } else if (k % 4 == 2) {
-            target = {p.host, p.wk_pull_port};
-            payload = fake_pull();
-          } else {
-            target = {p.host, p.wk_pull_reply_port};
-            payload = core::encode(core::PullReply{fake_sender, {}});
-          }
-          break;
-        case core::Variant::kDrum:
-        case core::Variant::kDrumSharedBounds:
-        default:
-          if (k % 2 == 0) {
-            target = {p.host, p.wk_offer_port};
-            payload = fake_offer();
-          } else {
-            target = {p.host, p.wk_pull_port};
-            payload = fake_pull();
-          }
-          break;
-      }
-      if (mem_net_) {
-        // Spoofed source host: not a group member.
-        net::Address spoofed{0xDEAD0000u | static_cast<std::uint32_t>(
-                                               rng_.below(65536)),
-                             static_cast<std::uint16_t>(
-                                 1024 + rng_.below(60000))};
-        mem_net_->send_raw(spoofed, target, util::ByteSpan(payload));
-      } else {
-        // UDP mode: a real attacker socket, bound on the first burst.
-        if (!attacker_sock_) {
-          attacker_transport_ = std::make_unique<net::UdpTransport>(
-              net::parse_ipv4("127.0.0.1"));
-          attacker_sock_ = attacker_transport_->bind(0).take();
-        }
-        attacker_sock_->send(target, util::ByteSpan(payload));
-      }
-    }
-  }
-}
-
 core::MessageId Cluster::multicast_from_source(util::ByteSpan payload) {
-  auto& src = nodes_[node_index_.at(source_)];
-  core::MessageId id = src.node->multicast(payload);
+  core::MessageId id = nodes_.front().node->multicast(payload);
   TrackedMessage t;
   t.sent_us = now_us_;
   t.in_window = measuring_;
@@ -288,10 +146,9 @@ void Cluster::on_delivery(std::uint32_t node_id,
       metrics_.propagation_us.add(static_cast<double>(now_us_ - t.sent_us));
     }
   }
-  if (measuring_ && node_id != source_) {
-    auto idx = node_index_.at(node_id) -
-               (node_index_.at(node_id) > node_index_.at(source_) ? 1 : 0);
-    auto& per = metrics_.nodes[idx];
+  if (measuring_ && node_id != source_id()) {
+    // metrics_.nodes lists the live nodes after the source, in id order.
+    auto& per = metrics_.nodes[node_id - source_id() - 1];
     ++per.delivered;
     per.latency_us.add(static_cast<double>(now_us_ - t.sent_us));
     per.hops.add(static_cast<double>(d.hops));
@@ -302,7 +159,7 @@ void Cluster::begin_measurement() {
   metrics_ = ClusterMetrics{};
   metrics_.nodes.clear();
   for (const auto& live : nodes_) {
-    if (live.id == source_) continue;
+    if (live.id == source_id()) continue;
     ClusterMetrics::PerNode per;
     per.id = live.id;
     per.attacked = is_attacked(live.id);
@@ -338,13 +195,11 @@ void Cluster::run_for_us(std::int64_t duration_us, bool workload) {
     for (const auto& live : nodes_) {
       next = std::min(next, live.next_tick_us);
     }
-    if (!victims_.empty() && cfg_.x > 0) {
-      next = std::min(next, next_burst_us_);
-    }
+    if (attacker_.armed()) next = std::min(next, next_burst_us_);
     if (workload && send_interval > 0) next = std::min(next, next_send_us_);
     if (measuring_) next = std::min(next, next_sample_us_);
     now_us_ = std::max(now_us_, next);
-    if (mem_net_) mem_net_->advance_to(now_us_);
+    if (group_.mem_net() != nullptr) group_.mem_net()->advance_to(now_us_);
 
     for (auto& live : nodes_) {
       if (live.next_tick_us <= now_us_) {
@@ -352,8 +207,8 @@ void Cluster::run_for_us(std::int64_t duration_us, bool workload) {
         live.next_tick_us = now_us_ + jittered_round(rng_);
       }
     }
-    if (!victims_.empty() && cfg_.x > 0 && next_burst_us_ <= now_us_) {
-      fire_attacker_burst();
+    if (attacker_.armed() && next_burst_us_ <= now_us_) {
+      attacker_.send_burst({});
       next_burst_us_ = now_us_ + burst_interval;
     }
     if (workload && send_interval > 0 && next_send_us_ <= now_us_) {
@@ -381,7 +236,8 @@ void Cluster::maybe_sample_series() {
   for (const auto& live : nodes_) {
     flushed += live.node->registry().counter_value("node.flushed_unread");
   }
-  const std::uint64_t net_dropped = mem_net_ ? mem_net_->dropped() : 0;
+  const std::uint64_t net_dropped =
+      group_.mem_net() != nullptr ? group_.mem_net()->dropped() : 0;
   series_.add_row({static_cast<double>(series_.rows() + 1),
                    static_cast<double>(now_us_ - measure_start_us_),
                    static_cast<double>(delivered),
@@ -456,10 +312,6 @@ std::string Cluster::metrics_json() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-bool Cluster::write_metrics_json(const std::string& path) const {
-  return obs::write_text_file(path, metrics_json());
 }
 
 }  // namespace drum::harness

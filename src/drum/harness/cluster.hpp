@@ -9,11 +9,11 @@
 // bursts, and the source's transmissions in timestamp order and polls nodes
 // in between, so a 100-round experiment takes CPU time, not wall time.
 //
-// Adversary model (paper §5, §7): a malicious_fraction of the group appears
-// in every directory but runs no node (their gossip is wasted, as in the
-// paper); the attack injector sends each attacked process x fabricated
-// messages per round, split across its well-known ports according to the
-// protocol variant, with spoofed source addresses.
+// Adversary model (paper §5, §7): the layout and attacker of group.hpp,
+// shared with harness::Swarm. A malicious_fraction of the group appears in
+// every directory but runs no node; the attacker runs the registry's
+// "flood", x fabricated messages per attacked process per round, split
+// across its well-known ports by variant, from spoofed source addresses.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 
 #include "drum/core/config.hpp"
 #include "drum/core/node.hpp"
+#include "drum/harness/group.hpp"
 #include "drum/net/mem_transport.hpp"
 #include "drum/obs/export.hpp"
 #include "drum/obs/metrics.hpp"
@@ -122,9 +123,12 @@ class Cluster {
 
   [[nodiscard]] const ClusterMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint32_t source_id() const { return source_; }
+  [[nodiscard]] std::uint32_t source_id() const { return group_.first_live(); }
   [[nodiscard]] std::size_t correct_count() const { return nodes_.size(); }
-  [[nodiscard]] bool is_attacked(std::uint32_t id) const;
+  [[nodiscard]] bool is_attacked(std::uint32_t id) const {
+    return attacker_.attacks(id);
+  }
+  /// Live node i has id source_id() + i; node(0) is the source.
   [[nodiscard]] const core::Node& node(std::size_t i) const {
     return *nodes_[i].node;
   }
@@ -133,10 +137,10 @@ class Cluster {
     return nodes_[i].trace.get();
   }
 
-  /// drum::check invariants over the harness: node_index_ is a bijection
-  /// onto live nodes, victims and the source are correct (instantiated)
-  /// members, every armed round tick lies in the future, and tracked
-  /// messages never record more deliveries than there are receivers.
+  /// drum::check invariants over the harness: live node i has id
+  /// source_id() + i and every victim is live, every armed round tick lies
+  /// in the future, and tracked messages never record more deliveries than
+  /// there are receivers.
   /// Called at construction and after every run_for_us(); no-op in Release.
   void check_invariants() const;
 
@@ -146,19 +150,11 @@ class Cluster {
   /// budget histograms, runner telemetry) into one experiment-wide view.
   [[nodiscard]] obs::MetricsRegistry merged_registry(
       NodeSet set = NodeSet::kAll) const;
-  /// Network-layer metrics (drops by cause, queue depth). Shared by all
-  /// nodes; empty until traffic has flowed.
-  [[nodiscard]] const obs::MetricsRegistry& net_registry() const {
-    return net_registry_;
-  }
-
   /// One JSON document for the whole experiment: the config, the
   /// all/attacked/non-attacked merged registries, the network registry, and
   /// flat per-node counters. The machine-readable artifact bench binaries
   /// write next to their printed tables.
   [[nodiscard]] std::string metrics_json() const;
-  /// Writes metrics_json() to `path`; returns false on I/O failure.
-  bool write_metrics_json(const std::string& path) const;
 
   /// Per-round progression sampled during the measurement window: columns
   /// round, t_us, delivered, flushed_unread, net_dropped (cumulative).
@@ -181,7 +177,6 @@ class Cluster {
     bool in_window = false;
   };
 
-  void fire_attacker_burst();
   void fire_workload();
   void on_delivery(std::uint32_t node_id, const core::Node::Delivery& d);
   std::int64_t jittered_round(util::Rng& rng) const;
@@ -189,15 +184,10 @@ class Cluster {
 
   ClusterConfig cfg_;
   util::Rng rng_;
-  std::unique_ptr<net::MemNetwork> mem_net_;  // null in UDP mode
-  // UDP mode's flood source; null until the first attacker burst.
-  std::unique_ptr<net::Transport> attacker_transport_;
-  std::unique_ptr<net::Socket> attacker_sock_;
-  std::vector<core::Peer> directory_;
-  std::vector<LiveNode> nodes_;
-  std::vector<std::uint32_t> victims_;  // attacked node ids
-  std::uint32_t source_ = 0;
-  std::size_t n_malicious_ = 0;
+  obs::MetricsRegistry net_registry_;
+  Group group_;
+  Attacker attacker_;
+  std::vector<LiveNode> nodes_;  // nodes_[i] has id source_id() + i
 
   std::int64_t now_us_ = 0;
   std::int64_t next_burst_us_ = 0;
@@ -205,14 +195,11 @@ class Cluster {
   bool measuring_ = false;
   std::int64_t measure_start_us_ = 0;
   std::int64_t next_sample_us_ = 0;
-  obs::MetricsRegistry net_registry_;
   obs::TimeSeries series_;
 
   std::map<core::MessageId, TrackedMessage> tracked_;
-  std::map<std::uint32_t, std::size_t> node_index_;  // id -> nodes_ index
   ClusterMetrics metrics_;
   std::size_t completion_threshold_ = 0;
-  std::uint64_t attacker_seq_ = 0;
 };
 
 }  // namespace drum::harness

@@ -4,13 +4,9 @@
 #include <sys/time.h>
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "drum/check/check.hpp"
-#include "drum/core/message.hpp"
-#include "drum/crypto/portbox.hpp"
 #include "drum/net/udp_transport.hpp"
 
 namespace drum::harness {
@@ -40,95 +36,53 @@ double tv_to_s(const timeval& tv) {
          static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
+// x > 0 is the strategy's budget; at x = 0 insiders keep attack_params.x.
+adversary::Params attack_params(const SwarmConfig& cfg, const Group& group) {
+  adversary::Params p = cfg.attack_params;
+  if (cfg.x > 0 || group.insiders().empty()) p.x = cfg.x;
+  return p;
+}
+
 }  // namespace
 
-Swarm::Swarm(SwarmConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
+Swarm::Swarm(SwarmConfig cfg)
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      // Latency 0: wall-clock scheduling supplies the contention a virtual
+      // latency models in Cluster.
+      group_(GroupConfig{.n = cfg_.n,
+                         .malicious = cfg_.malicious,
+                         .alpha = cfg_.alpha,
+                         .use_udp = cfg_.use_udp,
+                         .base_port = cfg_.udp_base_port},
+             rng_),
+      attacker_(group_, cfg_.variant, cfg_.fanout, cfg_.adversary,
+                attack_params(cfg_, group_), cfg_.seed,
+                cfg_.attacker_bursts_per_round) {
   check::reset_nonce_tracker();
-  if (cfg_.n < 4) throw std::invalid_argument("swarm too small");
   if (cfg_.payload_size < 8) {
     throw std::invalid_argument("payload_size must fit the 8-byte timestamp");
   }
 
-  if (!cfg_.use_udp) {
-    net::MemNetwork::Options opts;
-    opts.seed = rng_.next();
-    // Real time, not virtual: datagrams become receivable immediately and
-    // the readiness bridge wakes the loop; wall-clock scheduling supplies
-    // the contention a virtual latency models in Cluster.
-    opts.latency_us = 0;
-    mem_net_ = std::make_unique<net::MemNetwork>(opts);
-  }
-
-  const std::uint32_t udp_host = net::parse_ipv4("127.0.0.1");
-  std::vector<crypto::Identity> identities;
-  identities.reserve(cfg_.n);
-  directory_.resize(cfg_.n);
-  for (std::uint32_t id = 0; id < cfg_.n; ++id) {
-    identities.push_back(crypto::Identity::generate(rng_));
-    core::Peer& p = directory_[id];
-    p.id = id;
-    p.host = cfg_.use_udp ? udp_host : id;
-    p.wk_pull_port = static_cast<std::uint16_t>(cfg_.udp_base_port + 3 * id);
-    p.wk_offer_port =
-        static_cast<std::uint16_t>(cfg_.udp_base_port + 3 * id + 1);
-    p.wk_pull_reply_port =
-        static_cast<std::uint16_t>(cfg_.udp_base_port + 3 * id + 2);
-    p.sign_pub = identities[id].sign_public();
-    p.dh_pub = identities[id].dh_public();
-  }
-
-  // Colluding insiders occupy the tail ids: directory members with real
-  // identities the attacker holds, but no live protocol node.
-  auto n_colluders = static_cast<std::size_t>(
-      cfg_.malicious * static_cast<double>(cfg_.n) + 0.5);
-  n_colluders = std::min(n_colluders, cfg_.n / 2);
-  const std::size_t n_live = cfg_.n - n_colluders;
-  for (std::size_t i = n_live; i < cfg_.n; ++i) {
-    const auto id = static_cast<std::uint32_t>(i);
-    colluder_ids_.push_back(id);
-    colluder_identities_.push_back(identities[id]);
-  }
-
-  auto n_attacked = static_cast<std::size_t>(
-      cfg_.alpha * static_cast<double>(cfg_.n) + 0.5);
-  n_attacked = std::min(n_attacked, n_live);
-  const bool attack_on =
-      n_attacked > 0 && (cfg_.x > 0 || n_colluders > 0);
-  if (attack_on) {
-    // The legacy x knob keeps its meaning for every strategy: fabricated
-    // messages per victim per round.
-    adversary::Params aparams = cfg_.attack_params;
-    if (cfg_.x > 0) aparams.x = cfg_.x;
-    adversary_ = adversary::make(cfg_.adversary, aparams);
-    for (std::size_t i = 0; i < n_attacked; ++i) {
-      victims_.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-
+  const std::size_t n_live = group_.size() - group_.first_live();
   activity_ = std::vector<std::atomic<std::uint32_t>>(n_live);
   nodes_.reserve(n_live);
-  // One immutable directory shared by every node (Node::PeerDirectory).
-  // Passing the vector by value instead would hand each of n nodes its own
-  // n-entry copy — O(n²) Peer storage, ~8 GB at 10k nodes.
-  auto shared_dir =
-      std::make_shared<const std::vector<core::Peer>>(directory_);
-  for (std::uint32_t id = 0; id < n_live; ++id) {
+  for (std::size_t i = 0; i < n_live; ++i) {
+    const auto id = static_cast<std::uint32_t>(group_.first_live() + i);
     LiveNode live;
-    live.id = id;
     live.transport = cfg_.use_udp
                          ? std::unique_ptr<net::Transport>(
-                               std::make_unique<net::UdpTransport>(udp_host))
-                         : mem_net_->transport(id);
-    core::NodeConfig ncfg =
-        core::make_node_config(cfg_.variant, id, cfg_.fanout);
-    ncfg.wk_pull_port = directory_[id].wk_pull_port;
-    ncfg.wk_offer_port = directory_[id].wk_offer_port;
-    ncfg.wk_pull_reply_port = directory_[id].wk_pull_reply_port;
+                               std::make_unique<net::UdpTransport>())
+                         : group_.mem_net()->transport(id);
+    core::NodeConfig ncfg = group_.node_config(cfg_.variant, id, cfg_.fanout);
     ncfg.verify_signatures = cfg_.verify_signatures;
     ncfg.scoring = cfg_.scoring;
+    // One immutable directory shared by every node (Node::PeerDirectory):
+    // a directory per node would be O(n²) Peer storage, ~8 GB at 10k nodes.
     live.node = std::make_unique<core::Node>(
-        ncfg, identities[id], shared_dir, *live.transport, rng_.next(),
-        [this, id](const core::Node::Delivery& d) { on_delivery(id, d); });
+        ncfg, group_.identity(id), group_.directory(), *live.transport,
+        rng_.next(),
+        [this, i](const core::Node::Delivery& d) { on_delivery(i, d); });
     // Pairwise keys are a join-time cost (the membership layer hands them
     // out in the paper's model); derive them here so the measured attack
     // window is not billed n-1 X25519 exchanges per node. Optional because
@@ -147,10 +101,9 @@ Swarm::Swarm(SwarmConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
 
 Swarm::~Swarm() { stop(); }
 
-void Swarm::on_delivery(std::uint32_t node_id,
-                        const core::Node::Delivery& d) {
+void Swarm::on_delivery(std::size_t index, const core::Node::Delivery& d) {
   delivered_.fetch_add(1, std::memory_order_relaxed);
-  activity_[node_id].fetch_add(1, std::memory_order_relaxed);
+  activity_[index].fetch_add(1, std::memory_order_relaxed);
   if (!measuring_.load(std::memory_order_relaxed)) return;
   if (d.msg.payload.size() < 8) return;
   const auto sent =
@@ -166,9 +119,9 @@ void Swarm::start() {
   if (started_) return;
   started_ = true;
   reactor_->start();
-  if (!victims_.empty()) {
+  if (attacker_.armed()) {
     attacker_stop_.store(false);
-    attacker_ = std::thread([this] { attacker_main(); });
+    attacker_thread_ = std::thread([this] { attacker_main(); });
   }
 }
 
@@ -177,7 +130,7 @@ void Swarm::stop() {
   if (!started_) return;
   started_ = false;
   attacker_stop_.store(true);
-  if (attacker_.joinable()) attacker_.join();
+  if (attacker_thread_.joinable()) attacker_thread_.join();
   reactor_->stop();
 }
 
@@ -214,152 +167,29 @@ void Swarm::run_for(std::chrono::milliseconds d) {
 }
 
 void Swarm::attacker_main() {
-  // Thread-confined RNG; the golden-ratio offset decorrelates it from the
-  // construction-time stream without reseeding the swarm.
-  util::Rng arng(cfg_.seed ^ 0x9E3779B97F4A7C15ull);
-  std::unique_ptr<net::Transport> tr;
-  std::unique_ptr<net::Socket> sock;
-  if (cfg_.use_udp) {
-    tr = std::make_unique<net::UdpTransport>(net::parse_ipv4("127.0.0.1"));
-    sock = tr->bind(0).take();
-    if (!sock) return;
-  }
-
-  // Per-victim budgets and channel availability are protocol configuration —
-  // public knowledge a real attacker has.
-  const core::NodeConfig proto =
-      core::make_node_config(cfg_.variant, 0, cfg_.fanout);
-
-  const std::size_t n_live = nodes_.size();
-  std::vector<float> usefulness(cfg_.n, 0.0F);
-  std::vector<std::uint32_t> last_activity(n_live, 0);
-
-  // Pairwise keys for insider frames, derived lazily per (colluder, victim)
-  // from the colluder identities the attacker holds.
-  std::unordered_map<std::uint64_t, util::Bytes> pair_keys;
-  const auto first_colluder = static_cast<std::uint32_t>(n_live);
-  auto insider_key = [&](std::uint32_t colluder,
-                         std::uint32_t target) -> util::ByteSpan {
-    const std::uint64_t k =
-        (static_cast<std::uint64_t>(colluder) << 32) | target;
-    auto it = pair_keys.find(k);
-    if (it == pair_keys.end()) {
-      it = pair_keys
-               .emplace(k, colluder_identities_[colluder - first_colluder]
-                               .derive_pair_key(directory_[target].dh_pub))
-               .first;
-    }
-    return util::ByteSpan(it->second);
-  };
-
-  auto port_for = [](const core::Peer& p, adversary::Channel c) {
-    switch (c) {
-      case adversary::Channel::kOffer:
-        return p.wk_offer_port;
-      case adversary::Channel::kPullRequest:
-        return p.wk_pull_port;
-      case adversary::Channel::kPullReply:
-      default:
-        return p.wk_pull_reply_port;
-    }
-  };
-
-  // One fabricated datagram for a flood action. Spoofed frames carry garbage
-  // boxes (off-path attacker, unattributable); insider frames are sealed
-  // with the real pair key around a bogus reply port, so they authenticate —
-  // and then black-hole whatever the victim sends back.
-  auto craft = [&](const adversary::Flood& f) -> util::Bytes {
-    const bool spoofed = f.claimed_sender == adversary::kSpoofed;
-    const std::uint32_t sender =
-        spoofed ? static_cast<std::uint32_t>(arng.below(cfg_.n))
-                : f.claimed_sender;
-    if (f.channel == adversary::Channel::kPullReply) {
-      return core::encode(core::PullReply{sender, {}});
-    }
-    util::Bytes box;
-    if (spoofed) {
-      box.resize(crypto::kPortBoxOverhead + 2);
-      for (auto& b : box) b = static_cast<std::uint8_t>(arng.below(256));
-    } else {
-      box = crypto::portbox_seal_port(insider_key(sender, f.target), 9, arng);
-    }
-    if (f.channel == adversary::Channel::kOffer) {
-      core::PushOffer offer;
-      offer.sender = sender;
-      offer.boxed_reply_port = std::move(box);
-      return core::encode(offer);
-    }
-    core::PullRequest req;
-    req.sender = sender;
-    req.boxed_reply_port = std::move(box);
-    return core::encode(req);
-  };
-
-  const auto bursts =
-      std::max<std::size_t>(1, cfg_.attacker_bursts_per_round);
   const auto gap = std::chrono::duration_cast<Clock::duration>(cfg_.round) /
-                   static_cast<std::int64_t>(bursts);
-
-  adversary::Plan plan;
-  std::vector<util::Bytes> payloads;
-  std::vector<util::ByteSpan> spans;
-  std::uint64_t round_no = 0;
-
+                   static_cast<std::int64_t>(std::max<std::size_t>(
+                       1, cfg_.attacker_bursts_per_round));
+  std::vector<float> usefulness(group_.size(), 0.0F);
+  std::vector<std::uint32_t> last_activity(nodes_.size(), 0);
+  // Bursts keep to an absolute schedule, like the source's sends, so wake-up
+  // lateness does not stretch the attacker's rounds.
+  auto next_burst = Clock::now();
   while (!attacker_stop_.load()) {
-    // Usefulness = deliveries observed at each node since the last plan,
-    // the coarse activity signal adaptive re-targeting keys on.
-    for (std::size_t i = 0; i < n_live; ++i) {
-      const std::uint32_t cur = activity_[i].load(std::memory_order_relaxed);
-      usefulness[i] = static_cast<float>(cur - last_activity[i]);
-      last_activity[i] = cur;
-    }
-
-    adversary::RoundView view;
-    view.round = round_no++;
-    view.n = cfg_.n;
-    view.attacked = victims_;
-    view.colluders = colluder_ids_;
-    view.offer_budget = proto.offer_budget();
-    view.pull_request_budget = proto.pull_request_budget();
-    view.push_channel = proto.view_push() > 0;
-    view.pull_channel = proto.view_pull() > 0;
-    view.reply_port_attackable = cfg_.variant == core::Variant::kDrumWkPorts;
-    view.usefulness = usefulness;
-    plan.clear();
-    adversary_->plan_round(view, arng, plan);
-    // plan.view_capture is the sim's membership model; the live realization
-    // of an eclipse is the colluders themselves — authenticated directory
-    // members that never answer, black-holing every pull aimed at them.
-
-    for (std::size_t b = 0; b < bursts && !attacker_stop_.load(); ++b) {
-      const auto burst_start = Clock::now();
-      for (const auto& f : plan.floods) {
-        std::size_t count = f.count / bursts;
-        if (b < f.count % bursts) ++count;
-        if (count == 0 || f.target >= directory_.size()) continue;
-        const core::Peer& p = directory_[f.target];
-        const net::Address target{p.host, port_for(p, f.channel)};
-        payloads.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          payloads.push_back(craft(f));
-        }
-        if (mem_net_) {
-          for (const auto& pl : payloads) {
-            net::Address src{
-                0xDEAD0000u | static_cast<std::uint32_t>(arng.below(65536)),
-                static_cast<std::uint16_t>(1024 + arng.below(60000))};
-            mem_net_->send_raw(src, target, util::ByteSpan(pl));
-          }
-        } else {
-          spans.clear();
-          spans.reserve(payloads.size());
-          for (const auto& pl : payloads) spans.emplace_back(pl);
-          sock->send_batch(target, spans.data(), spans.size());
-        }
-        attack_sent_.fetch_add(payloads.size(), std::memory_order_relaxed);
+    if (attacker_.round_done()) {
+      // Usefulness = deliveries observed at each node since the last plan,
+      // the coarse activity signal adaptive re-targeting keys on.
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const std::uint32_t cur = activity_[i].load(std::memory_order_relaxed);
+        usefulness[group_.first_live() + i] =
+            static_cast<float>(cur - last_activity[i]);
+        last_activity[i] = cur;
       }
-      std::this_thread::sleep_until(burst_start + gap);
     }
+    attack_sent_.fetch_add(attacker_.send_burst(usefulness),
+                           std::memory_order_relaxed);
+    next_burst += gap;
+    std::this_thread::sleep_until(next_burst);
   }
 }
 
@@ -379,7 +209,7 @@ SwarmReport Swarm::report() const {
   r.ingress_datagrams = merged.counter_value("node.datagrams_read") +
                         merged.counter_value("node.flushed_unread") +
                         merged.counter_value("score.greylist_drops");
-  r.colluders = colluder_ids_.size();
+  r.colluders = group_.insiders().size();
   if (cfg_.scoring.enabled) {
     r.greylist_drops = merged.counter_value("score.greylist_drops");
     for (const auto& live : nodes_) {

@@ -7,14 +7,13 @@
 // ReactorRuntime hosts every node on `shards` event-loop threads; each
 // node's sockets wait on its home shard's loop (DESIGN.md §8, §13).
 //
-// An adversary thread drives one strategy from the drum::adversary registry
-// — the same registry the Monte-Carlo simulator uses — against the attacked
-// nodes' well-known ports (spoofed sources on the mem network; a real socket
-// with sendmmsg batching on UDP), so the swarm demonstrates DoS pressure
-// with unsynchronized rounds at scale. Colluding insiders are directory
-// members whose identities the attacker holds: their frames carry valid
-// port boxes (sealed with the real pairwise keys) but they run no protocol
-// node, making them authenticated black holes.
+// An adversary thread paces the attacker Cluster runs too (group.hpp): one
+// strategy from the drum::adversary registry — the same registry the
+// Monte-Carlo simulator uses — against the attacked nodes' well-known ports
+// (spoofed sources on the mem network; sendmmsg batches on UDP), so the
+// swarm demonstrates DoS pressure with unsynchronized rounds at scale.
+// Colluding insiders, the first directory members, run no node; their
+// frames carry valid port boxes, making them authenticated black holes.
 //
 // Delivery latency is measured end-to-end in wall time: the source embeds a
 // steady-clock timestamp in each payload's first 8 bytes; every delivery
@@ -34,7 +33,7 @@
 #include "drum/check/annotations.hpp"
 #include "drum/core/config.hpp"
 #include "drum/core/node.hpp"
-#include "drum/crypto/keys.hpp"
+#include "drum/harness/group.hpp"
 #include "drum/net/mem_transport.hpp"
 #include "drum/obs/metrics.hpp"
 #include "drum/runtime/reactor.hpp"
@@ -45,7 +44,7 @@ namespace drum::harness {
 
 struct SwarmConfig {
   core::Variant variant = core::Variant::kDrum;
-  std::size_t n = 512;     ///< live (all correct) nodes
+  std::size_t n = 512;     ///< group size, insiders included
   double alpha = 0.0;      ///< attacked fraction of the group
   double x = 0.0;          ///< fabricated msgs per victim per round
   std::size_t fanout = 4;
@@ -74,14 +73,13 @@ struct SwarmConfig {
   bool verify_signatures = true;
 
   // ---- adversary zoo + defense (DESIGN.md §10) -------------------------
-  /// Strategy name in the drum::adversary registry. The attacker thread is
-  /// armed when alpha > 0 and the strategy can act (x > 0 or insiders
-  /// exist).
+  /// Strategy name in the drum::adversary registry; its thread runs while
+  /// the attacker is armed (Attacker::armed()).
   std::string adversary = "flood";
+  /// x > 0 replaces attack_params.x; at x = 0 only insiders attack.
   adversary::Params attack_params;
-  /// Fraction of the group run as colluding insiders. They occupy the TAIL
-  /// ids of the directory, hold real identities (the attacker keeps the
-  /// private keys), and run no protocol node.
+  /// Fraction of the group run as colluding insiders, ids [0, m) as in the
+  /// simulator: real identities the attacker holds, no protocol node.
   double malicious = 0.0;
   /// Peer-scoring + greylist defense applied to every live node
   /// (scoring.enabled selects it).
@@ -147,7 +145,7 @@ class Swarm {
   Swarm(const Swarm&) = delete;
   Swarm& operator=(const Swarm&) = delete;
 
-  /// Launches the runtime (and the attacker when x > 0 and alpha > 0).
+  /// Launches the runtime (and the attacker thread when armed).
   void start();
   /// Drives the source workload from the calling thread for `d` wall time
   /// while the nodes gossip; accumulates the measurement window.
@@ -163,40 +161,33 @@ class Swarm {
 
  private:
   struct LiveNode {
-    std::uint32_t id = 0;
     std::unique_ptr<net::Transport> transport;
     std::unique_ptr<core::Node> node;
   };
 
-  void on_delivery(std::uint32_t node_id, const core::Node::Delivery& d);
+  void on_delivery(std::size_t index, const core::Node::Delivery& d);
   void attacker_main();
 
   SwarmConfig cfg_;
   util::Rng rng_;
-  std::unique_ptr<net::MemNetwork> mem_net_;  // null in UDP mode
-  std::vector<core::Peer> directory_;
+  Group group_;
+  Attacker attacker_;  // confined to the attacker thread while it runs
+  /// nodes_[i] has id group_.first_live() + i; nodes_[0] is the source.
   std::vector<LiveNode> nodes_;
-  std::vector<std::uint32_t> victims_;
-  /// Tail ids whose identities the attacker holds (no live node).
-  std::vector<std::uint32_t> colluder_ids_;
-  std::vector<crypto::Identity> colluder_identities_;
   std::unique_ptr<runtime::ReactorRuntime> reactor_;
 
-  /// Per-node delivery activity, written by delivery callbacks (any runtime
-  /// thread) and read by the attacker thread to build the adaptive
-  /// strategy's usefulness signal. obs counters are single-thread-confined,
-  /// hence this separate atomic array.
+  /// Per-node delivery activity (indexed like nodes_), written by delivery
+  /// callbacks (any runtime thread) and read by the attacker thread to
+  /// build the adaptive strategy's usefulness signal. obs counters are
+  /// single-thread-confined, hence this separate atomic array.
   std::vector<std::atomic<std::uint32_t>> activity_;
 
   /// Serializes start()/stop() and owns the attacker thread handle. Without
   /// it, two concurrent stop() calls both saw started_ == true and both
-  /// joined attacker_ — undefined behavior.
+  /// joined attacker_thread_ — undefined behavior.
   mutable check::Mutex lifecycle_mu_;
   bool started_ DRUM_GUARDED_BY(lifecycle_mu_) = false;
-  std::thread attacker_ DRUM_GUARDED_BY(lifecycle_mu_);
-  /// Built in the constructor (fail fast on unknown names); plan_round()
-  /// runs on the attacker thread only.
-  std::unique_ptr<adversary::Adversary> adversary_;
+  std::thread attacker_thread_ DRUM_GUARDED_BY(lifecycle_mu_);
   std::atomic<bool> attacker_stop_{false};
   std::atomic<std::uint64_t> attack_sent_{0};
 

@@ -5,44 +5,42 @@ namespace drum::membership {
 MembershipTable::MembershipTable(crypto::Ed25519PublicKey ca_pub)
     : ca_pub_(ca_pub) {}
 
-bool MembershipTable::apply(const MembershipEvent& event, std::int64_t now) {
-  if (!event.verify(ca_pub_)) return false;
+bool MembershipTable::admissible(const Certificate& cert,
+                                 std::int64_t now) const {
+  if (cert.expired(now)) return false;
+  if (revoked_serials_.contains(cert.serial)) return false;  // replay
+  auto it = certs_.find(cert.member_id);
+  // Stale: we already have this certificate or a newer one.
+  return it == certs_.end() || it->second.serial < cert.serial;
+}
 
-  switch (event.type) {
-    case EventType::kJoin: {
-      const Certificate& cert = *event.certificate;
-      if (cert.expired(now)) return false;
-      if (revoked_serials_.contains(cert.serial)) return false;  // replay
-      auto it = certs_.find(cert.member_id);
-      if (it != certs_.end() && it->second.serial >= cert.serial) {
-        return false;  // stale: we already have a newer certificate
-      }
-      certs_[cert.member_id] = cert;
-      return true;
+bool MembershipTable::apply(const MembershipEvent& event, std::int64_t now) {
+  if (event.type == EventType::kJoin) {
+    if (!event.certificate || !admissible(*event.certificate, now) ||
+        !event.verify(ca_pub_)) {
+      return false;
     }
-    case EventType::kLeave:
-    case EventType::kExpel: {
-      revoked_serials_.insert(event.cert_serial);
-      auto it = certs_.find(event.member_id);
-      if (it != certs_.end() && it->second.serial <= event.cert_serial) {
-        certs_.erase(it);
-        return true;
-      }
-      return it == certs_.end();  // idempotent removal is fine
-    }
+    certs_[event.certificate->member_id] = *event.certificate;
+    return true;
   }
-  return false;
+  if (event.type != EventType::kLeave && event.type != EventType::kExpel) {
+    return false;
+  }
+  if (!event.verify(ca_pub_)) return false;
+  revoked_serials_.insert(event.cert_serial);
+  auto it = certs_.find(event.member_id);
+  if (it != certs_.end() && it->second.serial <= event.cert_serial) {
+    certs_.erase(it);
+    return true;
+  }
+  return it == certs_.end();  // idempotent removal is fine
 }
 
 std::size_t MembershipTable::seed_roster(const std::vector<Certificate>& roster,
                                          std::int64_t now) {
   std::size_t accepted = 0;
   for (const auto& cert : roster) {
-    if (!cert.verify(ca_pub_)) continue;
-    if (cert.expired(now)) continue;
-    if (revoked_serials_.contains(cert.serial)) continue;
-    auto it = certs_.find(cert.member_id);
-    if (it != certs_.end() && it->second.serial >= cert.serial) continue;
+    if (!admissible(cert, now) || !cert.verify(ca_pub_)) continue;
     certs_[cert.member_id] = cert;
     ++accepted;
   }

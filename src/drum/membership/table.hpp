@@ -46,6 +46,12 @@ class MembershipTable {
       std::int64_t now, std::uint32_t max_id_hint = 0) const;
 
  private:
+  /// apply()'s kJoin and seed_roster() admit a certificate only if it is
+  /// unexpired, its serial unrevoked and newer than its member's; checked
+  /// before any signature.
+  [[nodiscard]] bool admissible(const Certificate& cert,
+                                std::int64_t now) const;
+
   crypto::Ed25519PublicKey ca_pub_;
   std::map<std::uint32_t, Certificate> certs_;
   std::set<std::uint64_t> revoked_serials_;

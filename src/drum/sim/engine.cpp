@@ -66,21 +66,21 @@ ChannelPlan make_plan(const SimParams& p) {
   const std::size_t push_view =
       p.drum_push_view > 0 ? std::min(p.drum_push_view, f - 1) : f / 2;
   switch (p.protocol) {
-    case SimProtocol::kPush:
+    case core::Variant::kPush:
       c.view_push = c.bound_push = f;
       c.x_push = p.x;
       break;
-    case SimProtocol::kPull:
+    case core::Variant::kPull:
       c.view_pull = c.bound_pull = f;
       c.x_pull_req = p.x;
       break;
-    case SimProtocol::kDrum:
+    case core::Variant::kDrum:
       c.view_push = c.bound_push = push_view;
       c.view_pull = c.bound_pull = f - push_view;
       c.x_push = p.x * p.attack_push_fraction;
       c.x_pull_req = p.x * (1.0 - p.attack_push_fraction);
       break;
-    case SimProtocol::kDrumWkPorts:
+    case core::Variant::kDrumWkPorts:
       // §9: the adversary splits the pull budget between the (well-known)
       // request port and the now-attackable well-known reply port.
       c.view_push = c.bound_push = f / 2;
@@ -90,7 +90,7 @@ ChannelPlan make_plan(const SimParams& p) {
       c.x_pull_reply = p.x / 4;
       c.bounded_pull_replies = true;
       break;
-    case SimProtocol::kDrumSharedBounds:
+    case core::Variant::kDrumSharedBounds:
       c.view_push = f / 2;
       c.view_pull = f / 2;
       c.bound_push = c.bound_pull = f;  // one joint bound of F
@@ -103,17 +103,6 @@ ChannelPlan make_plan(const SimParams& p) {
 }
 
 }  // namespace
-
-const char* protocol_name(SimProtocol p) {
-  switch (p) {
-    case SimProtocol::kDrum: return "drum";
-    case SimProtocol::kPush: return "push";
-    case SimProtocol::kPull: return "pull";
-    case SimProtocol::kDrumWkPorts: return "drum-wk-ports";
-    case SimProtocol::kDrumSharedBounds: return "drum-shared-bounds";
-  }
-  return "?";
-}
 
 RunResult simulate_run(const SimParams& params, util::Rng& rng) {
   SimScratch scratch;

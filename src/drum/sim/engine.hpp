@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "drum/adversary/adversary.hpp"
+#include "drum/core/config.hpp"
 #include "drum/core/scoring.hpp"
 #include "drum/obs/metrics.hpp"
 #include "drum/util/rng.hpp"
@@ -41,18 +42,8 @@
 
 namespace drum::sim {
 
-enum class SimProtocol {
-  kDrum,
-  kPush,
-  kPull,
-  kDrumWkPorts,       ///< §9 ablation: no random ports on pull-replies
-  kDrumSharedBounds,  ///< §9 ablation: joint bound on control channels
-};
-
-const char* protocol_name(SimProtocol p);
-
 struct SimParams {
-  SimProtocol protocol = SimProtocol::kDrum;
+  core::Variant protocol = core::Variant::kDrum;
   std::size_t n = 120;              ///< group size
   std::size_t fanout = 4;           ///< F
   double loss = 0.01;               ///< per-link loss probability

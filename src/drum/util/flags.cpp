@@ -75,6 +75,25 @@ std::string Flags::get_string(const std::string& name, const std::string& def,
   return it->second;
 }
 
+std::vector<std::size_t> Flags::get_size_list(const std::string& name,
+                                              const std::string& def,
+                                              const std::string& help) {
+  const std::string text = get_string(name, def, help);
+  std::vector<std::size_t> out;
+  for (std::size_t begin = 0, end = 0; end != std::string::npos;
+       begin = end + 1) {
+    end = text.find(',', begin);
+    const std::string item = text.substr(begin, end - begin);
+    if (item.empty() || item.find_first_not_of("0123456789") != item.npos) {
+      std::fprintf(stderr, "%s: --%s wants comma-separated counts: %s\n",
+                   program_.c_str(), name.c_str(), text.c_str());
+      std::exit(2);
+    }
+    out.push_back(std::strtoull(item.c_str(), nullptr, 10));
+  }
+  return out;
+}
+
 void Flags::done() {
   if (help_requested_) {
     std::fprintf(stderr, "usage: %s [flags]\n", program_.c_str());

@@ -26,6 +26,11 @@ class Flags {
   bool get_bool(const std::string& name, bool def, const std::string& help);
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& help);
+  /// A comma-separated list of counts ("1,2,4"); exits on an item that is
+  /// not a decimal number.
+  std::vector<std::size_t> get_size_list(const std::string& name,
+                                         const std::string& def,
+                                         const std::string& help);
 
   /// Call after all get_* registrations: errors out on flags that were
   /// passed but never registered, and handles --help.

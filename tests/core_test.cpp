@@ -191,8 +191,29 @@ TEST(Buffer, PurgesAfterBufferRoundsButRemembersSeen) {
   EXPECT_TRUE(buf.seen({1, 1}));     // still deduped
   EXPECT_FALSE(buf.insert(make_msg(1, 1), 3));
   for (std::uint64_t r = 4; r <= 10; ++r) buf.on_round(r);
-  EXPECT_FALSE(buf.seen({1, 1}));    // dedup memory finally expires
-  EXPECT_TRUE(buf.insert(make_msg(1, 1), 10));
+  // The seen set forgets the id; its source's floor keeps it seen.
+  EXPECT_TRUE(buf.seen({1, 1}));
+  EXPECT_FALSE(buf.insert(make_msg(1, 1), 10));
+}
+
+// Nothing bounds how long copies circulate — each new holder buffers its
+// copy for buffer_rounds of its own — so a copy can come back after the
+// seen set forgot the id. The id, and every older seqno of its source,
+// stays seen; newer seqnos and other sources are untouched.
+TEST(Buffer, ExpiredIdsAndOlderSeqnosOfTheirSourceStaySeen) {
+  MessageBuffer buf(3, 10);
+  ASSERT_TRUE(buf.insert(make_msg(1, 5), 0));
+  for (std::uint64_t r = 1; r <= 30; ++r) buf.on_round(r);
+  buf.check_invariants(30);
+  EXPECT_TRUE(buf.seen({1, 5}));
+  EXPECT_TRUE(buf.seen({1, 4}));
+  EXPECT_FALSE(buf.insert(make_msg(1, 5), 30));
+  EXPECT_FALSE(buf.insert(make_msg(1, 4), 30));
+  EXPECT_FALSE(buf.seen({1, 6}));
+  EXPECT_FALSE(buf.seen({2, 4}));
+  EXPECT_TRUE(buf.insert(make_msg(1, 6), 30));
+  EXPECT_TRUE(buf.insert(make_msg(2, 4), 30));
+  buf.check_invariants(30);
 }
 
 TEST(Buffer, RoundCounterIncrementsWhileBuffered) {
@@ -245,8 +266,9 @@ TEST(Buffer, SelectMissingRespectsCapAndIsRandom) {
   EXPECT_NE(key(a), key(b));
 }
 
-// Inserts at rounds 0, 2 and 5 expire exactly buffer_rounds and seen_rounds
-// after their own insertion, whatever else is buffered.
+// Inserts at rounds 0, 2 and 5 leave the buffer exactly buffer_rounds after
+// their own insertion, whatever else is buffered, and stay seen from then on
+// (the seen set's own deadlines are check_invariants()'s to check).
 TEST(Buffer, EntriesExpireExactlyAtTheirOwnDeadlines) {
   constexpr std::uint64_t kBuffer = 3, kSeen = 7;
   MessageBuffer buf(kBuffer, kSeen);
@@ -265,7 +287,7 @@ TEST(Buffer, EntriesExpireExactlyAtTheirOwnDeadlines) {
     for (std::uint64_t i = 0; i < 3; ++i) {
       const std::uint64_t at = inserted_at[i];
       const bool buffered = at <= round && round < at + kBuffer;
-      const bool seen = at <= round && round < at + kSeen;
+      const bool seen = at <= round;
       want_buffered += buffered ? 2 : 0;
       EXPECT_EQ(buf.seen({1, i}), seen) << "round " << r << " id " << i;
       EXPECT_EQ(buf.seen({2, i}), seen) << "round " << r << " id " << i;

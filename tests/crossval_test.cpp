@@ -21,7 +21,7 @@ namespace {
 
 // Max |analysis - simulation| over the first `rounds` rounds of the
 // coverage CDF.
-double coverage_gap(analysis::Protocol ap, sim::SimProtocol sp, double alpha,
+double coverage_gap(analysis::Protocol ap, core::Variant sp, double alpha,
                     double x, std::size_t rounds, std::size_t runs) {
   const std::size_t n = 120;
   analysis::DetailedParams dp;
@@ -52,7 +52,7 @@ double coverage_gap(analysis::Protocol ap, sim::SimProtocol sp, double alpha,
 
 struct CrossCase {
   analysis::Protocol ap;
-  sim::SimProtocol sp;
+  core::Variant sp;
   double alpha, x;
   double tolerance;
 };
@@ -73,21 +73,21 @@ TEST_P(AnalysisVsSim, CoverageCurvesAgree) {
 INSTANTIATE_TEST_SUITE_P(
     Fig13And14, AnalysisVsSim,
     ::testing::Values(
-        CrossCase{analysis::Protocol::kDrum, sim::SimProtocol::kDrum, 0, 0,
+        CrossCase{analysis::Protocol::kDrum, core::Variant::kDrum, 0, 0,
                   0.10},
-        CrossCase{analysis::Protocol::kPush, sim::SimProtocol::kPush, 0, 0,
+        CrossCase{analysis::Protocol::kPush, core::Variant::kPush, 0, 0,
                   0.10},
-        CrossCase{analysis::Protocol::kPull, sim::SimProtocol::kPull, 0, 0,
+        CrossCase{analysis::Protocol::kPull, core::Variant::kPull, 0, 0,
                   0.10},
-        CrossCase{analysis::Protocol::kDrum, sim::SimProtocol::kDrum, 0.1, 64,
+        CrossCase{analysis::Protocol::kDrum, core::Variant::kDrum, 0.1, 64,
                   0.10},
-        CrossCase{analysis::Protocol::kPush, sim::SimProtocol::kPush, 0.1, 64,
+        CrossCase{analysis::Protocol::kPush, core::Variant::kPush, 0.1, 64,
                   0.10},
-        CrossCase{analysis::Protocol::kPull, sim::SimProtocol::kPull, 0.1, 64,
+        CrossCase{analysis::Protocol::kPull, core::Variant::kPull, 0.1, 64,
                   0.08},
-        CrossCase{analysis::Protocol::kDrum, sim::SimProtocol::kDrum, 0.4, 128,
+        CrossCase{analysis::Protocol::kDrum, core::Variant::kDrum, 0.4, 128,
                   0.10},
-        CrossCase{analysis::Protocol::kPull, sim::SimProtocol::kPull, 0.4, 128,
+        CrossCase{analysis::Protocol::kPull, core::Variant::kPull, 0.4, 128,
                   0.08}));
 
 TEST(CrossValidation, PullEscapeMatchesAppendixB) {
@@ -96,7 +96,7 @@ TEST(CrossValidation, PullEscapeMatchesAppendixB) {
   // expect agreement within ~15%.)
   const std::size_t n = 120;
   sim::SimParams s;
-  s.protocol = sim::SimProtocol::kPull;
+  s.protocol = core::Variant::kPull;
   s.n = n;
   s.alpha = 0.1;
   s.x = 128;
@@ -119,7 +119,7 @@ TEST(CrossValidation, SimMatchesMeasurementForDrum) {
   auto agg = sim::simulate_many(
       [] {
         sim::SimParams s;
-        s.protocol = sim::SimProtocol::kDrum;
+        s.protocol = core::Variant::kDrum;
         s.n = 50;
         s.alpha = 0.1;
         s.x = 128;
@@ -153,7 +153,7 @@ TEST(CrossValidation, PaPuBoundsHoldInSimulation) {
   // stays below the closed-form bound. Indirect check via Drum's bounded
   // propagation: rounds at x and at 4x differ by less than 50%.
   sim::SimParams s;
-  s.protocol = sim::SimProtocol::kDrum;
+  s.protocol = core::Variant::kDrum;
   s.n = 120;
   s.alpha = 0.1;
   s.x = 64;

@@ -8,7 +8,9 @@
 #include <thread>
 #include <vector>
 
+#include "drum/check/check.hpp"
 #include "drum/harness/cluster.hpp"
+#include "drum/harness/group.hpp"
 #include "drum/harness/swarm.hpp"
 
 namespace drum::harness {
@@ -436,6 +438,141 @@ TEST(Cluster, TraceRingCapturesRoundTicksWhenEnabled) {
   ClusterConfig plain = small_config(core::Variant::kDrum);
   Cluster off(plain);
   EXPECT_EQ(off.trace(0), nullptr);
+}
+
+// ------------------------------------------------- group and attacker
+
+GroupConfig group_config(double malicious, double alpha) {
+  GroupConfig g;
+  g.n = 20;
+  g.malicious = malicious;
+  g.alpha = alpha;
+  g.base_port = 4000;
+  return g;
+}
+
+// The simulator's layout: insiders first, then the source, which heads the
+// victims.
+TEST(Group, InsidersFirstThenSourceThenVictims) {
+  util::Rng rng(3);
+  Group g(group_config(0.1, 0.25), rng);
+  ASSERT_EQ(g.size(), 20u);
+  EXPECT_EQ(std::vector<std::uint32_t>(g.insiders().begin(),
+                                       g.insiders().end()),
+            (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(g.first_live(), 2u);  // the source
+  EXPECT_EQ(std::vector<std::uint32_t>(g.victims().begin(),
+                                       g.victims().end()),
+            (std::vector<std::uint32_t>{2, 3, 4, 5, 6}));
+  EXPECT_FALSE(g.is_victim(1));
+  EXPECT_TRUE(g.is_victim(6));
+  EXPECT_FALSE(g.is_victim(7));
+  const core::Peer& p = g.peer(7);
+  EXPECT_EQ(p.id, 7u);
+  EXPECT_EQ(p.host, 7u);
+  EXPECT_EQ(p.wk_pull_port, 4021);
+  EXPECT_EQ(p.wk_offer_port, 4022);
+  EXPECT_EQ(p.wk_pull_reply_port, 4023);
+  EXPECT_EQ(p.dh_pub, g.identity(7).dh_public());
+  EXPECT_EQ(g.node_config(core::Variant::kDrum, 7, 4).wk_offer_port, 4022);
+
+  util::Rng rng2(3);
+  EXPECT_THROW(Group(group_config(1.0, 0.1), rng2), std::invalid_argument);
+  GroupConfig tiny = group_config(0.0, 0.0);
+  tiny.n = 3;
+  EXPECT_THROW(Group(tiny, rng2), std::invalid_argument);
+}
+
+// Every flood is spread over the whole round: at x = 16 over 20 bursts each
+// victim's offer and pull halves (8 each) land on two bursts in every five,
+// through the end of the round, instead of on the first eight bursts.
+TEST(Attacker, SpreadsEachFloodEvenlyOverTheRound) {
+  check::reset_nonce_tracker();
+  util::Rng rng(4);
+  Group g(group_config(0.1, 0.1), rng);  // victims 2 and 3
+  Attacker a(g, core::Variant::kDrum, 4, "flood", adversary::Params{.x = 16},
+             1, 20);
+  ASSERT_TRUE(a.armed());
+  for (int round = 0; round < 2; ++round) {
+    std::size_t total = 0;
+    for (std::size_t b = 0; b < 20; ++b) {
+      const std::size_t sent = a.send_burst({});
+      EXPECT_EQ(sent, b % 5 == 2 || b % 5 == 4 ? 4u : 0u) << "burst " << b;
+      total += sent;
+    }
+    EXPECT_TRUE(a.round_done());
+    EXPECT_EQ(total, 16u * 2);
+  }
+}
+
+// One arming rule for both harnesses: victims, a budget or insiders, and a
+// first plan that sends something.
+TEST(Attacker, ArmsOnlyWhenItHasSomethingToSend) {
+  util::Rng rng(5);
+  const Group with_insiders(group_config(0.1, 0.1), rng);
+  const Group no_insiders(group_config(0.0, 0.1), rng);
+  const Group no_victims(group_config(0.1, 0.0), rng);
+  auto armed = [](const Group& g, const char* strategy, double x) {
+    return Attacker(g, core::Variant::kDrum, 4, strategy,
+                    adversary::Params{.x = x}, 1, 20)
+        .armed();
+  };
+  // Cluster: the flood at x = 0 plans nothing, insiders or not.
+  EXPECT_FALSE(armed(with_insiders, "flood", 0));
+  EXPECT_FALSE(armed(no_insiders, "flood", 0));
+  EXPECT_TRUE(armed(with_insiders, "flood", 128));
+  EXPECT_FALSE(armed(no_victims, "flood", 128));
+  // Insider strategies act without a budget; nothing acts without both.
+  EXPECT_TRUE(armed(with_insiders, "pull-amplify", 0));
+  EXPECT_TRUE(armed(with_insiders, "eclipse", 0));
+  EXPECT_FALSE(armed(no_insiders, "slow-drip", 0));
+  EXPECT_TRUE(armed(no_insiders, "slow-drip", 1));
+  // An eclipse needs insiders to send anything.
+  EXPECT_FALSE(armed(no_insiders, "eclipse", 64));
+  EXPECT_THROW(armed(with_insiders, "no-such-strategy", 1),
+               std::invalid_argument);
+}
+
+// Spoofed frames fail the victim's port box; insider frames are sealed under
+// the colluder's real pair key and pass it.
+TEST(Attacker, InsiderFramesAuthenticateAndSpoofedOnesDoNot) {
+  auto box_failures_at_victim = [](const char* strategy) {
+    check::reset_nonce_tracker();
+    util::Rng rng(6);
+    Group g(group_config(0.2, 0.05), rng);  // insiders 0-3, victim 4
+    auto transport = g.mem_net()->transport(4);
+    core::Node victim(g.node_config(core::Variant::kDrum, 4, 4),
+                      g.identity(4), g.directory(), *transport, 1, nullptr);
+    Attacker a(g, core::Variant::kDrum, 4, strategy,
+               adversary::Params{.x = 64}, 1, 1);
+    EXPECT_TRUE(a.armed());
+    EXPECT_GT(a.send_burst({}), 0u);
+    core::ingress::IngressBatch batch;
+    victim.drain_ingress(batch);
+    batch.dispatch();
+    EXPECT_GT(victim.registry().counter_value("node.datagrams_read"), 0u);
+    return victim.registry().counter_value("node.box_failures");
+  };
+  EXPECT_GT(box_failures_at_victim("flood"), 0u);
+  EXPECT_EQ(box_failures_at_victim("pull-amplify"), 0u);
+}
+
+// Cluster places insiders, source and victims by the group's rule, and arms
+// no attacker at x = 0.
+TEST(Cluster, UsesTheSharedLayout) {
+  auto cfg = small_config(core::Variant::kDrum);  // n = 20, 10% malicious
+  cfg.alpha = 0.25;
+  cfg.x = 64;
+  Cluster attacked(cfg);
+  EXPECT_EQ(attacked.source_id(), 2u);
+  EXPECT_EQ(attacked.correct_count(), 18u);
+  EXPECT_EQ(attacked.node(0).config().id, 2u);
+  EXPECT_TRUE(attacked.is_attacked(2));
+  EXPECT_TRUE(attacked.is_attacked(6));
+  EXPECT_FALSE(attacked.is_attacked(7));
+  cfg.x = 0;
+  Cluster quiet(cfg);
+  EXPECT_FALSE(quiet.is_attacked(2));
 }
 
 // Regression: start()/stop() used to check-and-set a naked `started_` bool

@@ -232,6 +232,44 @@ TEST(Table, SeedRosterSkipsInvalid) {
   EXPECT_FALSE(table.is_member(2, 0));
 }
 
+// apply()'s kJoin and seed_roster() run one admission rule: the same five
+// certificates get the same verdicts from both.
+TEST(Table, JoinAndRosterAdmitTheSameCertificates) {
+  CaFixture f;
+  const MembershipEvent expired = f.join(3);  // issued at 0, expires at 100
+  f.ca.set_now(150);
+  const MembershipEvent valid = f.join(1);
+  const MembershipEvent revoked = f.join(4);
+  const MembershipEvent expel = *f.ca.expel(4);
+  const MembershipEvent stale = f.join(5);
+  const MembershipEvent renewed = *f.ca.renew(5);
+  MembershipEvent forged = f.join(6);
+  forged.certificate->ca_signature[0] ^= 1;
+
+  const std::int64_t now = 150;
+  MembershipTable by_event(f.ca.public_key());
+  MembershipTable by_roster(f.ca.public_key());
+  for (MembershipTable* t : {&by_event, &by_roster}) {
+    ASSERT_TRUE(t->apply(expel, now));
+    ASSERT_TRUE(t->apply(renewed, now));
+  }
+  const struct {
+    const char* name;
+    const MembershipEvent* event;
+    bool admitted;
+  } cases[] = {{"valid", &valid, true},
+               {"expired", &expired, false},
+               {"revoked serial", &revoked, false},
+               {"stale serial", &stale, false},
+               {"bad CA signature", &forged, false}};
+  for (const auto& c : cases) {
+    EXPECT_EQ(by_event.apply(*c.event, now), c.admitted) << c.name;
+    EXPECT_EQ(by_roster.seed_roster({*c.event->certificate}, now),
+              c.admitted ? 1u : 0u)
+        << c.name;
+  }
+}
+
 // ---------------------------------------------------- failure detector
 
 TEST(FailureDetector, SuspectsAfterSilence) {

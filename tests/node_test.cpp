@@ -41,7 +41,8 @@ struct Pair {
   /// node's ingest(). Lets tests observe or act while a node is "entered".
   std::function<void(std::uint32_t, const Node::Delivery&)> on_delivery;
 
-  explicit Pair(std::size_t n, Variant v = Variant::kDrum) {
+  explicit Pair(std::size_t n, Variant v = Variant::kDrum,
+                const std::function<void(NodeConfig&)>& tune = {}) {
     // Fresh world, deliberately re-seeded: open a new nonce-tracker window
     // (same seed => same keys and nonce streams as the previous fixture).
     check::reset_nonce_tracker();
@@ -64,6 +65,7 @@ struct Pair {
       cfg.wk_pull_port = dir[id].wk_pull_port;
       cfg.wk_offer_port = dir[id].wk_offer_port;
       cfg.wk_pull_reply_port = dir[id].wk_pull_reply_port;
+      if (tune) tune(cfg);
       nodes.push_back(std::make_unique<Node>(
           cfg, ids[id], dir, *transports.back(), rng.next(),
           [this, id](const Node::Delivery& d) {
@@ -136,6 +138,22 @@ TEST(Node, DeliversToAllAndExactlyOnce) {
     EXPECT_EQ(p.got[i][0].msg.id.source, 2u);
     EXPECT_GE(p.got[i][0].hops, 1u);
   }
+}
+
+// A message can outlive a node's dedup memory: node 2 buffers it far longer
+// than node 1 (and the source) remember its id, and keeps gossiping it. It
+// still reaches each receiver's application once, and the source never.
+TEST(Node, MessageOutlivingSeenRoundsIsDeliveredOnce) {
+  Pair p(3, Variant::kDrum, [](NodeConfig& cfg) {
+    cfg.buffer_rounds = cfg.id == 2 ? 100 : 2;
+    cfg.seen_rounds = cfg.id == 2 ? 100 : 4;
+  });
+  util::Bytes data = {'o', 'l', 'd'};
+  p.nodes[0]->multicast(util::ByteSpan(data));
+  p.run(30);
+  EXPECT_TRUE(p.got[0].empty());
+  EXPECT_EQ(p.got[1].size(), 1u);
+  EXPECT_EQ(p.got[2].size(), 1u);
 }
 
 #if DRUM_CHECKED

@@ -12,7 +12,7 @@
 namespace drum::sim {
 namespace {
 
-SimParams base_params(SimProtocol proto, std::size_t n = 120) {
+SimParams base_params(core::Variant proto, std::size_t n = 120) {
   SimParams p;
   p.protocol = proto;
   p.n = n;
@@ -27,7 +27,7 @@ double mean_rounds(const SimParams& p, std::size_t runs, std::uint64_t seed) {
 }
 
 TEST(SimEngine, DeterministicGivenSeed) {
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   p.alpha = 0.1;
   p.x = 64;
   util::Rng r1(77), r2(77);
@@ -41,12 +41,12 @@ TEST(SimEngine, ScratchOverloadMatchesPlainRun) {
   // simulate_run with a reusable SimScratch must consume the RNG and
   // produce results identically to the allocating overload — including
   // when the scratch is dirty from previous runs at other group sizes.
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   p.alpha = 0.1;
   p.x = 64;
   SimScratch scratch;
   {
-    SimParams warm = base_params(SimProtocol::kPull, 300);
+    SimParams warm = base_params(core::Variant::kPull, 300);
     util::Rng wrng(5);
     (void)simulate_run(warm, wrng, scratch);  // dirty the buffers
   }
@@ -63,7 +63,7 @@ TEST(SimEngine, SimulateManyBitIdenticalForEveryThreadCount) {
   // The parallel engine's hard contract (DESIGN.md §9): same seed, any
   // thread count -> byte-identical AggregateResult. Attack on so the
   // attacked/non-attacked samples populate too.
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   p.alpha = 0.2;
   p.x = 64;
   SimOptions t1;
@@ -83,7 +83,7 @@ TEST(SimEngine, SimulateManyDefaultMatchesExplicitSingleThread) {
   // The 3-arg overload (threads from env/hardware) must agree with an
   // explicit single-thread run — the determinism contract covers the
   // default path too.
-  SimParams p = base_params(SimProtocol::kPush);
+  SimParams p = base_params(core::Variant::kPush);
   p.alpha = 0.1;
   p.x = 32;
   SimOptions t1;
@@ -92,7 +92,7 @@ TEST(SimEngine, SimulateManyDefaultMatchesExplicitSingleThread) {
 }
 
 TEST(SimEngine, SimulateManyRecordsPoolTelemetry) {
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   obs::MetricsRegistry reg;
   SimOptions o;
   o.threads = 2;
@@ -106,7 +106,7 @@ TEST(SimEngine, SimulateManyRecordsPoolTelemetry) {
 }
 
 TEST(SimEngine, SimulateManyPropagatesTrialErrors) {
-  SimParams p = base_params(SimProtocol::kDrum, 10);
+  SimParams p = base_params(core::Variant::kDrum, 10);
   p.malicious_fraction = 1.0;  // every trial throws
   SimOptions o;
   o.threads = 4;
@@ -114,7 +114,7 @@ TEST(SimEngine, SimulateManyPropagatesTrialErrors) {
 }
 
 TEST(SimEngine, CoverageMonotoneAndStartsAtSource) {
-  SimParams p = base_params(SimProtocol::kPush);
+  SimParams p = base_params(core::Variant::kPush);
   util::Rng rng(1);
   auto r = simulate_run(p, rng);
   ASSERT_FALSE(r.coverage_by_round.empty());
@@ -127,20 +127,20 @@ TEST(SimEngine, CoverageMonotoneAndStartsAtSource) {
 
 TEST(SimEngine, FailureFreePropagationIsFast) {
   // Fig. 2(a): a few rounds suffice; grows ~log n.
-  for (auto proto : {SimProtocol::kDrum, SimProtocol::kPush,
-                     SimProtocol::kPull}) {
+  for (auto proto : {core::Variant::kDrum, core::Variant::kPush,
+                     core::Variant::kPull}) {
     SimParams p = base_params(proto);
     p.malicious_fraction = 0.0;
     double r = mean_rounds(p, 30, 42);
-    EXPECT_LT(r, 10.0) << protocol_name(proto);
-    EXPECT_GE(r, 2.0) << protocol_name(proto);
+    EXPECT_LT(r, 10.0) << core::variant_name(proto);
+    EXPECT_GE(r, 2.0) << core::variant_name(proto);
   }
 }
 
 TEST(SimEngine, LogarithmicGrowthInN) {
-  SimParams small = base_params(SimProtocol::kPush, 120);
+  SimParams small = base_params(core::Variant::kPush, 120);
   small.malicious_fraction = 0;
-  SimParams big = base_params(SimProtocol::kPush, 960);
+  SimParams big = base_params(core::Variant::kPush, 960);
   big.malicious_fraction = 0;
   double rs = mean_rounds(small, 20, 1);
   double rb = mean_rounds(big, 20, 1);
@@ -151,7 +151,7 @@ TEST(SimEngine, LogarithmicGrowthInN) {
 
 TEST(SimEngine, GracefulDegradationUnderCrashes) {
   // Fig. 2(b): even 40% crashed costs only a few rounds.
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   p.malicious_fraction = 0;
   double r0 = mean_rounds(p, 30, 3);
   p.crashed_fraction = 0.4;
@@ -161,7 +161,7 @@ TEST(SimEngine, GracefulDegradationUnderCrashes) {
 
 TEST(SimEngine, DrumBoundedInX) {
   // Fig. 3(a) / Lemma 1: alpha = 10%, increasing x barely affects Drum.
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   p.alpha = 0.1;
   p.x = 32;
   double r32 = mean_rounds(p, 30, 5);
@@ -172,7 +172,7 @@ TEST(SimEngine, DrumBoundedInX) {
 
 TEST(SimEngine, PushDegradesLinearlyInX) {
   // Corollary 1.
-  SimParams p = base_params(SimProtocol::kPush);
+  SimParams p = base_params(core::Variant::kPush);
   p.alpha = 0.1;
   p.x = 32;
   double r32 = mean_rounds(p, 30, 6);
@@ -183,7 +183,7 @@ TEST(SimEngine, PushDegradesLinearlyInX) {
 
 TEST(SimEngine, PullDegradesLinearlyInX) {
   // Corollary 2.
-  SimParams p = base_params(SimProtocol::kPull);
+  SimParams p = base_params(core::Variant::kPull);
   p.alpha = 0.1;
   p.max_rounds = 600;
   p.x = 32;
@@ -197,20 +197,20 @@ TEST(SimEngine, DrumBeatsBaselinesUnderTargetedAttack) {
   // The headline: alpha = 10%, x = 128.
   double drum, push, pull;
   {
-    SimParams p = base_params(SimProtocol::kDrum);
+    SimParams p = base_params(core::Variant::kDrum);
     p.alpha = 0.1;
     p.x = 128;
     drum = mean_rounds(p, 30, 8);
   }
   {
-    SimParams p = base_params(SimProtocol::kPush);
+    SimParams p = base_params(core::Variant::kPush);
     p.alpha = 0.1;
     p.x = 128;
     p.max_rounds = 600;
     push = mean_rounds(p, 30, 8);
   }
   {
-    SimParams p = base_params(SimProtocol::kPull);
+    SimParams p = base_params(core::Variant::kPull);
     p.alpha = 0.1;
     p.x = 128;
     p.max_rounds = 600;
@@ -223,7 +223,7 @@ TEST(SimEngine, DrumBeatsBaselinesUnderTargetedAttack) {
 TEST(SimEngine, PushFastToNonAttackedSlowToAttacked) {
   // Fig. 6: Push reaches non-attacked processes quickly but attacked ones
   // slowly; Drum is fast to both.
-  SimParams p = base_params(SimProtocol::kPush);
+  SimParams p = base_params(core::Variant::kPush);
   p.alpha = 0.1;
   p.x = 128;
   p.max_rounds = 600;
@@ -231,7 +231,7 @@ TEST(SimEngine, PushFastToNonAttackedSlowToAttacked) {
   EXPECT_LT(agg.rounds_to_target_non_attacked.mean() * 3,
             agg.rounds_to_target_attacked.mean());
 
-  SimParams d = base_params(SimProtocol::kDrum);
+  SimParams d = base_params(core::Variant::kDrum);
   d.alpha = 0.1;
   d.x = 128;
   auto dagg = simulate_many(d, 30, 9);
@@ -242,12 +242,12 @@ TEST(SimEngine, PushFastToNonAttackedSlowToAttacked) {
 TEST(SimEngine, PullStdDominatedBySourceEscape) {
   // Fig. 4 discussion: Pull's STD is large and driven by rounds-to-leave-
   // source; Drum's STD stays small.
-  SimParams pull = base_params(SimProtocol::kPull);
+  SimParams pull = base_params(core::Variant::kPull);
   pull.alpha = 0.1;
   pull.x = 128;
   pull.max_rounds = 600;
   auto pagg = simulate_many(pull, 40, 10);
-  SimParams drum = base_params(SimProtocol::kDrum);
+  SimParams drum = base_params(core::Variant::kDrum);
   drum.alpha = 0.1;
   drum.x = 128;
   auto dagg = simulate_many(drum, 40, 10);
@@ -260,7 +260,7 @@ TEST(SimEngine, AdversaryShouldSpreadAgainstDrum) {
   // Fig. 7 / Lemma 2: with fixed budget B = 36n (c = 10 at F = 4), focusing
   // on fewer processes does NOT help against Drum...
   auto drum_rounds = [&](double alpha) {
-    SimParams p = base_params(SimProtocol::kDrum);
+    SimParams p = base_params(core::Variant::kDrum);
     p.alpha = alpha;
     p.x = 36.0 * static_cast<double>(p.n) / (alpha * p.n);
     return mean_rounds(p, 30, 11);
@@ -269,7 +269,7 @@ TEST(SimEngine, AdversaryShouldSpreadAgainstDrum) {
 
   // ...but concentrating is devastating for Push.
   auto push_rounds = [&](double alpha) {
-    SimParams p = base_params(SimProtocol::kPush);
+    SimParams p = base_params(core::Variant::kPush);
     p.alpha = alpha;
     p.x = 36.0 * static_cast<double>(p.n) / (alpha * p.n);
     p.max_rounds = 900;
@@ -280,10 +280,10 @@ TEST(SimEngine, AdversaryShouldSpreadAgainstDrum) {
 
 TEST(SimEngine, WeakAttacksBarelyAffectDrum) {
   // Fig. 8: B <= 3.6n has little impact on Drum for any alpha.
-  SimParams p = base_params(SimProtocol::kDrum);
+  SimParams p = base_params(core::Variant::kDrum);
   double baseline = mean_rounds(p, 30, 12);
   for (double alpha : {0.1, 0.5, 0.9}) {
-    SimParams q = base_params(SimProtocol::kDrum);
+    SimParams q = base_params(core::Variant::kDrum);
     q.alpha = alpha;
     q.x = 3.6 / alpha;  // B = 3.6n
     double r = mean_rounds(q, 30, 12);
@@ -293,7 +293,7 @@ TEST(SimEngine, WeakAttacksBarelyAffectDrum) {
 
 TEST(SimEngine, WellKnownPortsAblationDegrades) {
   // Fig. 12(a): without random ports, Drum degrades in x.
-  SimParams p = base_params(SimProtocol::kDrumWkPorts);
+  SimParams p = base_params(core::Variant::kDrumWkPorts);
   p.alpha = 0.1;
   p.max_rounds = 600;
   p.x = 32;
@@ -303,7 +303,7 @@ TEST(SimEngine, WellKnownPortsAblationDegrades) {
   EXPECT_GT(r256, r32 + 3.0);
 
   // Real Drum at the same attack strength stays flat and faster.
-  SimParams d = base_params(SimProtocol::kDrum);
+  SimParams d = base_params(core::Variant::kDrum);
   d.alpha = 0.1;
   d.x = 256;
   EXPECT_LT(mean_rounds(d, 30, 13), r256);
@@ -312,14 +312,14 @@ TEST(SimEngine, WellKnownPortsAblationDegrades) {
 TEST(SimEngine, SharedBoundsAblationDegrades) {
   // §9: joint control-message bound lets push-channel flood starve the pull
   // channel; separate bounds stay flat.
-  SimParams p = base_params(SimProtocol::kDrumSharedBounds);
+  SimParams p = base_params(core::Variant::kDrumSharedBounds);
   p.alpha = 0.1;
   p.max_rounds = 600;
   p.x = 32;
   double r32 = mean_rounds(p, 30, 14);
   p.x = 256;
   double r256 = mean_rounds(p, 30, 14);
-  SimParams d = base_params(SimProtocol::kDrum);
+  SimParams d = base_params(core::Variant::kDrum);
   d.alpha = 0.1;
   d.x = 256;
   double drum256 = mean_rounds(d, 30, 14);
@@ -330,7 +330,7 @@ TEST(SimEngine, SharedBoundsAblationDegrades) {
 TEST(SimEngine, LargerFanoutPropagatesFaster) {
   double prev = 1e9;
   for (std::size_t f : {2u, 4u, 8u}) {
-    SimParams p = base_params(SimProtocol::kDrum);
+    SimParams p = base_params(core::Variant::kDrum);
     p.fanout = f;
     p.malicious_fraction = 0;
     double r = mean_rounds(p, 30, 21);
@@ -343,7 +343,7 @@ TEST(SimEngine, FanoutSplitAblationStaysBalanced) {
   // Any split with both halves nonzero keeps Drum's bounded-in-x property;
   // the even split is (weakly) best under the symmetric x/2+x/2 attack.
   for (std::size_t split : {1u, 2u, 3u}) {
-    SimParams p = base_params(SimProtocol::kDrum);
+    SimParams p = base_params(core::Variant::kDrum);
     p.alpha = 0.1;
     p.drum_push_view = split;
     p.x = 32;
@@ -355,7 +355,7 @@ TEST(SimEngine, FanoutSplitAblationStaysBalanced) {
 }
 
 TEST(SimEngine, UnreachedRunsReported) {
-  SimParams p = base_params(SimProtocol::kPull);
+  SimParams p = base_params(core::Variant::kPull);
   p.alpha = 0.1;
   p.x = 512;
   p.max_rounds = 3;  // far too short
@@ -364,10 +364,10 @@ TEST(SimEngine, UnreachedRunsReported) {
 }
 
 TEST(SimEngine, RejectsDegenerateConfigs) {
-  SimParams p = base_params(SimProtocol::kDrum, 3);
+  SimParams p = base_params(core::Variant::kDrum, 3);
   util::Rng rng(1);
   EXPECT_THROW(simulate_run(p, rng), std::invalid_argument);
-  SimParams q = base_params(SimProtocol::kDrum, 10);
+  SimParams q = base_params(core::Variant::kDrum, 10);
   q.malicious_fraction = 1.0;
   EXPECT_THROW(simulate_run(q, rng), std::invalid_argument);
 }
@@ -380,14 +380,14 @@ TEST(SimEngine, RejectsDegenerateConfigs) {
 // otherwise be padding: padding would put uninitialised stack bytes into the
 // test names and change them from one run to the next.
 struct SweepCase {
-  SweepCase(SimProtocol proto_, double alpha_, double x_)
+  SweepCase(core::Variant proto_, double alpha_, double x_)
       : proto(proto_), alpha(alpha_), x(x_) {}
-  SimProtocol proto;
+  core::Variant proto;
   std::uint32_t reserved = 0;
   double alpha;
   double x;
 };
-static_assert(sizeof(SweepCase) == sizeof(SimProtocol) +
+static_assert(sizeof(SweepCase) == sizeof(core::Variant) +
                                        sizeof(std::uint32_t) +
                                        2 * sizeof(double),
               "SweepCase must have no padding bytes");
@@ -415,16 +415,16 @@ TEST_P(SimSweep, CoverageCurvesWellFormed) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimSweep,
     ::testing::Values(
-        SweepCase{SimProtocol::kDrum, 0.0, 0.0},
-        SweepCase{SimProtocol::kDrum, 0.1, 64},
-        SweepCase{SimProtocol::kDrum, 0.5, 64},
-        SweepCase{SimProtocol::kDrum, 0.9, 8},
-        SweepCase{SimProtocol::kPush, 0.1, 64},
-        SweepCase{SimProtocol::kPush, 0.5, 16},
-        SweepCase{SimProtocol::kPull, 0.1, 64},
-        SweepCase{SimProtocol::kPull, 0.9, 8},
-        SweepCase{SimProtocol::kDrumWkPorts, 0.1, 64},
-        SweepCase{SimProtocol::kDrumSharedBounds, 0.1, 64}));
+        SweepCase{core::Variant::kDrum, 0.0, 0.0},
+        SweepCase{core::Variant::kDrum, 0.1, 64},
+        SweepCase{core::Variant::kDrum, 0.5, 64},
+        SweepCase{core::Variant::kDrum, 0.9, 8},
+        SweepCase{core::Variant::kPush, 0.1, 64},
+        SweepCase{core::Variant::kPush, 0.5, 16},
+        SweepCase{core::Variant::kPull, 0.1, 64},
+        SweepCase{core::Variant::kPull, 0.9, 8},
+        SweepCase{core::Variant::kDrumWkPorts, 0.1, 64},
+        SweepCase{core::Variant::kDrumSharedBounds, 0.1, 64}));
 
 }  // namespace
 }  // namespace drum::sim
@@ -437,7 +437,7 @@ TEST(SimEngine, AttackerCannotWinByRebalancingItsSplit) {
   // channels never helps much: the protocol's un-attacked half carries M.
   double worst = 0, best = 1e9;
   for (double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    SimParams p = base_params(SimProtocol::kDrum);
+    SimParams p = base_params(core::Variant::kDrum);
     p.alpha = 0.1;
     p.x = 256;
     p.attack_push_fraction = frac;
