@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   cfg.variant = core::Variant::kDrum;
   cfg.n = n;
   cfg.alpha = alpha;
-  cfg.x = x;
+  cfg.attack_params.x = x;
   cfg.malicious = malicious;
   cfg.adversary = strategy;
   cfg.seed = seed;

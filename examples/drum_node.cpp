@@ -148,6 +148,9 @@ int main(int argc, char** argv) {
   core::NodeConfig cfg = core::make_node_config(core::Variant::kDrum, id);
   cfg.wk_pull_port = (*dir)[id].wk_pull_port;
   cfg.wk_offer_port = (*dir)[id].wk_offer_port;
+  // A restart under the same id must not reuse the last run's seqnos: peers
+  // would take its new messages for ones they have already seen.
+  cfg.first_seqno = core::wall_clock_first_seqno();
   util::Rng rng(static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count()) ^ id);
   core::Node node(cfg, *identity, *dir, transport, rng.next(),

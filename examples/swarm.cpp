@@ -115,7 +115,8 @@ int main(int argc, char** argv) {
   cfg.rate = static_cast<std::size_t>(
       flags.get_int("rate", 10, "source multicasts per round"));
   cfg.alpha = flags.get_double("alpha", 0.25, "attacked fraction");
-  cfg.x = flags.get_double("x", 64, "fabricated msgs/victim/round");
+  cfg.attack_params.x =
+      flags.get_double("x", 64, "fabricated msgs/victim/round");
   cfg.use_udp =
       flags.get_bool("udp", false, "loopback UDP instead of mem net");
   cfg.verify_signatures = !flags.get_bool(
@@ -135,8 +136,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "swarm: %zu nodes, %ds window, round %lldms, alpha=%.2f x=%.0f, %s\n",
-      cfg.n, seconds, static_cast<long long>(round_ms), cfg.alpha, cfg.x,
-      cfg.use_udp ? "udp" : "mem");
+      cfg.n, seconds, static_cast<long long>(round_ms), cfg.alpha,
+      cfg.attack_params.x, cfg.use_udp ? "udp" : "mem");
 
   std::vector<std::string> entries;
   for (std::size_t sh : shards) {
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
     out += ", \"round_ms\": " + std::to_string(round_ms);
     out += ", \"rate\": " + std::to_string(cfg.rate);
     out += ", \"alpha\": " + fmt(cfg.alpha);
-    out += ", \"x\": " + fmt(cfg.x);
+    out += ", \"x\": " + fmt(cfg.attack_params.x);
     out += ", \"shards\": [";
     for (std::size_t i = 0; i < shards.size(); ++i) {
       out += (i ? ", " : "") + std::to_string(shards[i]);

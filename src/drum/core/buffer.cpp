@@ -29,9 +29,9 @@ bool MessageBuffer::insert(DataMessage msg, std::uint64_t current_round) {
 }
 
 bool MessageBuffer::seen(const MessageId& id) const {
+  if (seen_.contains(id)) return true;  // most duplicates stop here
   auto floor = floor_.find(id.source);
-  return seen_.contains(id) ||
-         (floor != floor_.end() && id.seqno < floor->second);
+  return floor != floor_.end() && id.seqno < floor->second;
 }
 
 void MessageBuffer::on_round(std::uint64_t current_round) {

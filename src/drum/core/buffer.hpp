@@ -32,7 +32,8 @@ class MessageBuffer {
   bool insert(DataMessage msg, std::uint64_t current_round);
 
   /// In the seen set, or below its source's floor: copies can outlive
-  /// seen_rounds, since each holder buffers its own (DESIGN.md §12).
+  /// seen_rounds, since each holder buffers its own, and ids are unique
+  /// across a source's restarts too (NodeConfig::first_seqno, DESIGN §12).
   [[nodiscard]] bool seen(const MessageId& id) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 

@@ -1,5 +1,7 @@
 #include "drum/core/config.hpp"
 
+#include <chrono>
+
 namespace drum::core {
 
 const char* variant_name(Variant v) {
@@ -24,6 +26,13 @@ NodeConfig make_node_config(Variant v, std::uint32_t id, std::size_t fanout) {
   cfg.max_offers_per_round = cfg.view_push() == 0 ? 0 : cfg.view_push();
   cfg.send_capacity = fanout;
   return cfg;
+}
+
+std::uint64_t wall_clock_first_seqno() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace drum::core

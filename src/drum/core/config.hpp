@@ -50,6 +50,10 @@ struct NodeConfig {
   std::size_t seen_rounds = 40;  ///< dedup set, then a seqno floor (buffer.hpp)
   std::size_t max_msgs_per_gossip = 80; ///< cap per exchange (paper §8.2)
   std::size_t port_lifetime_rounds = 3; ///< random sockets retired after this
+  /// Seqno of this node's first multicast. Receivers take a source's seqnos
+  /// below one that left their seen set as seen (buffer.hpp), so a restart
+  /// under the same id must start above: wall_clock_first_seqno().
+  std::uint64_t first_seqno = 0;
 
   // ---- sanity-check limits (anti-amplification on fabricated input) -----
   std::size_t max_digest = 4096;
@@ -114,5 +118,10 @@ struct NodeConfig {
 
 /// Baseline config for a protocol variant with the paper's defaults.
 NodeConfig make_node_config(Variant v, std::uint32_t id, std::size_t fanout = 4);
+
+/// Microseconds since the Unix epoch: above every seqno an earlier run
+/// under the same id used, unless it multicast more than once per
+/// microsecond or the system clock stepped back since.
+std::uint64_t wall_clock_first_seqno();
 
 }  // namespace drum::core

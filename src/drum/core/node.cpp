@@ -80,7 +80,8 @@ Node::Node(NodeConfig cfg, crypto::Identity identity, PeerDirectory peers,
       transport_(transport),
       rng_(rng_seed),
       on_deliver_(std::move(on_deliver)),
-      buffer_(cfg.buffer_rounds, cfg.seen_rounds) {
+      buffer_(cfg.buffer_rounds, cfg.seen_rounds),
+      next_seqno_(cfg.first_seqno) {
   if (!peers_) {
     throw std::invalid_argument("peer directory must not be null");
   }

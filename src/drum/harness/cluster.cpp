@@ -157,7 +157,6 @@ void Cluster::on_delivery(std::uint32_t node_id,
 
 void Cluster::begin_measurement() {
   metrics_ = ClusterMetrics{};
-  metrics_.nodes.clear();
   for (const auto& live : nodes_) {
     if (live.id == source_id()) continue;
     ClusterMetrics::PerNode per;

@@ -4,6 +4,7 @@
 #include <sys/time.h>
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "drum/check/check.hpp"
@@ -21,26 +22,9 @@ std::int64_t now_us() {
       .count();
 }
 
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 double tv_to_s(const timeval& tv) {
   return static_cast<double>(tv.tv_sec) +
          static_cast<double>(tv.tv_usec) * 1e-6;
-}
-
-// x > 0 is the strategy's budget; at x = 0 insiders keep attack_params.x.
-adversary::Params attack_params(const SwarmConfig& cfg, const Group& group) {
-  adversary::Params p = cfg.attack_params;
-  if (cfg.x > 0 || group.insiders().empty()) p.x = cfg.x;
-  return p;
 }
 
 }  // namespace
@@ -57,7 +41,7 @@ Swarm::Swarm(SwarmConfig cfg)
                          .base_port = cfg_.udp_base_port},
              rng_),
       attacker_(group_, cfg_.variant, cfg_.fanout, cfg_.adversary,
-                attack_params(cfg_, group_), cfg_.seed,
+                cfg_.attack_params, cfg_.seed,
                 cfg_.attacker_bursts_per_round) {
   check::reset_nonce_tracker();
   if (cfg_.payload_size < 8) {
@@ -105,9 +89,9 @@ void Swarm::on_delivery(std::size_t index, const core::Node::Delivery& d) {
   delivered_.fetch_add(1, std::memory_order_relaxed);
   activity_[index].fetch_add(1, std::memory_order_relaxed);
   if (!measuring_.load(std::memory_order_relaxed)) return;
-  if (d.msg.payload.size() < 8) return;
-  const auto sent =
-      static_cast<std::int64_t>(get_u64(d.msg.payload.data()));
+  std::int64_t sent = 0;
+  if (d.msg.payload.size() < sizeof sent) return;
+  std::memcpy(&sent, d.msg.payload.data(), sizeof sent);
   const std::int64_t lat = now_us() - sent;
   if (lat < 0) return;
   check::MutexLock lock(lat_mu_);
@@ -152,7 +136,9 @@ void Swarm::run_for(std::chrono::milliseconds d) {
       static_cast<std::int64_t>(std::max<std::size_t>(1, cfg_.rate));
   auto next_send = t0;
   while (Clock::now() < end) {
-    put_u64(payload.data(), static_cast<std::uint64_t>(now_us()));
+    // The stamp never leaves this process, so host byte order will do.
+    const std::int64_t sent = now_us();
+    std::memcpy(payload.data(), &sent, sizeof sent);
     reactor_->multicast(0, util::ByteSpan(payload));
     next_send += send_interval;
     std::this_thread::sleep_until(std::min(next_send, end));
@@ -172,10 +158,8 @@ void Swarm::attacker_main() {
                        1, cfg_.attacker_bursts_per_round));
   std::vector<float> usefulness(group_.size(), 0.0F);
   std::vector<std::uint32_t> last_activity(nodes_.size(), 0);
-  // Bursts keep to an absolute schedule, like the source's sends, so wake-up
-  // lateness does not stretch the attacker's rounds.
-  auto next_burst = Clock::now();
   while (!attacker_stop_.load()) {
+    const auto burst_start = Clock::now();
     if (attacker_.round_done()) {
       // Usefulness = deliveries observed at each node since the last plan,
       // the coarse activity signal adaptive re-targeting keys on.
@@ -188,8 +172,7 @@ void Swarm::attacker_main() {
     }
     attack_sent_.fetch_add(attacker_.send_burst(usefulness),
                            std::memory_order_relaxed);
-    next_burst += gap;
-    std::this_thread::sleep_until(next_burst);
+    std::this_thread::sleep_until(burst_start + gap);
   }
 }
 

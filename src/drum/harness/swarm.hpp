@@ -7,13 +7,10 @@
 // ReactorRuntime hosts every node on `shards` event-loop threads; each
 // node's sockets wait on its home shard's loop (DESIGN.md §8, §13).
 //
-// An adversary thread paces the attacker Cluster runs too (group.hpp): one
-// strategy from the drum::adversary registry — the same registry the
-// Monte-Carlo simulator uses — against the attacked nodes' well-known ports
-// (spoofed sources on the mem network; sendmmsg batches on UDP), so the
-// swarm demonstrates DoS pressure with unsynchronized rounds at scale.
-// Colluding insiders, the first directory members, run no node; their
-// frames carry valid port boxes, making them authenticated black holes.
+// An adversary thread paces the attacker Cluster runs too (group.hpp: one
+// drum::adversary registry strategy, the simulator's, with spoofed and
+// insider frames), so the swarm shows DoS pressure with unsynchronized
+// rounds at scale.
 //
 // Delivery latency is measured end-to-end in wall time: the source embeds a
 // steady-clock timestamp in each payload's first 8 bytes; every delivery
@@ -46,7 +43,6 @@ struct SwarmConfig {
   core::Variant variant = core::Variant::kDrum;
   std::size_t n = 512;     ///< group size, insiders included
   double alpha = 0.0;      ///< attacked fraction of the group
-  double x = 0.0;          ///< fabricated msgs per victim per round
   std::size_t fanout = 4;
   std::uint64_t seed = 1;
   /// Mean local round duration. Scaled down from the paper's 1 s so short
@@ -76,8 +72,9 @@ struct SwarmConfig {
   /// Strategy name in the drum::adversary registry; its thread runs while
   /// the attacker is armed (Attacker::armed()).
   std::string adversary = "flood";
-  /// x > 0 replaces attack_params.x; at x = 0 only insiders attack.
-  adversary::Params attack_params;
+  /// The strategy's parameters; attack_params.x is the paper's x,
+  /// fabricated msgs per victim per round (0, as in ClusterConfig).
+  adversary::Params attack_params{.x = 0.0};
   /// Fraction of the group run as colluding insiders, ids [0, m) as in the
   /// simulator: real identities the attacker holds, no protocol node.
   double malicious = 0.0;

@@ -246,7 +246,7 @@ TEST(AdversaryTest, LiveSwarmRunsStrategyFromRegistry) {
   harness::SwarmConfig cfg;
   cfg.n = 16;
   cfg.alpha = 0.25;
-  cfg.x = 64;
+  cfg.attack_params.x = 64;
   cfg.malicious = 0.25;
   cfg.adversary = "pull-amplify";
   cfg.scoring.enabled = true;
@@ -267,7 +267,7 @@ TEST(AdversaryTest, LiveSwarmRejectsUnknownStrategy) {
   harness::SwarmConfig cfg;
   cfg.n = 8;
   cfg.alpha = 0.5;
-  cfg.x = 16;
+  cfg.attack_params.x = 16;
   cfg.adversary = "definitely-not-registered";
   EXPECT_THROW(harness::Swarm swarm(cfg), std::invalid_argument);
 }

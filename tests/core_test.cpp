@@ -266,35 +266,39 @@ TEST(Buffer, SelectMissingRespectsCapAndIsRandom) {
   EXPECT_NE(key(a), key(b));
 }
 
-// Inserts at rounds 0, 2 and 5 leave the buffer exactly buffer_rounds after
-// their own insertion, whatever else is buffered, and stay seen from then on
-// (the seen set's own deadlines are check_invariants()'s to check).
+// Inserts at rounds 0, 2 and 5 leave the buffer exactly buffer_rounds and
+// the seen set exactly seen_rounds after their own insertion, whatever else
+// is buffered. The seen set's deadline shows through the floor: seqnos 1, 3
+// and 5 are inserted, and the never-inserted 0, 2 and 4 turn seen exactly
+// when the seqno above them leaves the seen set.
 TEST(Buffer, EntriesExpireExactlyAtTheirOwnDeadlines) {
   constexpr std::uint64_t kBuffer = 3, kSeen = 7;
   MessageBuffer buf(kBuffer, kSeen);
   const std::uint64_t inserted_at[] = {0, 2, 5};
-  std::uint64_t round = 0;
   for (std::uint64_t r = 0; r <= 13; ++r) {
     if (r > 0) buf.on_round(r);
-    round = r;
     for (std::uint64_t i = 0; i < 3; ++i) {
       if (inserted_at[i] == r) {
-        ASSERT_TRUE(buf.insert(make_msg(1, i), r));
-        ASSERT_TRUE(buf.insert(make_msg(2, i), r));
+        ASSERT_TRUE(buf.insert(make_msg(1, 2 * i + 1), r));
+        ASSERT_TRUE(buf.insert(make_msg(2, 2 * i + 1), r));
       }
     }
     std::size_t want_buffered = 0;
     for (std::uint64_t i = 0; i < 3; ++i) {
       const std::uint64_t at = inserted_at[i];
-      const bool buffered = at <= round && round < at + kBuffer;
-      const bool seen = at <= round;
+      const bool buffered = at <= r && r < at + kBuffer;
+      const bool forgotten = at + kSeen <= r;
       want_buffered += buffered ? 2 : 0;
-      EXPECT_EQ(buf.seen({1, i}), seen) << "round " << r << " id " << i;
-      EXPECT_EQ(buf.seen({2, i}), seen) << "round " << r << " id " << i;
+      for (const std::uint32_t source : {1U, 2U}) {
+        EXPECT_EQ(buf.seen({source, 2 * i + 1}), at <= r)
+            << "round " << r << " source " << source << " seqno " << 2 * i + 1;
+        EXPECT_EQ(buf.seen({source, 2 * i}), forgotten)
+            << "round " << r << " source " << source << " seqno " << 2 * i;
+      }
     }
     EXPECT_EQ(buf.size(), want_buffered) << "round " << r;
     EXPECT_EQ(buf.digest().size(), want_buffered) << "round " << r;
-    buf.check_invariants(round);
+    buf.check_invariants(r);
   }
 }
 

@@ -583,7 +583,7 @@ TEST(Swarm, ConcurrentStopAndRestartAreSafe) {
   SwarmConfig cfg;
   cfg.n = 8;
   cfg.alpha = 0.5;  // arm the attacker thread: the race needs its join
-  cfg.x = 4;
+  cfg.attack_params.x = 4;
   cfg.round = std::chrono::milliseconds(20);
   cfg.seed = 7;
   Swarm swarm(cfg);

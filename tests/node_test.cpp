@@ -156,6 +156,41 @@ TEST(Node, MessageOutlivingSeenRoundsIsDeliveredOnce) {
   EXPECT_EQ(p.got[2].size(), 1u);
 }
 
+// A source rebuilt under its id (a restarted process, a member back after
+// its certificate expired) must start above the floor its earlier messages
+// left at the receivers. Starting from wall_clock_first_seqno(), as
+// drum_node does, its new message reaches every receiver once, although
+// each one's seen set has long forgotten the old message.
+TEST(Node, SourceRebuiltUnderItsIdIsDeliveredAfterSeenRounds) {
+  const auto tune = [](NodeConfig& cfg) {
+    cfg.buffer_rounds = 2;
+    cfg.seen_rounds = 4;
+    cfg.first_seqno = wall_clock_first_seqno();
+  };
+  Pair p(3, Variant::kDrum, tune);
+  util::Bytes before = {'o', 'l', 'd'};
+  const MessageId first = p.nodes[0]->multicast(util::ByteSpan(before));
+  p.run(20);
+  ASSERT_EQ(p.got[1].size(), 1u);
+  ASSERT_EQ(p.got[2].size(), 1u);
+
+  NodeConfig cfg = p.nodes[0]->config();
+  tune(cfg);
+  p.nodes[0].reset();
+  p.nodes[0] = std::make_unique<Node>(
+      cfg, p.ids[0], p.dir, *p.transports[0], 99,
+      [&p](const Node::Delivery& d) { p.got[0].push_back(d); });
+  util::Bytes after = {'n', 'e', 'w'};
+  const MessageId second = p.nodes[0]->multicast(util::ByteSpan(after));
+  EXPECT_GT(second.seqno, first.seqno);
+  p.run(20);
+  EXPECT_TRUE(p.got[0].empty());
+  for (std::uint32_t id : {1U, 2U}) {
+    ASSERT_EQ(p.got[id].size(), 2u) << "node " << id;
+    EXPECT_EQ(p.got[id][1].msg.payload, after) << "node " << id;
+  }
+}
+
 #if DRUM_CHECKED
 struct EntryFailure {};
 [[noreturn]] void entry_failure_handler(check::Kind, const char*, const char*,
